@@ -1,10 +1,11 @@
-// bench_hotpath: microbenchmarks for the two hot paths this library
-// optimizes — block dominance kernels and the allocation-lean shuffle —
-// reported as a machine-readable JSON file (BENCH_hotpath.json).
+// bench_hotpath: microbenchmarks for the hot paths this library
+// optimizes — block dominance kernels, the allocation-lean shuffle and
+// ComparePartitions — reported as a machine-readable JSON file
+// (BENCH_hotpath.json).
 //
 //   bench_hotpath [--out=BENCH_hotpath.json] [--scale=1.0] [--reps=3]
 //
-// Three benchmarks:
+// Five benchmarks:
 //
 //   dominance_kernel  block FirstDominatorIndex over an anti-correlated
 //                     row block vs the scalar CompareDominance loop
@@ -19,6 +20,10 @@
 //                     thread attached — reporting the overhead fraction
 //                     (the ISSUE-8 gate: < 2%, measured like the
 //                     tracing-on/off comparison)
+//   compare_partitions CompareAllPartitions (the ADR walk) over the
+//                     mapper windows of 10^5 * scale independent 6-d
+//                     tuples in 13 contiguous splits at PPD 4, vs the
+//                     all-pairs loop it replaced (retained below verbatim)
 //
 // Speedups are computed from best-of-`reps` wall time; every benchmark
 // validates its result against the reference before reporting. The
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/core/compare_partitions.h"
 #include "src/data/generator.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
@@ -422,6 +428,137 @@ MetricsOverheadResult BenchMetricsOverhead(double scale, int reps) {
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Benchmark 5: ComparePartitions over mapper-side windows.
+// ---------------------------------------------------------------------
+
+// The retained all-pairs reference: the CompareAllPartitions loop the ADR
+// walk replaced, kept verbatim (with the coordinate ADR test it called)
+// so the speedup is always measured against the real baseline.
+bool InAdrOfCoords(size_t dim, const uint32_t* p, const uint32_t* q) {
+  bool same = true;
+  for (size_t k = 0; k < dim; ++k) {
+    if (q[k] > p[k]) {
+      return false;
+    }
+    same = same && q[k] == p[k];
+  }
+  return !same;
+}
+
+uint64_t AllPairsComparePartitions(const core::Grid& grid,
+                                   core::CellWindowMap* windows,
+                                   DominanceCounter* tuple_counter) {
+  const size_t d = grid.dim();
+  // Decode every partition's coordinates once.
+  std::vector<core::CellId> cells;
+  cells.reserve(windows->size());
+  for (const auto& [cell, window] : *windows) {
+    cells.push_back(cell);
+  }
+  std::vector<uint32_t> coords(cells.size() * d);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    grid.CoordsOf(cells[i], &coords[i * d]);
+  }
+
+  uint64_t partition_comparisons = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SkylineWindow& target = (*windows)[cells[i]];
+    for (size_t j = 0; j < cells.size(); ++j) {
+      if (i == j) {
+        continue;
+      }
+      // Algorithm 5, line 2: only partitions in p.ADR can hold dominators.
+      if (!InAdrOfCoords(d, &coords[i * d], &coords[j * d])) {
+        continue;
+      }
+      ++partition_comparisons;
+      target.RemoveDominatedBy((*windows)[cells[j]], tuple_counter);
+    }
+  }
+  return partition_comparisons;
+}
+
+struct CompareResult {
+  size_t tuples = 0;
+  size_t partitions = 0;
+  uint64_t partition_comparisons = 0;
+  uint64_t tuple_comparisons = 0;
+  std::vector<double> walk_samples;
+  double walk_seconds = 0.0;
+  double all_pairs_seconds = 0.0;
+  double speedup = 0.0;
+};
+
+CompareResult BenchComparePartitions(double scale, int reps) {
+  constexpr size_t kDim = 6;
+  constexpr size_t kSplits = 13;
+  constexpr uint32_t kPpd = 4;
+  CompareResult out;
+  out.tuples = EnvScaledTuples(100000, scale);
+  const Dataset data =
+      data::GenerateIndependent(out.tuples, kDim, /*seed=*/20140324);
+  const core::Grid grid = std::move(core::Grid::Create(
+                                        kDim, kPpd, Bounds::UnitCube(kDim)))
+                              .value();
+
+  // Each split's per-cell BNL windows, as a mapper holds them before
+  // ComparePartitions.
+  std::vector<core::CellWindowMap> splits(kSplits);
+  for (size_t s = 0; s < kSplits; ++s) {
+    for (size_t i = s * out.tuples / kSplits;
+         i < (s + 1) * out.tuples / kSplits; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      auto [it, inserted] = splits[s].try_emplace(
+          grid.CellOf(data.RowPtr(id)), SkylineWindow(kDim));
+      it->second.Insert(data.RowPtr(id), id, nullptr);
+    }
+    out.partitions += splits[s].size();
+  }
+
+  // Times `compare` over fresh copies of every split (the copies are made
+  // outside the timed region); returns the last rep's results.
+  struct Pass {
+    std::vector<core::CellWindowMap> windows;
+    uint64_t partition_comparisons = 0;
+    uint64_t tuple_comparisons = 0;
+  };
+  const auto time_passes = [&](auto compare, std::vector<double>* samples) {
+    Pass pass;
+    for (int r = 0; r < reps; ++r) {
+      pass.windows = splits;
+      DominanceCounter counter;
+      uint64_t partition_comparisons = 0;
+      const double start = Now();
+      for (core::CellWindowMap& windows : pass.windows) {
+        partition_comparisons += compare(grid, &windows, &counter);
+      }
+      samples->push_back(Now() - start);
+      pass.partition_comparisons = partition_comparisons;
+      pass.tuple_comparisons = counter.count();
+    }
+    return pass;
+  };
+  const Pass walk = time_passes(core::CompareAllPartitions, &out.walk_samples);
+  std::vector<double> all_pairs_samples;
+  const Pass all_pairs =
+      time_passes(AllPairsComparePartitions, &all_pairs_samples);
+
+  if (walk.windows != all_pairs.windows ||
+      walk.partition_comparisons != all_pairs.partition_comparisons ||
+      walk.tuple_comparisons != all_pairs.tuple_comparisons) {
+    std::fprintf(stderr,
+                 "compare_partitions: ADR walk and all-pairs loop differ\n");
+    std::exit(1);
+  }
+  out.partition_comparisons = walk.partition_comparisons;
+  out.tuple_comparisons = walk.tuple_comparisons;
+  out.walk_seconds = BestOf(out.walk_samples);
+  out.all_pairs_seconds = BestOf(all_pairs_samples);
+  out.speedup = out.all_pairs_seconds / out.walk_seconds;
+  return out;
+}
+
 int Run(int argc, char** argv) {
   std::string out_path = "BENCH_hotpath.json";
   double scale = 1.0;
@@ -465,6 +602,14 @@ int Run(int argc, char** argv) {
                "  %+.2f%% vs metrics-off (%llu sampler snapshots)\n",
                metrics.overhead_fraction * 100.0,
                static_cast<unsigned long long>(metrics.samples_taken));
+
+  std::fprintf(stderr, "compare_partitions...\n");
+  const CompareResult compare = BenchComparePartitions(scale, reps);
+  std::fprintf(stderr,
+               "  %.2fx vs all-pairs (%zu partitions, %llu comparisons)\n",
+               compare.speedup, compare.partitions,
+               static_cast<unsigned long long>(
+                   compare.partition_comparisons));
 
   obs::BenchArtifact artifact("bench_hotpath");
   artifact.environment().reps = reps;
@@ -525,6 +670,23 @@ int Run(int argc, char** argv) {
     row.metrics["sampler_samples"] =
         static_cast<double>(metrics.samples_taken);
     row.deterministic["records"] = static_cast<int64_t>(metrics.records);
+    artifact.AddRow(std::move(row));
+  }
+  {
+    obs::BenchRow row;
+    row.name = "compare_partitions";
+    row.wall = obs::WallStats::FromSamples(compare.walk_samples);
+    row.metrics["scale"] = scale;
+    row.metrics["walk_seconds"] = compare.walk_seconds;
+    row.metrics["all_pairs_seconds"] = compare.all_pairs_seconds;
+    row.metrics["speedup_vs_all_pairs"] = compare.speedup;
+    row.deterministic["tuples"] = static_cast<int64_t>(compare.tuples);
+    row.deterministic["partitions"] =
+        static_cast<int64_t>(compare.partitions);
+    row.deterministic["partition_comparisons"] =
+        static_cast<int64_t>(compare.partition_comparisons);
+    row.deterministic["tuple_comparisons"] =
+        static_cast<int64_t>(compare.tuple_comparisons);
     artifact.AddRow(std::move(row));
   }
 

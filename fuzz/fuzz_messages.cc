@@ -6,7 +6,9 @@
 // arbitrary input the decoder either throws SerdeUnderflow — caught here,
 // the engine turns it into a task failure — or produces a value whose
 // every row/field is readable (shape invariants hold) and that survives
-// an encode -> decode fixpoint.
+// an encode -> decode fixpoint. Decoded mapper sets and group payloads are
+// also merged the way reducers merge them (MergeParts), which must accept
+// them or reject them with the same clean SerdeUnderflow.
 
 #include <cstdint>
 #include <vector>
@@ -62,6 +64,25 @@ void RoundTrip(const uint8_t* data, size_t size, TouchFn&& touch) {
   SKYMR_FUZZ_ASSERT(again == decoded);
 }
 
+/// The dim of the committed seeds' parts, so they reach InsertTuple.
+constexpr size_t kMergeDim = 2;
+
+/// Merges decoded parts the way a reducer does, at a fixed dim: a part
+/// written at another dim must be a clean SerdeUnderflow, never a read
+/// past the end of its rows.
+void MergeAtFixedDim(const std::vector<skymr::core::PartitionSkyline>& parts) {
+  skymr::core::CellWindowMap windows;
+  try {
+    skymr::core::MergeParts(parts, kMergeDim, &windows, nullptr);
+  } catch (const SerdeUnderflow&) {
+    return;
+  }
+  for (const auto& [cell, window] : windows) {
+    SKYMR_FUZZ_ASSERT(window.dim() == kMergeDim);
+    TouchWindow(window);
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -91,6 +112,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
             for (const auto& part : s.parts) {
               TouchWindow(part.window);
             }
+            MergeAtFixedDim(s.parts);
           });
       break;
     case 3:
@@ -99,6 +121,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
             for (const auto& part : g.parts) {
               TouchWindow(part.window);
             }
+            MergeAtFixedDim(g.parts);
           });
       break;
     case 4:

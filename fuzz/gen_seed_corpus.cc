@@ -242,6 +242,13 @@ void MessageSeeds(const fs::path& root) {
       {0, ""}, {1, "tuple"}, {UINT64_MAX, std::string(100, 'x')}};
   WriteSeed(root, "messages", "kv_pairs", MessageSeed(5, kvs));
 
+  // A mapper set carrying a dim-1 part beside dim-2 ones: it decodes, but
+  // merging it at dim 2 must be a clean SerdeUnderflow.
+  core::LocalSkylineSet mixed = set;
+  mixed.parts[1].window = MakeWindow(1, 3, &rng);
+  WriteSeed(root, "messages", "local_skyline_set_mixed_dim",
+            MessageSeed(2, mixed));
+
   // Truncation regressions: a valid message cut mid-payload must be a
   // clean SerdeUnderflow.
   std::vector<uint8_t> truncated = MessageSeed(3, payload);

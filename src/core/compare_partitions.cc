@@ -10,32 +10,31 @@ uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
                               DominanceCounter* tuple_counter) {
   SKYMR_TRACE_SPAN("core.compare_partitions", "partitions",
                    static_cast<int64_t>(windows->size()));
-  const size_t d = grid.dim();
-  // Decode every partition's coordinates once.
+  // The map iterates ascending, so cells[i] and partitions[i] line up with
+  // the index's positions.
   std::vector<CellId> cells;
+  std::vector<SkylineWindow*> partitions;
   cells.reserve(windows->size());
-  for (const auto& [cell, window] : *windows) {
+  partitions.reserve(windows->size());
+  for (auto& [cell, window] : *windows) {
     cells.push_back(cell);
+    partitions.push_back(&window);
   }
-  std::vector<uint32_t> coords(cells.size() * d);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    grid.CoordsOf(cells[i], &coords[i * d]);
-  }
+  AdrIndex index(grid, cells);
 
+  // Targets ascending by CellId, each target's sources ascending by
+  // CellId: the order that fixes which tuples survive, the windows' row
+  // order and the tuple-comparison count.
   uint64_t partition_comparisons = 0;
+  std::vector<uint32_t> coords(grid.dim());
   for (size_t i = 0; i < cells.size(); ++i) {
-    SkylineWindow& target = (*windows)[cells[i]];
-    for (size_t j = 0; j < cells.size(); ++j) {
-      if (i == j) {
-        continue;
-      }
-      // Algorithm 5, line 2: only partitions in p.ADR can hold dominators.
-      if (!grid.InAdrOfCoords(&coords[i * d], &coords[j * d])) {
-        continue;
-      }
+    grid.CoordsOf(cells[i], coords.data());
+    SkylineWindow& target = *partitions[i];
+    // Algorithm 5, line 2: only partitions in p.ADR can hold dominators.
+    index.ForEachAdrMember(coords.data(), [&](size_t j) {
       ++partition_comparisons;
-      target.RemoveDominatedBy((*windows)[cells[j]], tuple_counter);
-    }
+      target.RemoveDominatedBy(*partitions[j], tuple_counter);
+    });
   }
   return partition_comparisons;
 }

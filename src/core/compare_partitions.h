@@ -14,7 +14,10 @@
 
 namespace skymr::core {
 
-/// Applies Algorithm 5 to every window in `windows` against all others.
+/// Applies Algorithm 5 to every window in `windows`: each partition is
+/// compared only with the occupied partitions of its anti-dominating
+/// region, found by walking an AdrIndex over the map's cells. Targets and
+/// each target's sources are taken in ascending CellId order.
 /// Returns the number of partition-wise comparisons performed, i.e. how
 /// many times Algorithm 5's line 3 executed — the quantity the paper's
 /// cost model (Section 6) estimates and Section 7.5 measures.

@@ -134,17 +134,6 @@ bool Grid::InAdrOf(CellId p, CellId q) const {
   return true;
 }
 
-bool Grid::InAdrOfCoords(const uint32_t* p, const uint32_t* q) const {
-  bool same = true;
-  for (size_t k = 0; k < dim_; ++k) {
-    if (q[k] > p[k]) {
-      return false;
-    }
-    same = same && q[k] == p[k];
-  }
-  return !same;
-}
-
 uint64_t Grid::AdrSize(CellId cell) const {
   SKYMR_DCHECK(cell < num_cells_)
       << "cell " << cell << " out of range " << num_cells_;
@@ -179,6 +168,41 @@ std::vector<double> Grid::MaxCorner(CellId cell) const {
     cell /= ppd_;
   }
   return corner;
+}
+
+AdrIndex::AdrIndex(const Grid& grid, const std::vector<CellId>& cells)
+    : levels_(grid.dim()), frames_(grid.dim()) {
+  SKYMR_CHECK(cells.size() < UINT32_MAX)
+      << cells.size() << " cells overflow the 32-bit trie node ids";
+  const size_t last = levels_.size() - 1;
+  std::vector<uint32_t> prev(levels_.size());
+  std::vector<uint32_t> cur(levels_.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SKYMR_DCHECK(i == 0 || cells[i - 1] < cells[i])
+        << "cells not ascending at position " << i;
+    grid.CoordsOf(cells[i], cur.data());
+    // The cell shares the previous cell's path down to the first level
+    // whose coordinate differs; it gets new nodes from there on, always
+    // including its own leaf.
+    size_t l = 0;
+    if (i > 0) {
+      while (l < last && cur[last - l] == prev[last - l]) {
+        ++l;
+      }
+    }
+    for (; l <= last; ++l) {
+      if (l < last) {
+        levels_[l].first_child.push_back(
+            static_cast<uint32_t>(levels_[l + 1].coord.size()));
+      }
+      levels_[l].coord.push_back(cur[last - l]);
+    }
+    prev.swap(cur);
+  }
+  for (size_t l = 0; l < last; ++l) {
+    levels_[l].first_child.push_back(
+        static_cast<uint32_t>(levels_[l + 1].coord.size()));
+  }
 }
 
 }  // namespace skymr::core

@@ -67,10 +67,6 @@ class Grid {
   /// (Definition 4): q may contain tuples dominating p.max.
   bool InAdrOf(CellId p, CellId q) const;
 
-  /// Same ADR test on pre-decoded coordinates (hot path of
-  /// ComparePartitions).
-  bool InAdrOfCoords(const uint32_t* p, const uint32_t* q) const;
-
   /// |p.ADR| over the full grid: prod_k (coord[k] + 1) - 1.
   /// This is Equation 6's rho_dom, the paper's per-partition cost estimate.
   uint64_t AdrSize(CellId cell) const;
@@ -123,6 +119,73 @@ class Grid {
   Bounds bounds_;
   std::vector<double> inv_width_;  // ppd / (hi - lo) per dimension.
   std::vector<double> width_;      // (hi - lo) / ppd per dimension.
+};
+
+/// A set of occupied cells indexed for anti-dominating-region queries: a
+/// coordinate trie whose level l branches on dimension d-1-l, the most
+/// significant digit of the column-major CellId first. Each trie node is
+/// one distinct coordinate prefix, so the index holds at most C*d nodes
+/// for C cells, independent of the n^d grid.
+class AdrIndex {
+ public:
+  /// Indexes `cells`, which must be ascending cells of `grid`.
+  AdrIndex(const Grid& grid, const std::vector<CellId>& cells);
+
+  /// Calls fn(i) for every position i in `cells` whose cell lies in the
+  /// ADR of the cell with coordinates `coords`, in ascending order of i.
+  /// The walk takes each node's children in ascending coordinate order and
+  /// stops at the first one above `coords`, so it visits only prefixes of
+  /// ADR members (never more nodes than the trie holds). Reuses internal
+  /// scratch: one index serves one thread at a time.
+  template <typename Fn>
+  void ForEachAdrMember(const uint32_t* coords, Fn&& fn) {
+    if (levels_[0].coord.empty()) {
+      return;
+    }
+    const size_t last = levels_.size() - 1;
+    size_t l = 0;
+    frames_[0] = {0, static_cast<uint32_t>(levels_[0].coord.size()), false};
+    while (true) {
+      Frame& frame = frames_[l];
+      const uint32_t bound = coords[last - l];
+      const std::vector<uint32_t>& coord = levels_[l].coord;
+      if (frame.next == frame.end || coord[frame.next] > bound) {
+        if (l == 0) {
+          return;
+        }
+        --l;
+        continue;
+      }
+      const uint32_t node = frame.next++;
+      // ADR membership needs some coordinate strictly below the target's.
+      const bool strict = frame.strict || coord[node] < bound;
+      if (l == last) {
+        if (strict) {
+          fn(static_cast<size_t>(node));
+        }
+        continue;
+      }
+      const std::vector<uint32_t>& first_child = levels_[l].first_child;
+      frames_[++l] = {first_child[node], first_child[node + 1], strict};
+    }
+  }
+
+ private:
+  struct Level {
+    std::vector<uint32_t> coord;  // Per node, ascending within a parent.
+    // Per node: its children's range in the next level is
+    // [first_child[i], first_child[i + 1]); one trailing sentinel. Unused
+    // on the last level, whose node i is cells[i].
+    std::vector<uint32_t> first_child;
+  };
+  struct Frame {
+    uint32_t next;  // Next child to visit.
+    uint32_t end;   // One past the last child.
+    bool strict;    // Some coordinate on the path is below the target's.
+  };
+
+  std::vector<Level> levels_;
+  std::vector<Frame> frames_;  // Walk stack, one frame per level.
 };
 
 }  // namespace skymr::core

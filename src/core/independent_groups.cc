@@ -13,38 +13,30 @@ namespace skymr::core {
 
 std::vector<IndependentGroup> GenerateIndependentGroups(
     const Grid& grid, const DynamicBitset& bits) {
-  // Cache the decoded coordinates of every set cell once; ADR membership
-  // tests then cost O(d) per (seed, cell) pair.
-  const size_t d = grid.dim();
   std::vector<CellId> set_cells;
   bits.ForEachSetBit([&set_cells](size_t i) { set_cells.push_back(i); });
-  std::vector<uint32_t> coords(set_cells.size() * d);
-  for (size_t i = 0; i < set_cells.size(); ++i) {
-    grid.CoordsOf(set_cells[i], &coords[i * d]);
-  }
+  AdrIndex index(grid, set_cells);
 
   std::vector<IndependentGroup> groups;
   DynamicBitset working = bits;
+  std::vector<uint32_t> seed_coords(grid.dim());
   while (!working.None()) {
     // Algorithm 7, line 3: the remaining non-empty partition with the
     // largest index seeds the next group.
     const CellId seed = working.FindLast();
-    std::vector<uint32_t> seed_coords(d);
     grid.CoordsOf(seed, seed_coords.data());
 
     IndependentGroup group;
     group.seed = seed;
     group.cost = grid.AdrSize(seed);
     // Line 4: ig = {p_m} union p_m.ADR, with ADR membership taken against
-    // the *original* bitstring so partitions can repeat across groups.
-    for (size_t i = 0; i < set_cells.size(); ++i) {
-      const CellId cell = set_cells[i];
-      if (cell == seed ||
-          grid.InAdrOfCoords(seed_coords.data(), &coords[i * d])) {
-        group.cells.push_back(cell);
-      }
-    }
-    // set_cells is ascending, so group.cells is already sorted.
+    // the *original* bitstring so partitions can repeat across groups. The
+    // walk yields ADR members ascending, and every one has a smaller index
+    // than the seed, so group.cells comes out sorted.
+    index.ForEachAdrMember(seed_coords.data(), [&](size_t i) {
+      group.cells.push_back(set_cells[i]);
+    });
+    group.cells.push_back(seed);
     // Lines 5-6: clear the used partitions from the working copy only.
     for (const CellId cell : group.cells) {
       working.Reset(cell);

@@ -52,7 +52,9 @@ struct GroupPayload {
 using CellWindowMap = std::map<CellId, SkylineWindow>;
 
 /// Merges `parts` into `windows` tuple by tuple with InsertTuple
-/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8).
+/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8). Throws SerdeUnderflow
+/// when a non-empty part's window has a dim other than `dim` (a decoded
+/// but foreign shuffle value); the engine turns that into a task failure.
 void MergeParts(const std::vector<PartitionSkyline>& parts, size_t dim,
                 CellWindowMap* windows, DominanceCounter* counter);
 

@@ -1,7 +1,13 @@
 #include "src/core/compare_partitions.h"
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/data/generator.h"
 #include "src/local/bnl.h"
 #include "src/relation/skyline_verify.h"
@@ -11,6 +17,50 @@ namespace {
 
 Grid MakeGrid(size_t dim, uint32_t ppd) {
   return std::move(Grid::Create(dim, ppd, Bounds::UnitCube(dim))).value();
+}
+
+// The all-pairs ComparePartitions loop the ADR walk replaced, kept as the
+// reference: every ordered pair of occupied cells is tested for ADR
+// membership on decoded coordinates.
+bool InAdrOfCoords(size_t dim, const uint32_t* p, const uint32_t* q) {
+  bool same = true;
+  for (size_t k = 0; k < dim; ++k) {
+    if (q[k] > p[k]) {
+      return false;
+    }
+    same = same && q[k] == p[k];
+  }
+  return !same;
+}
+
+uint64_t AllPairsCompare(const Grid& grid, CellWindowMap* windows,
+                         DominanceCounter* tuple_counter) {
+  const size_t d = grid.dim();
+  std::vector<CellId> cells;
+  cells.reserve(windows->size());
+  for (const auto& [cell, window] : *windows) {
+    cells.push_back(cell);
+  }
+  std::vector<uint32_t> coords(cells.size() * d);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    grid.CoordsOf(cells[i], &coords[i * d]);
+  }
+
+  uint64_t partition_comparisons = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SkylineWindow& target = (*windows)[cells[i]];
+    for (size_t j = 0; j < cells.size(); ++j) {
+      if (i == j) {
+        continue;
+      }
+      if (!InAdrOfCoords(d, &coords[i * d], &coords[j * d])) {
+        continue;
+      }
+      ++partition_comparisons;
+      target.RemoveDominatedBy((*windows)[cells[j]], tuple_counter);
+    }
+  }
+  return partition_comparisons;
 }
 
 SkylineWindow OneTuple(TupleId id, std::vector<double> row) {
@@ -100,6 +150,172 @@ TEST(CompareAllPartitionsTest, CountsTupleChecksIntoCounter) {
   CompareAllPartitions(grid, &windows, &counter);
   EXPECT_EQ(counter.count(), 1u);
 }
+
+// ---------------------------------------------------------------------
+// The ADR walk against the all-pairs reference.
+// ---------------------------------------------------------------------
+
+std::vector<CellId> WalkAdr(AdrIndex* index, const std::vector<CellId>& cells,
+                            const Grid& grid, CellId target) {
+  std::vector<CellId> out;
+  const std::vector<uint32_t> coords = grid.Coords(target);
+  index->ForEachAdrMember(coords.data(),
+                          [&](size_t i) { out.push_back(cells[i]); });
+  return out;
+}
+
+TEST(AdrIndexTest, YieldsExactlyTheOccupiedAdrAscending) {
+  Rng rng(1307);
+  const std::vector<std::pair<size_t, uint32_t>> shapes = {
+      {1, 1}, {1, 8}, {2, 3}, {2, 17}, {3, 4}, {4, 1}, {6, 2}, {6, 4},
+      {8, 8}, {12, 4}};
+  for (const auto& [dim, ppd] : shapes) {
+    const Grid grid = MakeGrid(dim, ppd);
+    for (int trial = 0; trial < 6; ++trial) {
+      // Densities from empty to full on small grids; a few hundred random
+      // cells on the sparse ones.
+      std::vector<CellId> cells;
+      const uint64_t n = grid.num_cells();
+      if (n <= 4096) {
+        const uint64_t keep = rng.NextBounded(5);  // Out of 4.
+        for (CellId c = 0; c < n; ++c) {
+          if (rng.NextBounded(4) < keep) {
+            cells.push_back(c);
+          }
+        }
+      } else {
+        for (int k = 0; k < 300; ++k) {
+          cells.push_back(rng.NextBounded(n));
+        }
+        std::sort(cells.begin(), cells.end());
+        cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+      }
+      AdrIndex index(grid, cells);
+      // Occupied and arbitrary targets, plus the all-maximal corner cell.
+      std::vector<CellId> targets;
+      for (int k = 0; k < 40 && !cells.empty(); ++k) {
+        targets.push_back(cells[rng.NextBounded(cells.size())]);
+      }
+      for (int k = 0; k < 20; ++k) {
+        targets.push_back(rng.NextBounded(n));
+      }
+      targets.push_back(n - 1);
+      for (const CellId p : targets) {
+        std::vector<CellId> expected;
+        for (const CellId q : cells) {
+          if (grid.InAdrOf(p, q)) {
+            expected.push_back(q);
+          }
+        }
+        ASSERT_EQ(WalkAdr(&index, cells, grid, p), expected)
+            << "d=" << dim << " ppd=" << ppd << " trial=" << trial
+            << " p=" << p << " occupied=" << cells.size();
+      }
+    }
+  }
+}
+
+using SweepParam = std::tuple<data::Distribution, std::pair<size_t, uint32_t>>;
+
+class WalkMatchesAllPairsTest : public ::testing::TestWithParam<SweepParam> {
+ protected:
+  static constexpr size_t kTuples = 600;
+  static constexpr size_t kSplits = 3;
+
+  /// Per-cell BNL windows of rows [begin, end), as a mapper builds them.
+  static CellWindowMap SplitWindows(const Grid& grid, const Dataset& data,
+                                    size_t begin, size_t end) {
+    CellWindowMap windows;
+    for (size_t i = begin; i < end; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      auto [it, inserted] =
+          windows.try_emplace(grid.CellOf(data.RowPtr(id)),
+                              SkylineWindow(data.dim()));
+      it->second.Insert(data.RowPtr(id), id, nullptr);
+    }
+    return windows;
+  }
+
+  /// Runs the walk on `windows` and the reference on a copy, and requires
+  /// identical counts and windows. Returns the partition comparisons.
+  static uint64_t ExpectSameAsReference(const Grid& grid,
+                                        CellWindowMap* windows,
+                                        const std::string& what) {
+    CellWindowMap reference = *windows;
+    DominanceCounter walked_tuples;
+    DominanceCounter reference_tuples;
+    const uint64_t walked_partitions =
+        CompareAllPartitions(grid, windows, &walked_tuples);
+    const uint64_t reference_partitions =
+        AllPairsCompare(grid, &reference, &reference_tuples);
+    EXPECT_EQ(walked_partitions, reference_partitions) << what;
+    EXPECT_EQ(walked_tuples.count(), reference_tuples.count()) << what;
+    EXPECT_TRUE(*windows == reference) << what;
+    return walked_partitions;
+  }
+};
+
+TEST_P(WalkMatchesAllPairsTest, MapperAndReducerWindows) {
+  const auto& [distribution, shape] = GetParam();
+  const auto& [dim, ppd] = shape;
+  data::GeneratorConfig config;
+  config.distribution = distribution;
+  config.cardinality = kTuples;
+  config.dim = dim;
+  config.seed = 20140324 + dim * 131 + ppd;
+  const Dataset data = std::move(data::Generate(config)).value();
+  const Grid grid = MakeGrid(dim, ppd);
+
+  // Mapper side: each split's windows; their survivors become the parts
+  // a reducer merges.
+  std::vector<PartitionSkyline> parts;
+  uint64_t partition_comparisons = 0;
+  for (size_t s = 0; s < kSplits; ++s) {
+    CellWindowMap mapped = SplitWindows(grid, data, s * kTuples / kSplits,
+                                        (s + 1) * kTuples / kSplits);
+    partition_comparisons += ExpectSameAsReference(
+        grid, &mapped, "mapper split " + std::to_string(s));
+    for (const auto& [cell, window] : mapped) {
+      parts.push_back({cell, window});
+    }
+  }
+
+  // Reducer side: the splits' parts merged cell by cell.
+  CellWindowMap merged;
+  MergeParts(parts, dim, &merged, nullptr);
+  partition_comparisons += ExpectSameAsReference(grid, &merged, "reducer");
+  EXPECT_GT(partition_comparisons, 0u);
+
+  std::vector<TupleId> ids;
+  for (const auto& [cell, window] : merged) {
+    ids.insert(ids.end(), window.ids().begin(), window.ids().end());
+  }
+  EXPECT_EQ(ExplainSkylineMismatch(data, ids), "");
+}
+
+std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto& [distribution, shape] = info.param;
+  std::string name = data::DistributionName(distribution);
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  return name + "_d" + std::to_string(shape.first) + "_ppd" +
+         std::to_string(shape.second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, WalkMatchesAllPairsTest,
+    ::testing::Combine(
+        ::testing::Values(data::Distribution::kIndependent,
+                          data::Distribution::kAntiCorrelated,
+                          data::Distribution::kCorrelated),
+        // (8, 8) and (12, 4) are sparse: 2^24 cells, a few hundred used.
+        ::testing::Values(std::pair<size_t, uint32_t>{1, 8},
+                          std::pair<size_t, uint32_t>{2, 17},
+                          std::pair<size_t, uint32_t>{3, 4},
+                          std::pair<size_t, uint32_t>{6, 2},
+                          std::pair<size_t, uint32_t>{6, 4},
+                          std::pair<size_t, uint32_t>{8, 8},
+                          std::pair<size_t, uint32_t>{12, 4})),
+    SweepName);
 
 }  // namespace
 }  // namespace skymr::core

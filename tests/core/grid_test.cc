@@ -118,20 +118,6 @@ TEST(GridTest, AdrOfOriginIsEmpty) {
   }
 }
 
-TEST(GridTest, AdrCoordsMatchesCellVersion) {
-  const Grid grid = MakeGrid(2, 4);
-  for (CellId p = 0; p < grid.num_cells(); ++p) {
-    uint32_t pc[2];
-    grid.CoordsOf(p, pc);
-    for (CellId q = 0; q < grid.num_cells(); ++q) {
-      uint32_t qc[2];
-      grid.CoordsOf(q, qc);
-      EXPECT_EQ(grid.InAdrOf(p, q), grid.InAdrOfCoords(pc, qc))
-          << "p=" << p << " q=" << q;
-    }
-  }
-}
-
 TEST(GridTest, AdrSizeIsCoordinateProductMinusOne) {
   // Equation 6: rho_dom = prod coords(1-based) - 1. Paper example:
   // p2 of the 3x3 grid has coords (1,3) -> 1*3 - 1 = 2 comparisons.

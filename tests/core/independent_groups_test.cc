@@ -98,6 +98,43 @@ TEST(GenerateIndependentGroupsTest, GroupsCoverAllNonEmptyCells) {
   }
 }
 
+TEST(GenerateIndependentGroupsTest, GroupsMatchAdrScanOfSetCells) {
+  // Algorithm 7 line 4, spelled out: each group is its seed plus every set
+  // cell of the original bitstring in the seed's ADR, on dense and sparse
+  // grids alike.
+  Rng rng(7);
+  const std::vector<std::pair<size_t, uint32_t>> shapes = {
+      {1, 9}, {2, 3}, {3, 5}, {6, 4}, {10, 4}};
+  for (const auto& [dim, ppd] : shapes) {
+    const Grid grid = MakeGrid(dim, ppd);
+    DynamicBitset bits(grid.num_cells());
+    for (int k = 0; k < 200; ++k) {
+      bits.Set(rng.NextBounded(grid.num_cells()));
+    }
+    std::vector<CellId> set_cells;
+    bits.ForEachSetBit([&set_cells](size_t i) { set_cells.push_back(i); });
+
+    const auto groups = GenerateIndependentGroups(grid, bits);
+    DynamicBitset working = bits;
+    size_t g = 0;
+    for (; !working.None(); ++g) {
+      const CellId seed = working.FindLast();
+      std::vector<CellId> expected;
+      for (const CellId cell : set_cells) {
+        if (cell == seed || grid.InAdrOf(seed, cell)) {
+          expected.push_back(cell);
+          working.Reset(cell);
+        }
+      }
+      ASSERT_LT(g, groups.size()) << "d=" << dim << " ppd=" << ppd;
+      EXPECT_EQ(groups[g].seed, seed) << "d=" << dim << " group " << g;
+      EXPECT_EQ(groups[g].cells, expected) << "d=" << dim << " group " << g;
+      EXPECT_EQ(groups[g].cost, grid.AdrSize(seed));
+    }
+    EXPECT_EQ(g, groups.size()) << "d=" << dim << " ppd=" << ppd;
+  }
+}
+
 TEST(GenerateIndependentGroupsTest, SeedsAreMaximumPartitions) {
   // Definition 6: a seed must not be in any non-empty partition's ADR at
   // the time it is chosen; with the working-copy semantics this means no

@@ -69,6 +69,25 @@ TEST(MergePartsTest, IncomparableTuplesAccumulate) {
   EXPECT_EQ(windows[0].size(), 2u);
 }
 
+TEST(MergePartsTest, ForeignDimPartIsCleanUnderflow) {
+  // A dim-1 part decodes cleanly (its window shape is self-consistent),
+  // but a dim-6 job reading it would read 6 doubles per 1-double row.
+  PartitionSkyline foreign;
+  foreign.cell = 3;
+  foreign.window = MakeWindow({{0, {0.5}}, {1, {0.25}}}, 1);
+  const auto decoded =
+      DeserializeFromBytes<PartitionSkyline>(SerializeToBytes(foreign));
+  ASSERT_EQ(decoded.window.dim(), 1u);
+  CellWindowMap windows;
+  DominanceCounter counter;
+  EXPECT_THROW(MergeParts({decoded}, 6, &windows, &counter), SerdeUnderflow);
+  EXPECT_EQ(counter.count(), 0u);
+  // An empty part has no rows to misread, whatever its dim.
+  EXPECT_NO_THROW(MergeParts({{3, SkylineWindow(1)}}, 6, &windows, nullptr));
+  ASSERT_EQ(windows.count(3), 1u);
+  EXPECT_EQ(windows[3].dim(), 6u);
+}
+
 TEST(UnionWindowsTest, ConcatenatesInCellOrder) {
   CellWindowMap windows;
   windows.emplace(9, MakeWindow({{5, {0.9, 0.1}}}, 2));
