@@ -22,9 +22,9 @@ void Hybrid(benchmark::State& state) {
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data =
       skymr::bench::CachedDataset(dist, card, dim);
-  skymr::RunnerConfig config = skymr::bench::PaperConfig(algorithm);
   skymr::bench::RunAndReport(
-      state, data, config,
+      state, data, skymr::bench::PaperOptions(),
+      skymr::bench::PaperQuery(algorithm),
       [algorithm](const skymr::SkylineResult& result,
                   std::map<std::string, double>* metrics) {
         if (algorithm == skymr::Algorithm::kHybrid) {

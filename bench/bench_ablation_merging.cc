@@ -24,11 +24,11 @@ void Merging(benchmark::State& state) {
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data = skymr::bench::CachedDataset(
       skymr::data::Distribution::kAntiCorrelated, card, dim);
-  skymr::RunnerConfig config =
-      skymr::bench::PaperConfig(skymr::Algorithm::kMrGpmrs, reducers);
-  config.merge = strategy;
+  skymr::QuerySpec query =
+      skymr::bench::PaperQuery(skymr::Algorithm::kMrGpmrs);
+  query.merge = strategy;
   skymr::bench::RunAndReport(
-      state, data, config,
+      state, data, skymr::bench::PaperOptions(reducers), query,
       [](const skymr::SkylineResult& result,
          std::map<std::string, double>* metrics) {
         const auto& reduce_tasks = result.jobs[1].reduce_tasks;

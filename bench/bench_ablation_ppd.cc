@@ -21,11 +21,11 @@ void ExplicitPpd(benchmark::State& state) {
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data =
       skymr::bench::CachedDataset(dist, card, kDim);
-  skymr::RunnerConfig config =
-      skymr::bench::PaperConfig(skymr::Algorithm::kMrGpmrs);
-  config.ppd.explicit_ppd = ppd;
+  skymr::SessionOptions options = skymr::bench::PaperOptions();
+  options.ppd.explicit_ppd = ppd;
   skymr::bench::RunAndReport(
-      state, data, config,
+      state, data, options,
+      skymr::bench::PaperQuery(skymr::Algorithm::kMrGpmrs),
       [](const skymr::SkylineResult& result,
          std::map<std::string, double>* metrics) {
         int64_t partition_cmps = 0;
@@ -52,10 +52,11 @@ void HeuristicPpd(benchmark::State& state) {
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data =
       skymr::bench::CachedDataset(dist, card, kDim);
-  skymr::RunnerConfig config =
-      skymr::bench::PaperConfig(skymr::Algorithm::kMrGpmrs);
-  config.ppd.strategy = strategy;
-  skymr::bench::RunAndReport(state, data, config);
+  skymr::SessionOptions options = skymr::bench::PaperOptions();
+  options.ppd.strategy = strategy;
+  skymr::bench::RunAndReport(
+      state, data, options,
+      skymr::bench::PaperQuery(skymr::Algorithm::kMrGpmrs));
 }
 
 void RegisterAll() {

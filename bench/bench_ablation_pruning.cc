@@ -142,10 +142,10 @@ void VsSampling(benchmark::State& state) {
   const bool use_skymr = state.range(2) != 0;
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data = skymr::bench::CachedDataset(dist, card, dim);
-  skymr::RunnerConfig config = skymr::bench::PaperConfig(
-      use_skymr ? skymr::Algorithm::kSkyMr : skymr::Algorithm::kMrGpsrs);
   skymr::bench::RunAndReport(
-      state, data, config,
+      state, data, skymr::bench::PaperOptions(),
+      skymr::bench::PaperQuery(use_skymr ? skymr::Algorithm::kSkyMr
+                                         : skymr::Algorithm::kMrGpsrs),
       [](const skymr::SkylineResult& result,
          std::map<std::string, double>* metrics) {
         int64_t tuples_pruned = 0;
@@ -166,11 +166,11 @@ void LocalAlgo(benchmark::State& state) {
       static_cast<skymr::core::LocalAlgorithm>(state.range(1));
   const size_t card = skymr::bench::ScaledCardinality(kPaperCard, kScale);
   const skymr::Dataset& data = skymr::bench::CachedDataset(dist, card, 4);
-  skymr::RunnerConfig config =
-      skymr::bench::PaperConfig(skymr::Algorithm::kMrGpmrs);
-  config.local_algorithm = local;
+  skymr::QuerySpec query =
+      skymr::bench::PaperQuery(skymr::Algorithm::kMrGpmrs);
+  query.local_algorithm = local;
   skymr::bench::RunAndReport(
-      state, data, config,
+      state, data, skymr::bench::PaperOptions(), query,
       [](const skymr::SkylineResult& result,
          std::map<std::string, double>* metrics) {
         int64_t tuple_cmps = 0;

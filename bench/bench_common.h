@@ -143,16 +143,22 @@ inline const Dataset& CachedDataset(data::Distribution distribution,
 
 /// The paper's experimental configuration: 13 nodes, one mapper split per
 /// node, MR-GPMRS defaults to one reducer per node (Section 7.1).
-inline RunnerConfig PaperConfig(Algorithm algorithm, int reducers = 13) {
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = reducers;
-  return config;
+inline SessionOptions PaperOptions(int reducers = 13) {
+  SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = reducers;
+  return options;
+}
+
+/// A query for `algorithm` with every other QuerySpec default.
+inline QuerySpec PaperQuery(Algorithm algorithm) {
+  QuerySpec query;
+  query.algorithm = algorithm;
+  return query;
 }
 
 /// One worker pool for the whole bench binary: every pipeline iteration
-/// reuses it instead of spawning threads per ComputeSkyline call.
+/// reuses it instead of spawning threads per session.
 inline ThreadPool& SharedBenchPool() {
   static ThreadPool pool(ThreadPool::DefaultThreads());
   return pool;
@@ -194,13 +200,16 @@ using RowAnnotator =
 /// Runs SKYMR_BENCH_REPS pipeline executions, reports the paper's
 /// metrics on the benchmark state, and collects one skymr-bench-v1
 /// artifact row: wall-time statistics over the repetitions plus the
-/// deterministic counters harvested from the per-job telemetry. Aborts
-/// the benchmark on error, on a wrong skyline, and when the
+/// deterministic counters harvested from the per-job telemetry. Each
+/// repetition opens a fresh Session, so every one runs both jobs (a
+/// reused session would serve the bitstring phase from its cache).
+/// Aborts the benchmark on error, on a wrong skyline, and when the
 /// deterministic counters disagree across repetitions.
 inline void RunAndReport(benchmark::State& state, const Dataset& data,
-                         const RunnerConfig& config,
+                         const SessionOptions& options,
+                         const QuerySpec& query,
                          const RowAnnotator& annotate = nullptr) {
-  RunnerConfig pooled = config;
+  SessionOptions pooled = options;
   if (pooled.pool == nullptr) {
     pooled.pool = &SharedBenchPool();
   }
@@ -216,7 +225,12 @@ inline void RunAndReport(benchmark::State& state, const Dataset& data,
     double shuffle_kb = 0.0;
     double ppd = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      auto result = ComputeSkyline(data, pooled);
+      auto session = Session::Open(data, pooled);
+      if (!session.ok()) {
+        state.SkipWithError(session.status().ToString().c_str());
+        return;
+      }
+      auto result = (*session)->Submit(query);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;

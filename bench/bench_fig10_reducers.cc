@@ -30,15 +30,15 @@ void Fig10(benchmark::State& state) {
   const skymr::Algorithm algorithm = reducers == 1
                                          ? skymr::Algorithm::kMrGpsrs
                                          : skymr::Algorithm::kMrGpmrs;
-  skymr::RunnerConfig config =
-      skymr::bench::PaperConfig(algorithm, reducers);
+  skymr::SessionOptions options = skymr::bench::PaperOptions(reducers);
   // Pin the grid resolution to what the Section 3.3 heuristic selects at
   // the paper's full cardinality. At scaled-down cardinality the sparser
   // occupancy makes the heuristic pick PPD 2, which caps the independent
   // group count and hides the reducer-scaling effect this figure
   // measures.
-  config.ppd.explicit_ppd = 3;
-  skymr::bench::RunAndReport(state, data, config);
+  options.ppd.explicit_ppd = 3;
+  skymr::bench::RunAndReport(state, data, options,
+                             skymr::bench::PaperQuery(algorithm));
 }
 
 void RegisterAll() {

@@ -33,7 +33,8 @@ void Fig11(benchmark::State& state) {
   state.counters["card"] = static_cast<double>(card);
 
   skymr::bench::RunAndReport(
-      state, data, skymr::bench::PaperConfig(skymr::Algorithm::kMrGpmrs),
+      state, data, skymr::bench::PaperOptions(),
+      skymr::bench::PaperQuery(skymr::Algorithm::kMrGpmrs),
       [dim](const skymr::SkylineResult& result,
             std::map<std::string, double>* metrics) {
         const auto& skyline_job = result.jobs[1];

@@ -25,8 +25,8 @@ void Fig7(benchmark::State& state) {
   const skymr::Dataset& data = skymr::bench::CachedDataset(
       skymr::data::Distribution::kIndependent, card, dim);
   state.counters["card"] = static_cast<double>(card);
-  skymr::bench::RunAndReport(state, data,
-                             skymr::bench::PaperConfig(algorithm));
+  skymr::bench::RunAndReport(state, data, skymr::bench::PaperOptions(),
+                             skymr::bench::PaperQuery(algorithm));
 }
 
 void RegisterAll() {

@@ -30,8 +30,8 @@ void Fig8(benchmark::State& state) {
   const skymr::Dataset& data = skymr::bench::CachedDataset(
       skymr::data::Distribution::kAntiCorrelated, card, dim);
   state.counters["card"] = static_cast<double>(card);
-  skymr::bench::RunAndReport(state, data,
-                             skymr::bench::PaperConfig(algorithm));
+  skymr::bench::RunAndReport(state, data, skymr::bench::PaperOptions(),
+                             skymr::bench::PaperQuery(algorithm));
 }
 
 bool IncludedInPaper(skymr::Algorithm algorithm, size_t dim,

@@ -27,8 +27,8 @@ void Fig9(benchmark::State& state) {
   const skymr::Dataset& data =
       skymr::bench::CachedDataset(dist, card, dim);
   state.counters["card"] = static_cast<double>(card);
-  skymr::bench::RunAndReport(state, data,
-                             skymr::bench::PaperConfig(algorithm));
+  skymr::bench::RunAndReport(state, data, skymr::bench::PaperOptions(),
+                             skymr::bench::PaperQuery(algorithm));
 }
 
 bool IncludedInPaper(skymr::Algorithm algorithm, size_t dim,

@@ -10,12 +10,25 @@
 
 namespace {
 
-skymr::RunnerConfig BaseConfig() {
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
-  return config;
+/// The paper's 13-node setup: 13 mappers, 13 reducers.
+skymr::SessionOptions BaseOptions() {
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
+  return options;
+}
+
+/// Answers `query` (MR-GPMRS by default) on a fresh session, so every
+/// configuration pays for its own bitstring job and the sweeps compare
+/// like with like.
+skymr::StatusOr<skymr::SkylineResult> RunFresh(
+    const skymr::Dataset& data, const skymr::SessionOptions& options,
+    const skymr::QuerySpec& query = skymr::QuerySpec{}) {
+  auto session = skymr::Session::Open(data, options);
+  if (!session.ok()) {
+    return session.status();
+  }
+  return (*session)->Submit(query);
 }
 
 }  // namespace
@@ -32,9 +45,9 @@ int main() {
   std::printf("%6s %10s %12s %14s %16s\n", "ppd", "cells", "nonempty",
               "modeled[s]", "partition cmps");
   for (const uint32_t ppd : {2u, 3u, 4u, 6u, 8u}) {
-    skymr::RunnerConfig config = BaseConfig();
-    config.ppd.explicit_ppd = ppd;
-    auto result = skymr::ComputeSkyline(data, config);
+    skymr::SessionOptions options = BaseOptions();
+    options.ppd.explicit_ppd = ppd;
+    auto result = RunFresh(data, options);
     if (!result.ok()) {
       std::fprintf(stderr, "ppd %u failed: %s\n", ppd,
                    result.status().ToString().c_str());
@@ -53,7 +66,7 @@ int main() {
                 static_cast<long long>(comparisons));
   }
   {
-    auto result = skymr::ComputeSkyline(data, BaseConfig());
+    auto result = RunFresh(data, BaseOptions());
     if (result.ok()) {
       std::printf("heuristic (Section 3.3) selected PPD %u, modeled %.1f s\n",
                   result->ppd, result->modeled_seconds);
@@ -64,11 +77,12 @@ int main() {
   std::printf("\nreducer sweep (modeled 13-node cluster):\n");
   std::printf("%10s %14s %12s\n", "reducers", "modeled[s]", "skyline");
   for (const int reducers : {1, 3, 5, 9, 13, 17}) {
-    skymr::RunnerConfig config = BaseConfig();
-    config.algorithm = reducers == 1 ? skymr::Algorithm::kMrGpsrs
-                                     : skymr::Algorithm::kMrGpmrs;
-    config.engine.num_reducers = reducers;
-    auto result = skymr::ComputeSkyline(data, config);
+    skymr::SessionOptions options = BaseOptions();
+    options.engine.num_reducers = reducers;
+    skymr::QuerySpec query;
+    query.algorithm = reducers == 1 ? skymr::Algorithm::kMrGpsrs
+                                    : skymr::Algorithm::kMrGpmrs;
+    auto result = RunFresh(data, options, query);
     if (!result.ok()) {
       std::fprintf(stderr, "r=%d failed: %s\n", reducers,
                    result.status().ToString().c_str());
@@ -86,10 +100,11 @@ int main() {
         skymr::core::GroupMergeStrategy::kComputationCost,
         skymr::core::GroupMergeStrategy::kCommunicationCost,
         skymr::core::GroupMergeStrategy::kBalanced}) {
-    skymr::RunnerConfig config = BaseConfig();
-    config.engine.num_reducers = 4;
-    config.merge = strategy;
-    auto result = skymr::ComputeSkyline(data, config);
+    skymr::SessionOptions options = BaseOptions();
+    options.engine.num_reducers = 4;
+    skymr::QuerySpec query;
+    query.merge = strategy;
+    auto result = RunFresh(data, options, query);
     if (!result.ok()) {
       return 1;
     }

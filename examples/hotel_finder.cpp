@@ -77,13 +77,19 @@ int main() {
   // Hybrid mode: the library samples the skyline fraction and picks the
   // single- or multiple-reducer algorithm automatically (the paper's
   // Section 8 future-work direction).
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kHybrid;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
-  config.unit_bounds = false;  // Prices are dollars, not [0,1).
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
+  options.unit_bounds = false;  // Prices are dollars, not [0,1).
+  auto session = skymr::Session::Open(*prepared, options);
+  if (!session.ok()) {
+    std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
+    return 1;
+  }
 
-  auto result = skymr::ComputeSkyline(*prepared, config);
+  skymr::QuerySpec query;
+  query.algorithm = skymr::Algorithm::kHybrid;
+  auto result = (*session)->Submit(query);
   if (!result.ok()) {
     std::fprintf(stderr, "skyline failed: %s\n",
                  result.status().ToString().c_str());

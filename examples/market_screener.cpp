@@ -44,12 +44,20 @@ int main() {
       skymr::Algorithm::kMrAngle,
       skymr::Algorithm::kSkyMr,
   };
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
   for (const skymr::Algorithm algorithm : algorithms) {
-    skymr::RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 13;
-    config.engine.num_reducers = 13;
-    auto result = skymr::ComputeSkyline(instruments, config);
+    // A fresh session per algorithm, so every row pays for its own
+    // bitstring job instead of reusing the previous row's cached phase.
+    auto session = skymr::Session::Open(instruments, options);
+    if (!session.ok()) {
+      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
+      return 1;
+    }
+    skymr::QuerySpec query;
+    query.algorithm = algorithm;
+    auto result = (*session)->Submit(query);
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n",
                    skymr::AlgorithmName(algorithm),
@@ -74,12 +82,12 @@ int main() {
     }
   }
 
-  // Show the "efficient frontier" extremes from one run.
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
-  auto result = skymr::ComputeSkyline(instruments, config);
+  // Show the "efficient frontier" extremes from one MR-GPMRS run.
+  auto session = skymr::Session::Open(instruments, options);
+  if (!session.ok()) {
+    return 1;
+  }
+  auto result = (*session)->Submit(skymr::QuerySpec{});
   if (!result.ok()) {
     return 1;
   }

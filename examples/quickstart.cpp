@@ -17,17 +17,24 @@ int main() {
   std::printf("dataset: %zu tuples, %zu dimensions (anti-correlated)\n",
               data.size(), data.dim());
 
-  // 2. Configure the run: 13 mappers and 13 reducers, mirroring the
-  //    paper's 13-node Hadoop cluster; grid resolution picked by the
-  //    Section 3.3 PPD heuristic.
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
+  // 2. Open a session over the dataset: 13 mappers and 13 reducers,
+  //    mirroring the paper's 13-node Hadoop cluster; grid resolution
+  //    picked by the Section 3.3 PPD heuristic.
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
+  auto session = skymr::Session::Open(data, options);
+  if (!session.ok()) {
+    std::fprintf(stderr, "cannot open session: %s\n",
+                 session.status().ToString().c_str());
+    return 1;
+  }
 
-  // 3. Run the two-job pipeline: bitstring generation, then the skyline
-  //    job.
-  auto result = skymr::ComputeSkyline(data, config);
+  // 3. Submit one MR-GPMRS query. It runs the two-job pipeline:
+  //    bitstring generation, then the skyline job.
+  skymr::QuerySpec query;
+  query.algorithm = skymr::Algorithm::kMrGpmrs;
+  auto result = (*session)->Submit(query);
   if (!result.ok()) {
     std::fprintf(stderr, "skyline computation failed: %s\n",
                  result.status().ToString().c_str());

@@ -1,5 +1,6 @@
-// Harness: configuration validation (ValidateChaosSchedule and
-// RunnerConfig::Validate) plus a bounded end-to-end ComputeSkyline run.
+// Harness: configuration validation (ValidateChaosSchedule,
+// SessionOptions::Validate and QuerySpec::Validate) plus a bounded
+// end-to-end Session::Open + Submit run.
 //
 // Properties enforced:
 //   1. validation is total: arbitrary field values — including NaN,
@@ -7,7 +8,11 @@
 //      a Status, never a throw, crash, or hang. Raw double bit patterns
 //      are used deliberately: NaN passing a range check here once meant
 //      an unterminating retry loop downstream;
-//   2. ComputeSkyline honors its never-throws contract: with a bounded
+//   2. validation is sound for enums: a configuration that validates
+//      has every enum inside its declared range (unchecked, an
+//      out-of-range merge strategy would return an empty skyline with an
+//      OK status);
+//   3. Open and Submit honor their never-throws contract: with a bounded
 //      (small, terminating) configuration and a tiny dataset, any
 //      outcome is acceptable as long as it is a Status.
 //
@@ -19,8 +24,8 @@
 
 #include "fuzz/fuzz_common.h"
 #include "src/core/checkpoint.h"
-#include "src/core/runner.h"
 #include "src/mapreduce/chaos.h"
+#include "src/serve/session.h"
 
 namespace {
 
@@ -43,70 +48,83 @@ skymr::mr::ChaosSchedule ConsumeChaosSchedule(FuzzInput* input) {
 }
 
 /// Arbitrary-bits config: every numeric field straight from the fuzz
-/// input. Only Validate() may run on this — the property is that it
-/// rejects garbage with a Status instead of letting it near the engine.
-skymr::RunnerConfig ConsumeRawConfig(FuzzInput* input) {
-  skymr::RunnerConfig config;
-  config.algorithm =
+/// input, into the session and query halves. Only Validate() may run on
+/// this — the property is that it rejects garbage with a Status instead
+/// of letting it near the engine.
+void ConsumeRawConfig(FuzzInput* input, skymr::SessionOptions* options,
+                      skymr::QuerySpec* query) {
+  query->algorithm =
       static_cast<skymr::Algorithm>(input->ConsumeRaw<uint8_t>());
-  config.engine.num_map_tasks = input->ConsumeRaw<int32_t>();
-  config.engine.num_reducers = input->ConsumeRaw<int32_t>();
-  config.engine.num_threads = input->ConsumeRaw<int16_t>();
-  config.engine.max_task_attempts = input->ConsumeRaw<int32_t>();
-  config.engine.retry_backoff_base_ms = input->ConsumeDouble();
-  config.engine.retry_backoff_max_ms = input->ConsumeDouble();
-  config.engine.num_workers = input->ConsumeRaw<int16_t>();
-  config.engine.worker_blacklist_threshold = input->ConsumeRaw<int32_t>();
-  config.engine.speculative_execution = input->ConsumeBool();
-  config.engine.speculation_wave_fraction = input->ConsumeDouble();
-  config.engine.speculation_slowdown = input->ConsumeDouble();
-  config.engine.speculation_poll_ms = input->ConsumeDouble();
-  config.engine.chaos = ConsumeChaosSchedule(input);
-  config.ppd.explicit_ppd = input->ConsumeRaw<uint32_t>();
-  config.ppd.strategy =
+  options->engine.num_map_tasks = input->ConsumeRaw<int32_t>();
+  options->engine.num_reducers = input->ConsumeRaw<int32_t>();
+  options->engine.num_threads = input->ConsumeRaw<int16_t>();
+  options->engine.max_task_attempts = input->ConsumeRaw<int32_t>();
+  options->engine.retry_backoff_base_ms = input->ConsumeDouble();
+  options->engine.retry_backoff_max_ms = input->ConsumeDouble();
+  options->engine.num_workers = input->ConsumeRaw<int16_t>();
+  options->engine.worker_blacklist_threshold = input->ConsumeRaw<int32_t>();
+  options->engine.speculative_execution = input->ConsumeBool();
+  options->engine.speculation_wave_fraction = input->ConsumeDouble();
+  options->engine.speculation_slowdown = input->ConsumeDouble();
+  options->engine.speculation_poll_ms = input->ConsumeDouble();
+  options->engine.chaos = ConsumeChaosSchedule(input);
+  options->ppd.explicit_ppd = input->ConsumeRaw<uint32_t>();
+  options->ppd.strategy =
       static_cast<skymr::core::PpdStrategy>(input->ConsumeRaw<uint8_t>());
-  config.ppd.target_tpp = input->ConsumeDouble();
-  config.ppd.max_candidate = input->ConsumeRaw<uint32_t>();
-  config.ppd.max_cells = input->ConsumeRaw<uint64_t>();
-  config.prune_mode =
+  options->ppd.target_tpp = input->ConsumeDouble();
+  options->ppd.max_candidate = input->ConsumeRaw<uint32_t>();
+  options->ppd.max_cells = input->ConsumeRaw<uint64_t>();
+  options->prune_mode =
       static_cast<skymr::core::PruneMode>(input->ConsumeRaw<uint8_t>());
-  config.merge = static_cast<skymr::core::GroupMergeStrategy>(
+  query->merge = static_cast<skymr::core::GroupMergeStrategy>(
       input->ConsumeRaw<uint8_t>());
-  config.local_algorithm =
+  query->local_algorithm =
       static_cast<skymr::core::LocalAlgorithm>(input->ConsumeRaw<uint8_t>());
-  return config;
+}
+
+/// True when every enum of the pair lies inside its declared range.
+bool EnumsInRange(const skymr::SessionOptions& options,
+                  const skymr::QuerySpec& query) {
+  const auto at_most = [](auto value, auto last) {
+    return static_cast<int>(value) >= 0 &&
+           static_cast<int>(value) <= static_cast<int>(last);
+  };
+  return at_most(query.algorithm, skymr::Algorithm::kSkyMr) &&
+         at_most(query.merge, skymr::core::GroupMergeStrategy::kBalanced) &&
+         at_most(query.local_algorithm, skymr::core::LocalAlgorithm::kAuto) &&
+         at_most(options.prune_mode, skymr::core::PruneMode::kPrefix) &&
+         at_most(options.ppd.strategy, skymr::core::PpdStrategy::kTargetTpp);
 }
 
 /// Bounded config: small task counts, one thread, few attempts, mild
 /// chaos — everything a run needs to terminate quickly, while still
 /// exploring the validation boundary and the failure/degradation paths.
-skymr::RunnerConfig ConsumeBoundedConfig(FuzzInput* input) {
-  skymr::RunnerConfig config;
-  config.algorithm = static_cast<skymr::Algorithm>(
+void ConsumeBoundedConfig(FuzzInput* input, skymr::SessionOptions* options,
+                          skymr::QuerySpec* query) {
+  query->algorithm = static_cast<skymr::Algorithm>(
       input->ConsumeIntegralInRange(0, 5));
-  config.engine.num_map_tasks =
+  options->engine.num_map_tasks =
       static_cast<int>(input->ConsumeIntegralInRange(1, 4));
-  config.engine.num_reducers =
+  options->engine.num_reducers =
       static_cast<int>(input->ConsumeIntegralInRange(1, 4));
-  config.engine.num_threads = 1;
-  config.engine.max_task_attempts =
+  options->engine.num_threads = 1;
+  options->engine.max_task_attempts =
       static_cast<int>(input->ConsumeIntegralInRange(1, 4));
-  config.engine.retry_backoff_base_ms = 0.0;  // No sleeping in fuzz runs.
-  config.engine.chaos.seed = input->ConsumeRaw<uint64_t>();
-  config.engine.chaos.crash_rate = 0.5 * input->ConsumeUnitDouble();
-  config.engine.chaos.corrupt_rate = 0.5 * input->ConsumeUnitDouble();
-  config.engine.chaos.cache_fail_rate = 0.5 * input->ConsumeUnitDouble();
-  config.ppd.max_candidate =
+  options->engine.retry_backoff_base_ms = 0.0;  // No sleeping in fuzz runs.
+  options->engine.chaos.seed = input->ConsumeRaw<uint64_t>();
+  options->engine.chaos.crash_rate = 0.5 * input->ConsumeUnitDouble();
+  options->engine.chaos.corrupt_rate = 0.5 * input->ConsumeUnitDouble();
+  options->engine.chaos.cache_fail_rate = 0.5 * input->ConsumeUnitDouble();
+  options->ppd.max_candidate =
       static_cast<uint32_t>(input->ConsumeIntegralInRange(2, 6));
   if (input->ConsumeBool()) {
-    config.ppd.explicit_ppd =
+    options->ppd.explicit_ppd =
         static_cast<uint32_t>(input->ConsumeIntegralInRange(2, 4));
   }
-  config.merge = static_cast<skymr::core::GroupMergeStrategy>(
+  query->merge = static_cast<skymr::core::GroupMergeStrategy>(
       input->ConsumeIntegralInRange(0, 3));
-  config.unit_bounds = input->ConsumeBool();
-  config.degrade_to_single_reducer = input->ConsumeBool();
-  return config;
+  options->unit_bounds = input->ConsumeBool();
+  query->degrade_to_single_reducer = input->ConsumeBool();
 }
 
 /// Fixed tiny dataset: 8 tuples, 2-d, with ties and duplicates. The
@@ -138,20 +156,30 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       const int max_attempts =
           static_cast<int>(input.ConsumeRaw<int32_t>());
       (void)skymr::mr::ValidateChaosSchedule(chaos, max_attempts);
-      const skymr::RunnerConfig config = ConsumeRawConfig(&input);
-      (void)config.Validate();
+      skymr::SessionOptions options;
+      skymr::QuerySpec query;
+      ConsumeRawConfig(&input, &options, &query);
+      const bool options_valid = options.Validate().ok();
+      const bool query_valid = query.Validate().ok();
+      if (options_valid && query_valid) {
+        SKYMR_FUZZ_ASSERT(EnumsInRange(options, query));
+      }
       return 0;
     }
-    const skymr::RunnerConfig config = ConsumeBoundedConfig(&input);
+    skymr::SessionOptions options;
+    skymr::QuerySpec query;
+    ConsumeBoundedConfig(&input, &options, &query);
     const skymr::Dataset data = TinyDataset();
     skymr::core::PipelineCheckpoint checkpoint;
-    skymr::RunnerConfig with_checkpoint = config;
-    with_checkpoint.checkpoint = &checkpoint;
+    options.checkpoint = &checkpoint;
     // Any Status is fine (chaos may exhaust the attempt budget); the
     // contract is no throw, no crash, no hang.
-    (void)skymr::ComputeSkyline(data, with_checkpoint);
+    auto session = skymr::Session::Open(data, options);
+    if (session.ok()) {
+      (void)(*session)->Submit(query);
+    }
   } catch (...) {
-    SKYMR_FUZZ_ASSERT(!"validation or ComputeSkyline threw");
+    SKYMR_FUZZ_ASSERT(!"validation, Open or Submit threw");
   }
   return 0;
 }

@@ -393,7 +393,7 @@ void AppendChaos(SeedBuilder* b, uint64_t crash_rate_bits) {
   b->Text("chaosjob");                // fail_job (8 bytes)
 }
 
-/// Remaining RunnerConfig fields in ConsumeRawConfig order.
+/// Remaining SessionOptions/QuerySpec fields in ConsumeRawConfig order.
 void AppendRawConfig(SeedBuilder* b, uint64_t wave_fraction_bits) {
   b->Raw<uint8_t>(1);                 // algorithm
   b->Raw<int32_t>(4);                 // num_map_tasks
@@ -444,7 +444,8 @@ void ConfigSeeds(const fs::path& root) {
     WriteSeed(root, "config", "validate_nan_rate", b.bytes());
   }
   {
-    // Pipeline mode: full ComputeSkyline on the tiny dataset, no chaos.
+    // Pipeline mode: a full Session::Open + Submit on the tiny dataset,
+    // no chaos.
     SeedBuilder b;
     b.Raw<uint8_t>(1);      // run_pipeline = true
     b.Raw<uint64_t>(1);     // algorithm range draw

@@ -27,7 +27,7 @@
 namespace skymr::core {
 
 /// Thread-safe store of checkpointed bitstring-phase results. One
-/// instance may be shared across ComputeSkyline calls.
+/// instance may be shared by many sessions (SessionOptions::checkpoint).
 class PipelineCheckpoint {
  public:
   /// Returns true and fills `out` when `fingerprint` has a stored result.

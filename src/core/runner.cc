@@ -1,9 +1,6 @@
 #include "src/core/runner.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "src/serve/session.h"
 
 namespace skymr {
 
@@ -51,32 +48,6 @@ std::vector<TupleId> SkylineResult::SkylineIds() const {
   std::vector<TupleId> ids = skyline.ids();
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-Status RunnerConfig::Validate() const {
-  // The split halves own the checks (serve/session.cc), so the legacy
-  // config and the session API can never drift apart on what counts as
-  // valid: a RunnerConfig is valid iff its split is.
-  const SplitConfig split = SplitRunnerConfig(*this);
-  if (const Status valid = split.session.Validate(); !valid.ok()) {
-    return valid;
-  }
-  return split.query.Validate();
-}
-
-StatusOr<SkylineResult> ComputeSkyline(const Dataset& data,
-                                       const RunnerConfig& config) {
-  // Thin shim over a single-query session (serve/session.h): Open
-  // validates the dataset-scoped half and builds the pool, Submit
-  // validates the per-query half and runs the same pipeline this
-  // function always ran — including the query.start/finish logs and the
-  // no-throw boundary.
-  const SplitConfig split = SplitRunnerConfig(config);
-  auto session_or = Session::Open(data, split.session);
-  if (!session_or.ok()) {
-    return session_or.status();
-  }
-  return (*session_or)->Submit(split.query);
 }
 
 }  // namespace skymr

@@ -1,8 +1,8 @@
-// SkylineRunner: the library's main entry point. Given a dataset and a
-// configuration it executes the full pipeline the paper evaluates —
-// bitstring-generation job (with PPD selection) followed by the chosen
-// skyline job — and returns the skyline together with per-job metrics,
-// real wall time, and the modeled cluster makespan.
+// The vocabulary shared by every skyline pipeline: which algorithm runs
+// (the paper's MR-GPSRS/MR-GPMRS, the hybrid switch, or a baseline) and
+// what a finished pipeline returns — the skyline together with per-job
+// metrics, real wall time, and the modeled cluster makespan. Pipelines
+// run through serve/session.h (Session::Open + Submit).
 
 #ifndef SKYMR_CORE_RUNNER_H_
 #define SKYMR_CORE_RUNNER_H_
@@ -10,20 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/centralized.h"
-#include "src/baselines/sky_quadtree.h"
-#include "src/common/thread_pool.h"
-#include "src/core/bitstring_job.h"
+#include "src/common/status.h"
 #include "src/core/hybrid.h"
-#include "src/core/independent_groups.h"
-#include "src/core/skyline_job_common.h"
-#include "src/mapreduce/cluster_model.h"
+#include "src/local/skyline_window.h"
+#include "src/mapreduce/task_metrics.h"
 
 namespace skymr {
-
-namespace core {
-class PipelineCheckpoint;  // checkpoint.h
-}  // namespace core
 
 /// The skyline computation strategies the library ships.
 enum class Algorithm {
@@ -38,78 +30,6 @@ enum class Algorithm {
 const char* AlgorithmName(Algorithm algorithm);
 StatusOr<Algorithm> ParseAlgorithm(const std::string& name);
 
-/// Full configuration for one skyline computation.
-///
-/// Legacy surface: RunnerConfig conflates dataset-scoped state and
-/// per-query parameters. New code should open a serve/session.h Session
-/// (SessionOptions + QuerySpec); ComputeSkyline splits a RunnerConfig
-/// into those halves (SplitRunnerConfig) and runs a one-query session,
-/// so both surfaces always agree.
-struct RunnerConfig {
-  Algorithm algorithm = Algorithm::kMrGpmrs;
-  /// Map/reduce task counts and thread parallelism.
-  mr::EngineOptions engine;
-  /// Grid resolution policy (Section 3.3).
-  core::PpdOptions ppd;
-  /// How Equation 2 pruning is computed.
-  core::PruneMode prune_mode = core::PruneMode::kPrefix;
-  /// MR-GPMRS group merging policy (Section 5.4.1).
-  core::GroupMergeStrategy merge =
-      core::GroupMergeStrategy::kComputationCost;
-  /// Mapper-side local skyline algorithm (kBnl is the paper's
-  /// InsertTuple; kSfs and the R-tree kBbs realize the Section 8
-  /// future-work optimization; kAuto picks kBbs vs kSfs per partition).
-  core::LocalAlgorithm local_algorithm = core::LocalAlgorithm::kBnl;
-  /// Hybrid switch tunables (Algorithm::kHybrid only).
-  core::HybridPolicy hybrid;
-  /// Modeled cluster for makespan accounting.
-  mr::ClusterModel cluster;
-  /// MR-Angle: approximate number of angular partitions.
-  uint32_t angle_partitions = 64;
-  /// SKY-MR: sample size, leaf capacity, and depth of the sky-quadtree.
-  baselines::SkyQuadtree::Options skymr;
-  /// Use the unit hypercube as the grid domain (true, the synthetic
-  /// generators' domain) or compute tight data bounds (false).
-  bool unit_bounds = true;
-  /// Constrained skyline query: when set, the skyline is computed over
-  /// only the tuples inside this box. Partitions outside the box never
-  /// enter the bitstring, so they are pruned before any tuple work.
-  ///
-  /// DEPRECATED: the constraint is a per-query parameter — use
-  /// QuerySpec::constraint (serve/query_spec.h). This field keeps
-  /// working through the ComputeSkyline shim; lint_skymr's
-  /// deprecated-constraint rule flags new uses.
-  std::optional<Box> constraint;
-  /// Worker pool shared across ComputeSkyline calls. When null (the
-  /// default) a private pool of engine.num_threads is built per call;
-  /// callers running many computations (benchmark loops, the CLI compare
-  /// command) pass one pool here so threads are spawned once. The pool
-  /// must outlive the call. Leave engine.num_threads 0 when set: an
-  /// explicit nonzero count that contradicts the pool's size is an
-  /// InvalidArgument (Validate), not a silent no-op.
-  ThreadPool* pool = nullptr;
-  /// Graceful degradation: when a GPMRS (or hybrid-resolved GPMRS) run
-  /// fails permanently — e.g. its reducer-group merge keeps crashing
-  /// under chaos — retry the skyline phase as a GPSRS single-reducer
-  /// merge instead of surfacing the error. The result is flagged
-  /// `degraded` and counted under mr.degraded_to_gpsrs.
-  bool degrade_to_single_reducer = true;
-  /// Phase-level checkpoint store (checkpoint.h). When set, the
-  /// bitstring/PPD phase first consults the store (fingerprint-keyed, so
-  /// a config or dataset change misses) and stores its result after
-  /// running; a resumed run skips the whole first job. Must outlive the
-  /// call. Null disables checkpointing.
-  core::PipelineCheckpoint* checkpoint = nullptr;
-
-  /// Rejects contradictory configurations before any work runs: task
-  /// counts < 1, zero attempt budgets, PPD policy out of range,
-  /// backoff/speculation tunables outside their domains, chaos
-  /// schedules that can never finish, and a num_threads that
-  /// contradicts an external pool. Called by ComputeSkyline; delegates
-  /// to the split halves (SessionOptions/QuerySpec Validate).
-  Status Validate() const;
-};
-
 /// The outcome of a skyline computation.
 struct SkylineResult {
   /// The global skyline: tuple values plus original tuple ids.
@@ -117,7 +37,8 @@ struct SkylineResult {
   /// Sorted skyline tuple ids (convenience for verification).
   std::vector<TupleId> SkylineIds() const;
   /// Per-job engine metrics, in execution order (grid algorithms run the
-  /// bitstring job first, then the skyline job; baselines run one job).
+  /// bitstring job first, then the skyline job; baselines run one job;
+  /// a bitstring phase served from a cache or checkpoint adds no job).
   std::vector<mr::JobMetrics> jobs;
   /// Real wall time of the in-process simulation.
   double wall_seconds = 0.0;
@@ -138,26 +59,12 @@ struct SkylineResult {
   /// Hybrid diagnostics (kHybrid only).
   core::HybridDecision hybrid_decision;
   /// True when a failing GPMRS merge was degraded to the GPSRS
-  /// single-reducer merge (RunnerConfig::degrade_to_single_reducer).
+  /// single-reducer merge (QuerySpec::degrade_to_single_reducer).
   bool degraded = false;
   /// True when the bitstring phase was served from the checkpoint store
-  /// instead of running (RunnerConfig::checkpoint).
+  /// instead of running (SessionOptions::checkpoint).
   bool resumed_from_checkpoint = false;
-  /// True when the bitstring phase was served from a Session's
-  /// in-session cross-query cache (serve/session.h); the result then
-  /// holds only the skyline job. Always false on the ComputeSkyline
-  /// shim path, which runs a cache-less one-query session.
-  bool session_cache_hit = false;
 };
-
-/// Computes the skyline of `data`. The dataset must outlive the call.
-///
-/// API contract: never throws. Invalid configurations come back as
-/// InvalidArgument (RunnerConfig::Validate), permanent task failures as
-/// Internal; internal exceptions (TaskFailure and friends) are absorbed
-/// at this boundary.
-StatusOr<SkylineResult> ComputeSkyline(const Dataset& data,
-                                       const RunnerConfig& config);
 
 }  // namespace skymr
 

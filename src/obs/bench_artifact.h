@@ -108,7 +108,7 @@ int BenchRepsFromEnv();
 /// structural outcomes (skyline size, ppd, partition counts, jobs) plus
 /// the skymr.* and mr.* integer counters summed across jobs, and the
 /// total shuffle bytes. Everything returned is reproducible bit-for-bit
-/// for a fixed dataset and RunnerConfig.
+/// for a fixed dataset, SessionOptions and QuerySpec.
 ///
 /// `include_fault_injection` adds the seeded-chaos signal — mr.task_retries,
 /// the mr.chaos_*_injected totals, and mr.backoff_waits — which is

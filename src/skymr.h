@@ -7,22 +7,24 @@
 //   #include "src/skymr.h"
 //
 //   skymr::Dataset data = skymr::data::GenerateAntiCorrelated(100000, 6, 1);
-//   skymr::RunnerConfig config;
-//   config.algorithm = skymr::Algorithm::kMrGpmrs;
-//   config.engine.num_map_tasks = 13;
-//   config.engine.num_reducers = 13;
-//   auto result = skymr::ComputeSkyline(data, config);
-//   if (result.ok()) {
+//   skymr::SessionOptions options;        // dataset-scoped: engine, grid
+//   options.engine.num_map_tasks = 13;
+//   options.engine.num_reducers = 13;
+//   auto session = skymr::Session::Open(data, options);
+//   if (session.ok()) {
+//     skymr::QuerySpec query;             // per-query: algorithm, box
+//     query.algorithm = skymr::Algorithm::kMrGpmrs;
+//     auto result = (*session)->Submit(query);
 //     // result->skyline holds the tuples; result->modeled_seconds the
-//     // modeled 13-node cluster runtime.
+//     // modeled 13-node cluster runtime. Later queries with the same
+//     // grid fingerprint reuse the session's cached bitstring phase.
 //   }
 //
 // This header exposes the supported public surface only:
 //
 //   * Dataset / generators / CSV IO       (relation/, data/)
-//   * RunnerConfig, Algorithm, ComputeSkyline, PipelineCheckpoint
-//   * Session / SessionOptions / QuerySpec (serve/: the resident
-//     query-server API; ComputeSkyline is a one-query shim over it)
+//   * Session / SessionOptions / QuerySpec (serve/: the one entry point)
+//   * Algorithm, SkylineResult, PipelineCheckpoint
 //   * ChaosSchedule / ChaosProfile        (deterministic fault injection)
 //   * skyline verification                (relation/skyline_verify.h)
 //   * report / trace / doctor writers     (obs/)
@@ -45,8 +47,8 @@
 #include "src/relation/dominance.h"
 #include "src/relation/skyline_verify.h"
 
-// The pipeline: configuration, the one entry point, phase checkpointing,
-// and deterministic fault injection (RunnerConfig::engine.chaos).
+// The pipeline vocabulary, phase checkpointing, and deterministic fault
+// injection (SessionOptions::engine.chaos).
 #include "src/core/checkpoint.h"
 #include "src/core/runner.h"
 #include "src/mapreduce/chaos.h"

@@ -8,9 +8,12 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr::baselines {
 namespace {
+
+using session_testing::SubmitOnce;
 
 std::shared_ptr<const Dataset> Share(Dataset data) {
   return std::make_shared<const Dataset>(std::move(data));
@@ -89,10 +92,11 @@ TEST(MrSkyMrTest, EmptyDataset) {
 
 TEST(MrSkyMrTest, RunnerIntegration) {
   const Dataset data = data::GenerateAntiCorrelated(1500, 3, 79);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kSkyMr;
-  config.engine.num_map_tasks = 4;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kSkyMr;
+  options.engine.num_map_tasks = 4;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->jobs.size(), 1u);
   EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
@@ -110,11 +114,11 @@ TEST(MrSkyMrTest, ConstrainedQuery) {
   Box box;
   box.lo = {0.2, 0.2};
   box.hi = {0.8, 0.8};
-  RunnerConfig config;
-  config.algorithm = Algorithm::kSkyMr;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = box;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kSkyMr;
+  query.constraint = box;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(SameIdSet(result->SkylineIds(), {1, 2}));
 }

@@ -1,6 +1,8 @@
 // Pipeline-level fault tolerance: exact skylines under seeded chaos,
 // GPMRS -> GPSRS degradation, bitstring-phase checkpoint/resume, and the
-// hardened ComputeSkyline entry point (Status errors, never exceptions).
+// hardened Session entry points (Status errors, never exceptions). Each
+// run opens a fresh session, so a resume can only come from the
+// external checkpoint store, never from the in-session cache.
 
 #include <cstdio>
 #include <fstream>
@@ -13,9 +15,13 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
+#include "src/serve/session.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 Dataset TestData() {
   data::GeneratorConfig gen;
@@ -26,22 +32,27 @@ Dataset TestData() {
   return std::move(data::Generate(gen)).value();
 }
 
-RunnerConfig BaseConfig(Algorithm algorithm) {
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 4;
-  config.engine.retry_backoff_base_ms = 0.0;  // Keep tests fast.
-  config.ppd.max_candidate = 8;
-  return config;
+SessionOptions BaseOptions() {
+  SessionOptions options;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 4;
+  options.engine.retry_backoff_base_ms = 0.0;  // Keep tests fast.
+  options.ppd.max_candidate = 8;
+  return options;
 }
 
-RunnerConfig ChaosConfig(Algorithm algorithm, uint64_t seed) {
-  RunnerConfig config = BaseConfig(algorithm);
-  config.engine.max_task_attempts = 8;
-  config.engine.chaos.seed = seed;
-  config.engine.chaos.crash_rate = 0.2;
-  return config;
+SessionOptions ChaosOptions(uint64_t seed) {
+  SessionOptions options = BaseOptions();
+  options.engine.max_task_attempts = 8;
+  options.engine.chaos.seed = seed;
+  options.engine.chaos.crash_rate = 0.2;
+  return options;
+}
+
+QuerySpec Query(Algorithm algorithm) {
+  QuerySpec query;
+  query.algorithm = algorithm;
+  return query;
 }
 
 // ---------------------------------------------------------------------
@@ -53,14 +64,14 @@ class ChaosAlgorithmProperty : public ::testing::TestWithParam<Algorithm> {};
 TEST_P(ChaosAlgorithmProperty, ExactAndBitIdenticalUnderCrashChaos) {
   const Algorithm algorithm = GetParam();
   const Dataset data = TestData();
-  const RunnerConfig config = ChaosConfig(algorithm, 1234);
+  const SessionOptions options = ChaosOptions(1234);
 
-  auto first = ComputeSkyline(data, config);
+  auto first = SubmitOnce(data, options, Query(algorithm));
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, first->SkylineIds()), "")
       << AlgorithmName(algorithm);
 
-  auto second = ComputeSkyline(data, config);
+  auto second = SubmitOnce(data, options, Query(algorithm));
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first->SkylineIds(), second->SkylineIds());
 
@@ -99,15 +110,16 @@ class ChaosBbsProperty : public ::testing::TestWithParam<Algorithm> {};
 TEST_P(ChaosBbsProperty, ExactAndBitIdenticalUnderCrashChaos) {
   const Algorithm algorithm = GetParam();
   const Dataset data = TestData();
-  RunnerConfig config = ChaosConfig(algorithm, 4321);
-  config.local_algorithm = core::LocalAlgorithm::kBbs;
+  const SessionOptions options = ChaosOptions(4321);
+  QuerySpec query = Query(algorithm);
+  query.local_algorithm = core::LocalAlgorithm::kBbs;
 
-  auto first = ComputeSkyline(data, config);
+  auto first = SubmitOnce(data, options, query);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, first->SkylineIds()), "")
       << AlgorithmName(algorithm);
 
-  auto second = ComputeSkyline(data, config);
+  auto second = SubmitOnce(data, options, query);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first->SkylineIds(), second->SkylineIds());
 
@@ -147,11 +159,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosBbsProperty,
 
 TEST(FaultToleranceTest, PoisonedGpmrsDegradesToEquivalentGpsrs) {
   const Dataset data = TestData();
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.fail_job = "mr-gpmrs";  // Every GPMRS attempt dies.
+  SessionOptions options = BaseOptions();
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.fail_job = "mr-gpmrs";  // Every GPMRS attempt dies.
 
-  auto degraded = ComputeSkyline(data, config);
+  auto degraded = SubmitOnce(data, options, Query(Algorithm::kMrGpmrs));
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   EXPECT_TRUE(degraded->degraded);
   EXPECT_EQ(degraded->algorithm_used, Algorithm::kMrGpsrs);
@@ -163,19 +175,21 @@ TEST(FaultToleranceTest, PoisonedGpmrsDegradesToEquivalentGpsrs) {
   EXPECT_EQ(degraded->jobs.back().counters.Get("mr.degraded_to_gpsrs"), 1);
 
   // Same answer as an undisturbed GPSRS run.
-  auto reference = ComputeSkyline(data, BaseConfig(Algorithm::kMrGpsrs));
+  auto reference =
+      SubmitOnce(data, BaseOptions(), Query(Algorithm::kMrGpsrs));
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(degraded->SkylineIds(), reference->SkylineIds());
 }
 
 TEST(FaultToleranceTest, DegradationCanBeDisabled) {
   const Dataset data = TestData();
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.fail_job = "mr-gpmrs";
-  config.degrade_to_single_reducer = false;
+  SessionOptions options = BaseOptions();
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.fail_job = "mr-gpmrs";
+  QuerySpec query = Query(Algorithm::kMrGpmrs);
+  query.degrade_to_single_reducer = false;
 
-  auto result = ComputeSkyline(data, config);
+  auto result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }
@@ -187,16 +201,17 @@ TEST(FaultToleranceTest, DegradationCanBeDisabled) {
 TEST(FaultToleranceTest, CheckpointSkipsBitstringPhaseOnResume) {
   const Dataset data = TestData();
   core::PipelineCheckpoint checkpoint;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &checkpoint;
+  SessionOptions options = BaseOptions();
+  options.checkpoint = &checkpoint;
+  const QuerySpec query = Query(Algorithm::kMrGpmrs);
 
-  auto first = ComputeSkyline(data, config);
+  auto first = SubmitOnce(data, options, query);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first->resumed_from_checkpoint);
   EXPECT_EQ(checkpoint.size(), 1u);
   EXPECT_EQ(first->jobs.size(), 2u);  // Bitstring job + skyline job.
 
-  auto second = ComputeSkyline(data, config);
+  auto second = SubmitOnce(data, options, query);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->resumed_from_checkpoint);
   EXPECT_EQ(second->jobs.size(), 1u);  // Bitstring job skipped.
@@ -207,13 +222,14 @@ TEST(FaultToleranceTest, CheckpointSkipsBitstringPhaseOnResume) {
 TEST(FaultToleranceTest, CheckpointMissesOnDifferentConfiguration) {
   const Dataset data = TestData();
   core::PipelineCheckpoint checkpoint;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &checkpoint;
-  ASSERT_TRUE(ComputeSkyline(data, config).ok());
+  SessionOptions options = BaseOptions();
+  options.checkpoint = &checkpoint;
+  const QuerySpec query = Query(Algorithm::kMrGpmrs);
+  ASSERT_TRUE(SubmitOnce(data, options, query).ok());
 
   // A different grid policy must not resume from the stored phase.
-  config.ppd.explicit_ppd = 3;
-  auto other = ComputeSkyline(data, config);
+  options.ppd.explicit_ppd = 3;
+  auto other = SubmitOnce(data, options, query);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_FALSE(other->resumed_from_checkpoint);
   EXPECT_EQ(checkpoint.size(), 2u);
@@ -227,17 +243,18 @@ TEST(FaultToleranceTest, CheckpointFileRoundTrip) {
   std::remove(path.c_str());
 
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  auto first = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.checkpoint = &writer;
+  const QuerySpec query = Query(Algorithm::kMrGpmrs);
+  auto first = SubmitOnce(data, options, query);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(writer.SaveFile(path).ok());
 
   core::PipelineCheckpoint reader;
   ASSERT_TRUE(reader.LoadFile(path).ok());
   EXPECT_EQ(reader.size(), writer.size());
-  config.checkpoint = &reader;
-  auto resumed = ComputeSkyline(data, config);
+  options.checkpoint = &reader;
+  auto resumed = SubmitOnce(data, options, query);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_TRUE(resumed->resumed_from_checkpoint);
   EXPECT_EQ(first->SkylineIds(), resumed->SkylineIds());
@@ -250,9 +267,9 @@ TEST(FaultToleranceTest, CheckpointCorruptionRejectedAndStoreUnchanged) {
   // IoError and leave the loading store untouched.
   const Dataset data = TestData();
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  ASSERT_TRUE(ComputeSkyline(data, config).ok());
+  SessionOptions options = BaseOptions();
+  options.checkpoint = &writer;
+  ASSERT_TRUE(SubmitOnce(data, options, Query(Algorithm::kMrGpmrs)).ok());
   ASSERT_GT(writer.size(), 0u);
   const std::vector<uint8_t> saved = writer.SaveBytes();
 
@@ -296,9 +313,10 @@ TEST(FaultToleranceTest, CorruptCheckpointFileFallsBackToFreshRun) {
   std::remove(path.c_str());
 
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  auto first = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.checkpoint = &writer;
+  const QuerySpec query = Query(Algorithm::kMrGpmrs);
+  auto first = SubmitOnce(data, options, query);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(writer.SaveFile(path).ok());
 
@@ -317,8 +335,8 @@ TEST(FaultToleranceTest, CorruptCheckpointFileFallsBackToFreshRun) {
 
   // Fresh-run fallback: the (empty) store is still a valid checkpoint
   // sink, and the result matches the first run exactly.
-  config.checkpoint = &reader;
-  auto fresh = ComputeSkyline(data, config);
+  options.checkpoint = &reader;
+  auto fresh = SubmitOnce(data, options, query);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_FALSE(fresh->resumed_from_checkpoint);
   EXPECT_EQ(fresh->SkylineIds(), first->SkylineIds());
@@ -342,47 +360,50 @@ TEST(FaultToleranceTest, CheckpointLoadToleratesMissingRejectsMalformed) {
 }
 
 // ---------------------------------------------------------------------
-// Hardened entry point: invalid configurations come back as Status.
+// Hardened entry points: invalid configurations come back as Status.
 // ---------------------------------------------------------------------
 
 TEST(FaultToleranceTest, InvalidConfigurationsReturnStatusNotThrow) {
   const Dataset data = TestData();
+  const QuerySpec query = Query(Algorithm::kMrGpmrs);
 
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.num_reducers = 0;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.engine.num_reducers = 0;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.ppd.explicit_ppd = 1;  // A 1-cell-per-dimension grid cannot prune.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.ppd.explicit_ppd = 1;  // A 1-cell-per-dimension grid cannot prune.
+  result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.chaos.crash_rate = 1.0;  // Can never terminate.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.chaos.crash_rate = 1.0;  // Can never terminate.
+  result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.crash_until_attempt = 2;  // Exhausts the budget.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.crash_until_attempt = 2;  // Exhausts the budget.
+  result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.speculation_wave_fraction = 2.0;
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.speculation_wave_fraction = 2.0;
+  result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultToleranceTest, ValidateAcceptsTheDefaultConfig) {
-  EXPECT_TRUE(RunnerConfig{}.Validate().ok());
-  EXPECT_TRUE(BaseConfig(Algorithm::kMrGpmrs).Validate().ok());
+  EXPECT_TRUE(SessionOptions{}.Validate().ok());
+  EXPECT_TRUE(QuerySpec{}.Validate().ok());
+  EXPECT_TRUE(BaseOptions().Validate().ok());
+  EXPECT_TRUE(ChaosOptions(1).Validate().ok());
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 TEST(LocalAlgorithmTest, AllKernelsProduceIdenticalSkylines) {
   for (const auto dist : {data::Distribution::kIndependent,
@@ -18,24 +21,25 @@ TEST(LocalAlgorithmTest, AllKernelsProduceIdenticalSkylines) {
     gen.dim = 3;
     gen.seed = 31;
     const Dataset data = std::move(data::Generate(gen)).value();
+    SessionOptions options;
+    options.engine.num_map_tasks = 4;
+    options.engine.num_reducers = 3;
+    options.ppd.max_candidate = 5;
     for (const Algorithm algorithm :
          {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs}) {
-      RunnerConfig bnl;
+      QuerySpec bnl;
       bnl.algorithm = algorithm;
-      bnl.engine.num_map_tasks = 4;
-      bnl.engine.num_reducers = 3;
-      bnl.ppd.max_candidate = 5;
       bnl.local_algorithm = core::LocalAlgorithm::kBnl;
-      auto bnl_result = ComputeSkyline(data, bnl);
+      auto bnl_result = SubmitOnce(data, options, bnl);
       ASSERT_TRUE(bnl_result.ok());
       EXPECT_EQ(ExplainSkylineMismatch(data, bnl_result->SkylineIds()), "")
           << AlgorithmName(algorithm);
       for (const auto local : {core::LocalAlgorithm::kSfs,
                                core::LocalAlgorithm::kBbs,
                                core::LocalAlgorithm::kAuto}) {
-        RunnerConfig other = bnl;
+        QuerySpec other = bnl;
         other.local_algorithm = local;
-        auto other_result = ComputeSkyline(data, other);
+        auto other_result = SubmitOnce(data, options, other);
         ASSERT_TRUE(other_result.ok());
         EXPECT_TRUE(SameIdSet(bnl_result->SkylineIds(),
                               other_result->SkylineIds()))
@@ -50,15 +54,16 @@ TEST(LocalAlgorithmTest, AllKernelsProduceIdenticalSkylines) {
 TEST(LocalAlgorithmTest, SfsDoesFewerTupleComparisonsOnCorrelated) {
   // Presorting shines when most tuples are dominated early.
   const Dataset data = data::GenerateCorrelated(5000, 3, 37);
-  RunnerConfig bnl;
+  SessionOptions options;
+  options.engine.num_map_tasks = 2;
+  options.ppd.explicit_ppd = 2;  // Coarse grid: big per-partition workloads.
+  QuerySpec bnl;
   bnl.algorithm = Algorithm::kMrGpsrs;
-  bnl.engine.num_map_tasks = 2;
-  bnl.ppd.explicit_ppd = 2;  // Coarse grid: big per-partition workloads.
   bnl.local_algorithm = core::LocalAlgorithm::kBnl;
-  RunnerConfig sfs = bnl;
+  QuerySpec sfs = bnl;
   sfs.local_algorithm = core::LocalAlgorithm::kSfs;
-  auto bnl_result = ComputeSkyline(data, bnl);
-  auto sfs_result = ComputeSkyline(data, sfs);
+  auto bnl_result = SubmitOnce(data, options, bnl);
+  auto sfs_result = SubmitOnce(data, options, sfs);
   ASSERT_TRUE(bnl_result.ok());
   ASSERT_TRUE(sfs_result.ok());
   const int64_t bnl_cmps =
@@ -73,17 +78,17 @@ TEST(LocalAlgorithmTest, SfsRespectsConstraints) {
   Box box;
   box.lo.assign(3, 0.25);
   box.hi.assign(3, 0.75);
-  RunnerConfig bnl;
+  SessionOptions options;
+  options.engine.num_reducers = 3;
+  options.ppd.max_candidate = 4;
+  QuerySpec bnl;
   bnl.algorithm = Algorithm::kMrGpmrs;
-  bnl.engine.num_reducers = 3;
-  bnl.ppd.max_candidate = 4;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
   bnl.constraint = box;
   bnl.local_algorithm = core::LocalAlgorithm::kBnl;
-  RunnerConfig sfs = bnl;
+  QuerySpec sfs = bnl;
   sfs.local_algorithm = core::LocalAlgorithm::kSfs;
-  auto bnl_result = ComputeSkyline(data, bnl);
-  auto sfs_result = ComputeSkyline(data, sfs);
+  auto bnl_result = SubmitOnce(data, options, bnl);
+  auto sfs_result = SubmitOnce(data, options, sfs);
   ASSERT_TRUE(bnl_result.ok());
   ASSERT_TRUE(sfs_result.ok());
   EXPECT_TRUE(
@@ -95,17 +100,17 @@ TEST(LocalAlgorithmTest, BbsRespectsConstraints) {
   Box box;
   box.lo.assign(3, 0.25);
   box.hi.assign(3, 0.75);
-  RunnerConfig bnl;
+  SessionOptions options;
+  options.engine.num_reducers = 3;
+  options.ppd.max_candidate = 4;
+  QuerySpec bnl;
   bnl.algorithm = Algorithm::kMrGpmrs;
-  bnl.engine.num_reducers = 3;
-  bnl.ppd.max_candidate = 4;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
   bnl.constraint = box;
   bnl.local_algorithm = core::LocalAlgorithm::kBnl;
-  RunnerConfig bbs = bnl;
+  QuerySpec bbs = bnl;
   bbs.local_algorithm = core::LocalAlgorithm::kBbs;
-  auto bnl_result = ComputeSkyline(data, bnl);
-  auto bbs_result = ComputeSkyline(data, bbs);
+  auto bnl_result = SubmitOnce(data, options, bnl);
+  auto bbs_result = SubmitOnce(data, options, bbs);
   ASSERT_TRUE(bnl_result.ok());
   ASSERT_TRUE(bbs_result.ok());
   EXPECT_TRUE(
@@ -114,12 +119,13 @@ TEST(LocalAlgorithmTest, BbsRespectsConstraints) {
 
 TEST(LocalAlgorithmTest, BbsEmitsInstrumentationCounters) {
   const Dataset data = data::GenerateAntiCorrelated(4000, 6, 53);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 2;
-  config.ppd.explicit_ppd = 2;  // Coarse grid: big per-partition workloads.
-  config.local_algorithm = core::LocalAlgorithm::kBbs;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  options.engine.num_map_tasks = 2;
+  options.ppd.explicit_ppd = 2;  // Coarse grid: big per-partition workloads.
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  query.local_algorithm = core::LocalAlgorithm::kBbs;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   const auto& counters = result->jobs[1].counters;
   EXPECT_GT(counters.Get(core::kCounterBbsNodesVisited), 0);
@@ -131,12 +137,13 @@ TEST(LocalAlgorithmTest, AutoRecordsItsPerPartitionChoices) {
   // dim=6 with a coarse grid: large partitions route to BBS, small ones
   // to SFS; both decision counters and the choice itself are visible.
   const Dataset data = data::GenerateAntiCorrelated(4000, 6, 59);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 2;
-  config.ppd.explicit_ppd = 2;
-  config.local_algorithm = core::LocalAlgorithm::kAuto;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  options.engine.num_map_tasks = 2;
+  options.ppd.explicit_ppd = 2;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  query.local_algorithm = core::LocalAlgorithm::kAuto;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
   const auto& counters = result->jobs[1].counters;

@@ -1,3 +1,7 @@
+// End-to-end pipeline tests: every algorithm answered on a fresh
+// Session (Session::Open + Submit), plus the Algorithm name vocabulary
+// of core/runner.h.
+
 #include "src/core/runner.h"
 
 #include <algorithm>
@@ -8,17 +12,31 @@
 
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
 
-RunnerConfig BaseConfig(Algorithm algorithm) {
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 4;
-  config.ppd.max_candidate = 8;  // Keep candidate sweeps cheap in tests.
-  return config;
+using session_testing::SubmitOnce;
+
+SessionOptions BaseOptions() {
+  SessionOptions options;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 4;
+  options.ppd.max_candidate = 8;  // Keep candidate sweeps cheap in tests.
+  return options;
+}
+
+QuerySpec Query(Algorithm algorithm) {
+  QuerySpec query;
+  query.algorithm = algorithm;
+  return query;
+}
+
+/// One fresh-session run of `algorithm` with the base options.
+StatusOr<SkylineResult> RunAlgorithm(const Dataset& data,
+                                     Algorithm algorithm) {
+  return SubmitOnce(data, BaseOptions(), Query(algorithm));
 }
 
 class RunnerAlgorithmProperty
@@ -33,7 +51,7 @@ TEST_P(RunnerAlgorithmProperty, ComputesExactSkyline) {
   gen.dim = 3;
   gen.seed = 4242;
   const Dataset data = std::move(data::Generate(gen)).value();
-  auto result = ComputeSkyline(data, BaseConfig(algorithm));
+  auto result = RunAlgorithm(data, algorithm);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "")
       << AlgorithmName(algorithm);
@@ -60,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RunnerTest, GridAlgorithmsReportTwoJobs) {
   const Dataset data = data::GenerateIndependent(800, 2, 5);
-  auto result = ComputeSkyline(data, BaseConfig(Algorithm::kMrGpmrs));
+  auto result = RunAlgorithm(data, Algorithm::kMrGpmrs);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->jobs.size(), 2u);  // Bitstring job + skyline job.
   EXPECT_GT(result->ppd, 1u);
@@ -71,7 +89,7 @@ TEST(RunnerTest, BaselinesReportOneJob) {
   const Dataset data = data::GenerateIndependent(800, 2, 5);
   for (const Algorithm algorithm :
        {Algorithm::kMrBnl, Algorithm::kMrAngle}) {
-    auto result = ComputeSkyline(data, BaseConfig(algorithm));
+    auto result = RunAlgorithm(data, algorithm);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->jobs.size(), 1u);
     EXPECT_EQ(result->ppd, 0u);
@@ -80,21 +98,21 @@ TEST(RunnerTest, BaselinesReportOneJob) {
 
 TEST(RunnerTest, ExplicitPpdHonored) {
   const Dataset data = data::GenerateIndependent(800, 2, 5);
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpsrs);
-  config.ppd.explicit_ppd = 6;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.ppd.explicit_ppd = 6;
+  auto result = SubmitOnce(data, options, Query(Algorithm::kMrGpsrs));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ppd, 6u);
 }
 
 TEST(RunnerTest, HybridResolvesAlgorithm) {
   const Dataset indep = data::GenerateIndependent(4000, 3, 9);
-  auto indep_result = ComputeSkyline(indep, BaseConfig(Algorithm::kHybrid));
+  auto indep_result = RunAlgorithm(indep, Algorithm::kHybrid);
   ASSERT_TRUE(indep_result.ok());
   EXPECT_EQ(indep_result->algorithm_used, Algorithm::kMrGpsrs);
 
   const Dataset anti = data::GenerateAntiCorrelated(4000, 4, 9);
-  auto anti_result = ComputeSkyline(anti, BaseConfig(Algorithm::kHybrid));
+  auto anti_result = RunAlgorithm(anti, Algorithm::kHybrid);
   ASSERT_TRUE(anti_result.ok());
   EXPECT_EQ(anti_result->algorithm_used, Algorithm::kMrGpmrs);
   EXPECT_EQ(ExplainSkylineMismatch(anti, anti_result->SkylineIds()), "");
@@ -105,7 +123,7 @@ TEST(RunnerTest, EmptyDataset) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle, Algorithm::kSkyMr}) {
-    auto result = ComputeSkyline(data, BaseConfig(algorithm));
+    auto result = RunAlgorithm(data, algorithm);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm) << ": "
                              << result.status();
     EXPECT_TRUE(result->skyline.empty());
@@ -119,21 +137,21 @@ TEST(RunnerTest, ComputedBoundsModeWorks) {
   data.Append({10.0, 20.0});
   data.Append({12.0, 18.0});
   data.Append({15.0, 25.0});  // Dominated.
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpsrs);
-  config.unit_bounds = false;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.unit_bounds = false;
+  auto result = SubmitOnce(data, options, Query(Algorithm::kMrGpsrs));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(SameIdSet(result->SkylineIds(), {0, 1}));
 }
 
 TEST(RunnerTest, ModeledSecondsUsesClusterModel) {
   const Dataset data = data::GenerateIndependent(500, 2, 5);
-  RunnerConfig slow = BaseConfig(Algorithm::kMrGpsrs);
+  SessionOptions slow = BaseOptions();
   slow.cluster.job_startup_seconds = 100.0;
-  RunnerConfig fast = BaseConfig(Algorithm::kMrGpsrs);
+  SessionOptions fast = BaseOptions();
   fast.cluster.job_startup_seconds = 1.0;
-  auto slow_result = ComputeSkyline(data, slow);
-  auto fast_result = ComputeSkyline(data, fast);
+  auto slow_result = SubmitOnce(data, slow, Query(Algorithm::kMrGpsrs));
+  auto fast_result = SubmitOnce(data, fast, Query(Algorithm::kMrGpsrs));
   ASSERT_TRUE(slow_result.ok());
   ASSERT_TRUE(fast_result.ok());
   EXPECT_GT(slow_result->modeled_seconds,
@@ -146,11 +164,11 @@ TEST(RunnerTest, PoolThreadCountContradictionIsInvalidArgument) {
   // rejects the contradiction up front.
   const Dataset data = data::GenerateIndependent(300, 2, 5);
   ThreadPool pool(2);
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpsrs);
-  config.pool = &pool;
-  config.engine.num_threads = 3;
-  EXPECT_FALSE(config.Validate().ok());
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  options.pool = &pool;
+  options.engine.num_threads = 3;
+  EXPECT_FALSE(options.Validate().ok());
+  auto result = SubmitOnce(data, options, Query(Algorithm::kMrGpsrs));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("contradicts"),
@@ -158,19 +176,19 @@ TEST(RunnerTest, PoolThreadCountContradictionIsInvalidArgument) {
       << result.status();
 
   // Matching the pool's size, or leaving num_threads 0, stays valid.
-  config.engine.num_threads = 2;
-  EXPECT_TRUE(config.Validate().ok());
-  config.engine.num_threads = 0;
-  EXPECT_TRUE(config.Validate().ok());
-  auto ok_result = ComputeSkyline(data, config);
+  options.engine.num_threads = 2;
+  EXPECT_TRUE(options.Validate().ok());
+  options.engine.num_threads = 0;
+  EXPECT_TRUE(options.Validate().ok());
+  auto ok_result = SubmitOnce(data, options, Query(Algorithm::kMrGpsrs));
   ASSERT_TRUE(ok_result.ok()) << ok_result.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, ok_result->SkylineIds()), "");
 
   // A num_threads without an external pool sizes the private pool and
   // was always legal.
-  config.pool = nullptr;
-  config.engine.num_threads = 3;
-  EXPECT_TRUE(config.Validate().ok());
+  options.pool = nullptr;
+  options.engine.num_threads = 3;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(RunnerTest, AlgorithmNamesRoundTrip) {

@@ -1,4 +1,4 @@
-// Many ComputeSkyline calls sharing one ThreadPool must behave exactly
+// Many one-query sessions sharing one ThreadPool must behave exactly
 // like serial calls: bit-identical skylines and deterministic counters,
 // no cross-query state. This is the concurrency-labeled test the TSan CI
 // job runs — the engine's nested parallelism (each query fans its map/
@@ -18,9 +18,12 @@
 #include "src/obs/bench_artifact.h"
 #include "src/obs/metrics.h"
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 struct CaseSpec {
   size_t cardinality;
@@ -38,14 +41,19 @@ Dataset MakeDataset(const CaseSpec& spec) {
                                          spec.seed);
 }
 
-RunnerConfig MakeConfig(const CaseSpec& spec, ThreadPool* pool) {
-  RunnerConfig config;
-  config.algorithm = spec.algorithm;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 3;
-  config.ppd.max_candidate = 5;
-  config.pool = pool;
-  return config;
+SessionOptions MakeOptions(ThreadPool* pool) {
+  SessionOptions options;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 3;
+  options.ppd.max_candidate = 5;
+  options.pool = pool;
+  return options;
+}
+
+QuerySpec MakeQuery(const CaseSpec& spec) {
+  QuerySpec query;
+  query.algorithm = spec.algorithm;
+  return query;
 }
 
 /// The deterministic fingerprint of one query's result.
@@ -80,7 +88,8 @@ TEST(ConcurrentQueriesTest, SharedPoolMatchesSerialBitForBit) {
   std::vector<QuerySignal> serial(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const Dataset data = MakeDataset(specs[i]);
-    auto result = ComputeSkyline(data, MakeConfig(specs[i], nullptr));
+    auto result =
+        SubmitOnce(data, MakeOptions(nullptr), MakeQuery(specs[i]));
     ASSERT_TRUE(result.ok()) << "query " << i << ": " << result.status();
     serial[i] = SignalOf(*result, specs[i].cardinality);
   }
@@ -97,7 +106,8 @@ TEST(ConcurrentQueriesTest, SharedPoolMatchesSerialBitForBit) {
     for (size_t i = 0; i < specs.size(); ++i) {
       threads.emplace_back([&, i] {
         const Dataset data = MakeDataset(specs[i]);
-        auto result = ComputeSkyline(data, MakeConfig(specs[i], &pool));
+        auto result =
+            SubmitOnce(data, MakeOptions(&pool), MakeQuery(specs[i]));
         if (!result.ok()) {
           statuses[i] = result.status();
           return;
@@ -117,12 +127,12 @@ TEST(ConcurrentQueriesTest, SharedPoolMatchesSerialBitForBit) {
   }
 }
 
-TEST(ConcurrentQueriesTest, ResidentSessionMatchesSerialShimBitForBit) {
+TEST(ConcurrentQueriesTest, ResidentSessionMatchesSerialRunsBitForBit) {
   // The serve-path analogue of the test above: one resident Session over
   // one dataset, answering a mixed set of QuerySpecs from many threads
-  // at once. Every result must be bit-identical (skyline ids) to the
-  // legacy one-shot ComputeSkyline shim, and the single-flight cache
-  // must miss exactly once per distinct bitstring fingerprint.
+  // at once. Every result must be bit-identical (skyline ids) to a
+  // serial one-query session, and the single-flight cache must miss
+  // exactly once per distinct bitstring fingerprint.
   const Dataset data = data::GenerateAntiCorrelated(1400, 3, 108);
 
   Box box;
@@ -135,29 +145,17 @@ TEST(ConcurrentQueriesTest, ResidentSessionMatchesSerialShimBitForBit) {
   specs[2].constraint = box;
   specs[3].algorithm = Algorithm::kMrBnl;
 
-  // Serial reference through the one-shot shim.
+  // Serial reference: each query on its own fresh session.
   std::vector<std::vector<TupleId>> serial(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    RunnerConfig config;
-    config.algorithm = specs[i].algorithm;
-    // lint:allow(deprecated-constraint) reference runs the legacy shim
-    config.constraint = specs[i].constraint;
-    config.engine.num_map_tasks = 3;
-    config.engine.num_reducers = 3;
-    config.ppd.max_candidate = 5;
-    auto result = ComputeSkyline(data, config);
+    auto result = SubmitOnce(data, MakeOptions(nullptr), specs[i]);
     ASSERT_TRUE(result.ok()) << "query " << i << ": " << result.status();
     serial[i] = result->SkylineIds();
     std::sort(serial[i].begin(), serial[i].end());
   }
 
   ThreadPool pool(4);
-  SessionOptions options;
-  options.engine.num_map_tasks = 3;
-  options.engine.num_reducers = 3;
-  options.ppd.max_candidate = 5;
-  options.pool = &pool;
-  auto session = Session::Open(data, options);
+  auto session = Session::Open(data, MakeOptions(&pool));
   ASSERT_TRUE(session.ok()) << session.status();
 
   constexpr int kRounds = 3;
@@ -199,8 +197,7 @@ TEST(ConcurrentQueriesTest, SharedMetricsRegistrySeesEveryQuery) {
   const Dataset data = MakeDataset(spec);
 
   // One serial run to learn how many MapReduce jobs a query launches.
-  RunnerConfig reference = MakeConfig(spec, nullptr);
-  auto serial = ComputeSkyline(data, reference);
+  auto serial = SubmitOnce(data, MakeOptions(nullptr), MakeQuery(spec));
   ASSERT_TRUE(serial.ok());
   const auto jobs_per_query = static_cast<int64_t>(serial->jobs.size());
   ASSERT_GT(jobs_per_query, 0);
@@ -210,9 +207,9 @@ TEST(ConcurrentQueriesTest, SharedMetricsRegistrySeesEveryQuery) {
   std::atomic<int> failures{0};
   for (int q = 0; q < kQueries; ++q) {
     threads.emplace_back([&] {
-      RunnerConfig config = MakeConfig(spec, &pool);
-      config.engine.metrics = &metrics;
-      auto result = ComputeSkyline(data, config);
+      SessionOptions options = MakeOptions(&pool);
+      options.engine.metrics = &metrics;
+      auto result = SubmitOnce(data, options, MakeQuery(spec));
       if (!result.ok()) failures.fetch_add(1);
     });
   }
@@ -222,6 +219,9 @@ TEST(ConcurrentQueriesTest, SharedMetricsRegistrySeesEveryQuery) {
             jobs_per_query * kQueries);
   EXPECT_EQ(metrics.sketch("mr.job_wall_us")->Snapshot().count(),
             static_cast<uint64_t>(jobs_per_query * kQueries));
+  // Each fresh session computes its own bitstring phase: one miss each.
+  EXPECT_EQ(metrics.counter("mr.session_cache_misses")->Value(), kQueries);
+  EXPECT_EQ(metrics.gauge("mr.session_inflight")->Value(), 0);
 }
 
 }  // namespace

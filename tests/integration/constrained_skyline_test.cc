@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 /// Reference: filter the dataset to the box, keep original ids.
 std::vector<TupleId> ConstrainedReference(const Dataset& data,
@@ -42,14 +45,14 @@ TEST(ConstrainedSkylineTest, AllAlgorithmsMatchFilteredReference) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle, Algorithm::kHybrid}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 3;
-    config.engine.num_reducers = 4;
-    config.ppd.max_candidate = 6;
-    // lint:allow(deprecated-constraint) pins the legacy shim surface
-    config.constraint = box;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.engine.num_map_tasks = 3;
+    options.engine.num_reducers = 4;
+    options.ppd.max_candidate = 6;
+    query.constraint = box;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm) << ": "
                              << result.status();
     EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected))
@@ -66,19 +69,18 @@ TEST(ConstrainedSkylineTest, ConstraintChangesTheAnswer) {
   data.Append({0.3, 0.4});
   data.Append({0.4, 0.3});
   data.Append({0.5, 0.5});  // Dominated inside the box too.
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.ppd.explicit_ppd = 4;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = MiddleBox(2);
-  auto constrained = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.ppd.explicit_ppd = 4;
+  query.constraint = MiddleBox(2);
+  auto constrained = SubmitOnce(data, options, query);
   ASSERT_TRUE(constrained.ok());
   EXPECT_TRUE(SameIdSet(constrained->SkylineIds(), {1, 2}));
 
-  RunnerConfig unconstrained = config;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
+  QuerySpec unconstrained = query;
   unconstrained.constraint.reset();
-  auto global = ComputeSkyline(data, unconstrained);
+  auto global = SubmitOnce(data, options, unconstrained);
   ASSERT_TRUE(global.ok());
   EXPECT_TRUE(SameIdSet(global->SkylineIds(), {0}));
 }
@@ -88,12 +90,12 @@ TEST(ConstrainedSkylineTest, EmptyBoxEmptySkyline) {
   Box box;
   box.lo = {2.0, 2.0};  // Entirely outside the unit cube.
   box.hi = {3.0, 3.0};
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.ppd.max_candidate = 4;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = box;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  options.ppd.max_candidate = 4;
+  query.constraint = box;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->skyline.empty());
 }
@@ -103,33 +105,32 @@ TEST(ConstrainedSkylineTest, FullBoxEqualsUnconstrained) {
   Box box;
   box.lo.assign(3, 0.0);
   box.hi.assign(3, 1.0);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_reducers = 3;
-  config.ppd.max_candidate = 4;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = box;
-  auto constrained = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_reducers = 3;
+  options.ppd.max_candidate = 4;
+  query.constraint = box;
+  auto constrained = SubmitOnce(data, options, query);
   ASSERT_TRUE(constrained.ok());
   EXPECT_EQ(ExplainSkylineMismatch(data, constrained->SkylineIds()), "");
 }
 
 TEST(ConstrainedSkylineTest, InvalidBoxRejected) {
   const Dataset data = data::GenerateIndependent(100, 2, 29);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
   Box bad;
   bad.lo = {0.5};  // Wrong width.
   bad.hi = {0.6};
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = bad;
-  EXPECT_FALSE(ComputeSkyline(data, config).ok());
+  query.constraint = bad;
+  EXPECT_FALSE(SubmitOnce(data, options, query).ok());
   Box inverted;
   inverted.lo = {0.8, 0.8};
   inverted.hi = {0.2, 0.2};
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = inverted;
-  EXPECT_FALSE(ComputeSkyline(data, config).ok());
+  query.constraint = inverted;
+  EXPECT_FALSE(SubmitOnce(data, options, query).ok());
 }
 
 TEST(BoxTest, ContainsSemantics) {

@@ -9,9 +9,12 @@
 #include "src/common/rng.h"
 #include "src/cost/cost_model.h"
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 TEST(EndToEndTest, CsvRoundTripThroughFullPipeline) {
   const Dataset generated = data::GenerateAntiCorrelated(1000, 3, 77);
@@ -22,12 +25,13 @@ TEST(EndToEndTest, CsvRoundTripThroughFullPipeline) {
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 5;
-  config.ppd.max_candidate = 6;
-  auto result = ComputeSkyline(*loaded, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 5;
+  options.ppd.max_candidate = 6;
+  auto result = SubmitOnce(*loaded, options, query);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ExplainSkylineMismatch(*loaded, result->SkylineIds()), "");
 }
@@ -38,12 +42,13 @@ TEST(EndToEndTest, AllAlgorithmsAgreeOnTheSameData) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle, Algorithm::kHybrid, Algorithm::kSkyMr}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 3;
-    config.engine.num_reducers = 4;
-    config.ppd.max_candidate = 5;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.engine.num_map_tasks = 3;
+    options.engine.num_reducers = 4;
+    options.ppd.max_candidate = 5;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
     EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected))
         << AlgorithmName(algorithm);
@@ -52,10 +57,11 @@ TEST(EndToEndTest, AllAlgorithmsAgreeOnTheSameData) {
 
 TEST(EndToEndTest, SkylineTuplesCarryCorrectValues) {
   const Dataset data = data::GenerateIndependent(600, 2, 81);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.ppd.max_candidate = 5;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  options.ppd.max_candidate = 5;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   // The shipped tuple values must equal the dataset rows for the ids.
   for (size_t i = 0; i < result->skyline.size(); ++i) {
@@ -73,12 +79,13 @@ TEST(EndToEndTest, MeasuredMapperComparisonsRespectCostModelBound) {
   // Section 7.5 verifies "the estimated cost is higher than the real cost
   // in every case". We check it end to end on independent data.
   const Dataset data = data::GenerateIndependent(4000, 3, 83);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 4;
-  config.ppd.explicit_ppd = 4;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 4;
+  options.ppd.explicit_ppd = 4;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok());
   const auto& skyline_job = result->jobs[1];
   const double mapper_bound = cost::MapperCost(result->ppd, data.dim());
@@ -95,16 +102,18 @@ TEST(EndToEndTest, GpmrsShufflesMoreButReducesInParallel) {
   // The paper's trade-off: MR-GPMRS replicates partitions across groups
   // (more communication) to let reducers finish independently.
   const Dataset data = data::GenerateAntiCorrelated(3000, 3, 87);
-  RunnerConfig single;
-  single.algorithm = Algorithm::kMrGpsrs;
+  SessionOptions single;
   single.ppd.explicit_ppd = 4;
   single.engine.num_map_tasks = 4;
-  RunnerConfig multi = single;
-  multi.algorithm = Algorithm::kMrGpmrs;
+  SessionOptions multi = single;
   multi.engine.num_reducers = 6;
+  QuerySpec gpsrs;
+  gpsrs.algorithm = Algorithm::kMrGpsrs;
+  QuerySpec gpmrs;
+  gpmrs.algorithm = Algorithm::kMrGpmrs;
 
-  auto single_run = ComputeSkyline(data, single);
-  auto multi_run = ComputeSkyline(data, multi);
+  auto single_run = SubmitOnce(data, single, gpsrs);
+  auto multi_run = SubmitOnce(data, multi, gpmrs);
   ASSERT_TRUE(single_run.ok());
   ASSERT_TRUE(multi_run.ok());
   EXPECT_GE(multi_run->jobs[1].shuffle_bytes,
@@ -124,12 +133,13 @@ TEST(EndToEndTest, WorksWithRealisticMixedScales) {
     hotels.Append({rng.Uniform(40.0, 400.0), rng.Uniform(0.1, 20.0),
                    rng.Uniform(1.0, 5.0)});
   }
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.unit_bounds = false;
-  config.ppd.max_candidate = 4;
-  config.engine.num_reducers = 3;
-  auto result = ComputeSkyline(hotels, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.unit_bounds = false;
+  options.ppd.max_candidate = 4;
+  options.engine.num_reducers = 3;
+  auto result = SubmitOnce(hotels, options, query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ExplainSkylineMismatch(hotels, result->SkylineIds()), "");
 }

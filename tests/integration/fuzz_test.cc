@@ -10,9 +10,12 @@
 #include "src/common/serde.h"
 #include "src/local/skyline_window.h"
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 /// A random dataset with adversarial characteristics: coarse value grids
 /// (many exact ties), duplicated rows, occasional constant dimensions.
@@ -56,27 +59,28 @@ TEST(FuzzTest, AllAlgorithmsAgainstReference) {
   for (int trial = 0; trial < kCases; ++trial) {
     const Dataset data = FuzzDataset(&rng);
     const std::vector<TupleId> expected = ReferenceSkyline(data);
-    RunnerConfig config;
-    config.algorithm = algorithms[rng.NextBounded(5)];
-    config.engine.num_map_tasks = 1 + static_cast<int>(rng.NextBounded(6));
-    config.engine.num_reducers = 1 + static_cast<int>(rng.NextBounded(6));
-    config.ppd.max_candidate = 2 + static_cast<uint32_t>(rng.NextBounded(5));
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithms[rng.NextBounded(5)];
+    options.engine.num_map_tasks = 1 + static_cast<int>(rng.NextBounded(6));
+    options.engine.num_reducers = 1 + static_cast<int>(rng.NextBounded(6));
+    options.ppd.max_candidate = 2 + static_cast<uint32_t>(rng.NextBounded(5));
     if (rng.NextBounded(2) == 0) {
-      config.ppd.explicit_ppd = 2 + static_cast<uint32_t>(rng.NextBounded(4));
+      options.ppd.explicit_ppd = 2 + static_cast<uint32_t>(rng.NextBounded(4));
     }
-    config.merge = static_cast<core::GroupMergeStrategy>(rng.NextBounded(4));
-    config.unit_bounds = rng.NextBounded(2) == 0;
-    auto result = ComputeSkyline(data, config);
+    query.merge = static_cast<core::GroupMergeStrategy>(rng.NextBounded(4));
+    options.unit_bounds = rng.NextBounded(2) == 0;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok())
-        << "trial " << trial << " " << AlgorithmName(config.algorithm)
+        << "trial " << trial << " " << AlgorithmName(query.algorithm)
         << ": " << result.status();
     EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected))
         << "trial " << trial << " n=" << data.size()
         << " d=" << data.dim() << " algo="
-        << AlgorithmName(config.algorithm)
-        << " m=" << config.engine.num_map_tasks
-        << " r=" << config.engine.num_reducers
-        << " ppd=" << config.ppd.explicit_ppd;
+        << AlgorithmName(query.algorithm)
+        << " m=" << options.engine.num_map_tasks
+        << " r=" << options.engine.num_reducers
+        << " ppd=" << options.ppd.explicit_ppd;
   }
 }
 
@@ -109,15 +113,15 @@ TEST(FuzzTest, ConstrainedQueriesAgainstFilteredReference) {
       expected.push_back(original[local]);
     }
 
-    RunnerConfig config;
-    config.algorithm =
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm =
         rng.NextBounded(2) == 0 ? Algorithm::kMrGpsrs : Algorithm::kMrGpmrs;
-    config.engine.num_map_tasks = 1 + static_cast<int>(rng.NextBounded(4));
-    config.engine.num_reducers = 1 + static_cast<int>(rng.NextBounded(4));
-    config.ppd.max_candidate = 4;
-    // lint:allow(deprecated-constraint) pins the legacy shim surface
-    config.constraint = box;
-    auto result = ComputeSkyline(data, config);
+    options.engine.num_map_tasks = 1 + static_cast<int>(rng.NextBounded(4));
+    options.engine.num_reducers = 1 + static_cast<int>(rng.NextBounded(4));
+    options.ppd.max_candidate = 4;
+    query.constraint = box;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok()) << "trial " << trial;
     EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected))
         << "trial " << trial << " n=" << data.size()

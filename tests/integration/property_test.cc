@@ -10,9 +10,12 @@
 
 #include "src/common/rng.h"
 #include "src/skymr.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr {
 namespace {
+
+using session_testing::SubmitOnce;
 
 using data::Distribution;
 
@@ -30,12 +33,13 @@ TEST_P(SkylineAlgorithmSweep, ExactSkyline) {
   gen.seed = 1000 + dim * 131 + card * 7;
   const Dataset data = std::move(data::Generate(gen)).value();
 
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 4;
-  config.ppd.max_candidate = 5;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = algorithm;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 4;
+  options.ppd.max_candidate = 5;
+  auto result = SubmitOnce(data, options, query);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
 }
@@ -63,16 +67,17 @@ INSTANTIATE_TEST_SUITE_P(
 // byte-identical skylines (ids and values, same order).
 TEST(DeterminismProperty, RepeatedRunsIdentical) {
   const Dataset data = data::GenerateAntiCorrelated(1200, 3, 55);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 3;
-  config.engine.num_threads = 4;
-  config.ppd.max_candidate = 5;
-  auto first = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 3;
+  options.engine.num_threads = 4;
+  options.ppd.max_candidate = 5;
+  auto first = SubmitOnce(data, options, query);
   ASSERT_TRUE(first.ok());
   for (int run = 0; run < 3; ++run) {
-    auto again = ComputeSkyline(data, config);
+    auto again = SubmitOnce(data, options, query);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->skyline.ids(), first->skyline.ids());
     EXPECT_EQ(again->skyline.values(), first->skyline.values());
@@ -91,11 +96,12 @@ TEST(EdgeCaseProperty, AllTuplesInOneCell) {
   }
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.ppd.explicit_ppd = 3;
-    config.engine.num_reducers = 4;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.ppd.explicit_ppd = 3;
+    options.engine.num_reducers = 4;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
   }
@@ -109,12 +115,13 @@ TEST(EdgeCaseProperty, AllTuplesIdentical) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle, Algorithm::kSkyMr}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 5;
-    config.engine.num_reducers = 3;
-    config.ppd.max_candidate = 4;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.engine.num_map_tasks = 5;
+    options.engine.num_reducers = 3;
+    options.ppd.max_candidate = 4;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->skyline.size(), 64u) << AlgorithmName(algorithm);
   }
@@ -131,12 +138,13 @@ TEST(EdgeCaseProperty, SingleDominatorWipesEverything) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle, Algorithm::kSkyMr}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 4;
-    config.engine.num_reducers = 4;
-    config.ppd.max_candidate = 4;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.engine.num_map_tasks = 4;
+    options.engine.num_reducers = 4;
+    options.ppd.max_candidate = 4;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->SkylineIds(), (std::vector<TupleId>{0}))
         << AlgorithmName(algorithm);
@@ -152,11 +160,12 @@ TEST(EdgeCaseProperty, OneDimensionalDataMinimumWins) {
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,
         Algorithm::kMrAngle}) {
-    RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 2;
-    config.ppd.explicit_ppd = 2;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = algorithm;
+    options.engine.num_map_tasks = 2;
+    options.ppd.explicit_ppd = 2;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
     EXPECT_TRUE(SameIdSet(result->SkylineIds(), {1, 2}))
         << AlgorithmName(algorithm);
@@ -170,11 +179,12 @@ TEST(Lemma2Property, GpmrsOutputsPartitionTheSkyline) {
   const Dataset data = data::GenerateAntiCorrelated(900, 3, 66);
   const std::vector<TupleId> expected = ReferenceSkyline(data);
   for (const int reducers : {1, 2, 3, 5, 8, 13}) {
-    RunnerConfig config;
-    config.algorithm = Algorithm::kMrGpmrs;
-    config.engine.num_reducers = reducers;
-    config.ppd.explicit_ppd = 3;
-    auto result = ComputeSkyline(data, config);
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = Algorithm::kMrGpmrs;
+    options.engine.num_reducers = reducers;
+    options.ppd.explicit_ppd = 3;
+    auto result = SubmitOnce(data, options, query);
     ASSERT_TRUE(result.ok());
     std::vector<TupleId> ids = result->SkylineIds();
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());

@@ -12,9 +12,12 @@
 #include "src/data/generator.h"
 #include "src/mapreduce/task_metrics.h"
 #include "src/obs/trace.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr::obs {
 namespace {
+
+using session_testing::SubmitOnce;
 
 // ---------------------------------------------------------------------
 // LongestPath golden tests over hand-built DAGs.
@@ -249,16 +252,17 @@ TEST(SpanDagTest, TracedRunYieldsCommittedSpanDag) {
   gen.dim = 3;
   gen.seed = 7;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
 
   StopTracing();
   ClearTrace();
   StartTracing();
-  auto result = ComputeSkyline(data, config);
+  auto result = SubmitOnce(data, options, query);
   StopTracing();
   ASSERT_TRUE(result.ok()) << result.status();
   const std::vector<TraceEventView> events = SnapshotTrace();
@@ -312,18 +316,19 @@ TEST(SpanDagTest, LosingAttemptsNeverEnterTheDag) {
   for (uint64_t seed = 1; seed <= 20 && !exercised; ++seed) {
     gen.seed = seed;
     const Dataset data = std::move(data::Generate(gen)).value();
-    RunnerConfig config;
-    config.algorithm = Algorithm::kMrGpmrs;
-    config.engine.num_map_tasks = 3;
-    config.engine.num_reducers = 3;
-    config.ppd.max_candidate = 8;
-    config.engine.chaos.seed = seed;
-    config.engine.chaos.corrupt_rate = 0.5;
+    SessionOptions options;
+    QuerySpec query;
+    query.algorithm = Algorithm::kMrGpmrs;
+    options.engine.num_map_tasks = 3;
+    options.engine.num_reducers = 3;
+    options.ppd.max_candidate = 8;
+    options.engine.chaos.seed = seed;
+    options.engine.chaos.corrupt_rate = 0.5;
 
     StopTracing();
     ClearTrace();
     StartTracing();
-    auto result = ComputeSkyline(data, config);
+    auto result = SubmitOnce(data, options, query);
     StopTracing();
     if (!result.ok()) {
       continue;  // All attempts of some task corrupted; try another seed.
@@ -382,17 +387,18 @@ TEST(SpanDagTest, SameSeedRunsProduceIdenticalDagShape) {
   gen.dim = 3;
   gen.seed = 11;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
 
   const auto shape = [&]() {
     StopTracing();
     ClearTrace();
     StartTracing();
-    auto result = ComputeSkyline(data, config);
+    auto result = SubmitOnce(data, options, query);
     StopTracing();
     EXPECT_TRUE(result.ok()) << result.status();
     const SpanDag dag = BuildSpanDag(SnapshotTrace());

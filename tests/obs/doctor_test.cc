@@ -10,9 +10,12 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/obs/job_report.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr::obs {
 namespace {
+
+using session_testing::SubmitOnce;
 
 /// Minimal syntactically valid skymr-report-v1 skeleton; tests splice
 /// extra members into the top level via `extra`.
@@ -596,7 +599,8 @@ TEST(DoctorTest, FlagsLogDropFromMetricsSnapshot) {
 // End to end: the doctor over reports this repo itself writes.
 // ---------------------------------------------------------------------
 
-std::string ReportForRun(const RunnerConfig& config, size_t cardinality,
+std::string ReportForRun(const SessionOptions& options,
+                         const QuerySpec& query, size_t cardinality,
                          size_t dim) {
   data::GeneratorConfig gen;
   gen.distribution = data::Distribution::kIndependent;
@@ -604,7 +608,7 @@ std::string ReportForRun(const RunnerConfig& config, size_t cardinality,
   gen.dim = dim;
   gen.seed = 99;
   const Dataset data = std::move(data::Generate(gen)).value();
-  auto result = ComputeSkyline(data, config);
+  auto result = SubmitOnce(data, options, query);
   EXPECT_TRUE(result.ok()) << result.status();
   std::ostringstream os;
   WriteJobReport(*result, os);
@@ -612,21 +616,23 @@ std::string ReportForRun(const RunnerConfig& config, size_t cardinality,
 }
 
 TEST(DoctorTest, HealthyRunProducesNoFindings) {
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 2;
-  const auto findings = Analyze(ReportForRun(config, 4000, 3));
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 2;
+  const auto findings = Analyze(ReportForRun(options, query, 4000, 3));
   EXPECT_TRUE(findings.empty()) << RenderFindings(findings);
 }
 
 TEST(DoctorTest, ForcedCoarsePpdIsDiagnosed) {
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 2;
-  config.ppd.explicit_ppd = 2;  // Far below the Section 3.3 candidate max.
-  const auto findings = Analyze(ReportForRun(config, 20000, 4));
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 2;
+  options.ppd.explicit_ppd = 2;  // Far below the Section 3.3 candidate max.
+  const auto findings = Analyze(ReportForRun(options, query, 20000, 4));
   EXPECT_TRUE(HasCode(findings, "ppd-coarse")) << RenderFindings(findings);
 }
 

@@ -12,9 +12,12 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/obs/trace.h"
+#include "tests/serve/session_test_util.h"
 
 namespace skymr::obs {
 namespace {
+
+using session_testing::SubmitOnce;
 
 std::vector<TraceEventView> ByName(const std::vector<TraceEventView>& events,
                                    const std::string& name) {
@@ -49,16 +52,17 @@ TEST(EngineTraceTest, ChainedJobsNestUnderThePipelineSpan) {
   gen.seed = 99;
   const Dataset data = std::move(data::Generate(gen)).value();
 
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
 
   StopTracing();
   ClearTrace();
   StartTracing();
-  auto result = ComputeSkyline(data, config);
+  auto result = SubmitOnce(data, options, query);
   StopTracing();
   ASSERT_TRUE(result.ok()) << result.status();
   const std::vector<TraceEventView> events = SnapshotTrace();
@@ -140,15 +144,16 @@ TEST(EngineTraceTest, GpsrsMergeSpanAppearsForSingleReducerRun) {
   gen.dim = 3;
   gen.seed = 5;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpsrs;
+  options.engine.num_map_tasks = 2;
+  options.ppd.max_candidate = 8;
 
   StopTracing();
   ClearTrace();
   StartTracing();
-  auto result = ComputeSkyline(data, config);
+  auto result = SubmitOnce(data, options, query);
   StopTracing();
   ASSERT_TRUE(result.ok()) << result.status();
   const std::vector<TraceEventView> events = SnapshotTrace();

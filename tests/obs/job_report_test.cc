@@ -12,10 +12,13 @@
 #include "src/cost/cost_model.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/job.h"
+#include "tests/serve/session_test_util.h"
 #include "tests/obs/json_test_util.h"
 
 namespace skymr::obs {
 namespace {
+
+using session_testing::SubmitOnce;
 
 SkylineResult SmallGridRun() {
   data::GeneratorConfig gen;
@@ -24,12 +27,13 @@ SkylineResult SmallGridRun() {
   gen.dim = 3;
   gen.seed = 17;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec query;
+  query.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
+  auto result = SubmitOnce(data, options, query);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).value();
 }

@@ -24,7 +24,8 @@ Rules:
                     engine-internal control-flow exceptions (TaskFailure,
                     TaskCancelled, SerdeUnderflow) or rethrow (`throw;`).
                     Everything else must return a Status: exceptions
-                    escaping the public API are a bug (runner.h contract).
+                    escaping the public API are a bug (session.h
+                    contract).
   counter-registry  Every "mr.*"/"skymr.*" string literal must appear in
                     the counter inventory in DESIGN.md (section 13,
                     between the `counter-registry:begin/end` markers).
@@ -40,16 +41,6 @@ Rules:
   dcheck-message    Every SKYMR_CHECK / SKYMR_DCHECK must stream a
                     message (`<< ...`) describing the violated invariant;
                     a bare check's failure report is just an expression.
-  deprecated-constraint
-                    RunnerConfig::constraint is deprecated: the
-                    constraint box is a per-query parameter and belongs
-                    on QuerySpec::constraint (src/serve/query_spec.h).
-                    The rule tracks RunnerConfig-typed variables per
-                    file and flags `.constraint` / `->constraint`
-                    accesses on them. Existing legacy-surface sites
-                    (the ComputeSkyline shim, tests that pin the shim's
-                    behavior) carry explicit suppressions; new code
-                    should open a Session instead.
 
 Suppressions: append `// lint:allow(<rule>) <reason>` to the offending
 line, or put it on the line directly above. The reason is mandatory —
@@ -308,45 +299,6 @@ def check_slot_constants(root, findings, registry):
                          "kCounter* constant in counters.h")
 
 
-# Declarations binding a RunnerConfig to a name: values, pointers,
-# references, and function parameters. \b keeps SplitRunnerConfig (and
-# any other *RunnerConfig identifier) from matching.
-RUNNER_CONFIG_DECL_RE = re.compile(
-    r"\bRunnerConfig\s*(?:[&*]\s*)?\b(\w+)")
-
-
-def check_deprecated_constraint(relpath, lines, allowed, findings):
-    if relpath == "src/core/runner.h":
-        return  # The deprecated field's own declaration.
-    # Pass 1: RunnerConfig-typed names in this file. Pass 2: .constraint
-    # accesses on them. Non-RunnerConfig `.constraint` members (the
-    # bitstring job config, QuerySpec itself) never match because their
-    # variables aren't collected.
-    config_names = set()
-    stripped = [strip_comments_and_strings(l) for l in lines]
-    for code in stripped:
-        for m in RUNNER_CONFIG_DECL_RE.finditer(code):
-            name = m.group(1)
-            if name not in ("RunnerConfig",):
-                config_names.add(name)
-    if not config_names:
-        return
-    access = re.compile(
-        r"\b(" + "|".join(re.escape(n) for n in sorted(config_names)) +
-        r")\s*(?:\.|->)\s*constraint\b")
-    for i, code in enumerate(stripped, start=1):
-        if not access.search(code):
-            continue
-        if is_suppressed(allowed, i, "deprecated-constraint"):
-            continue
-        findings.add(relpath, i, "deprecated-constraint",
-                     "RunnerConfig::constraint is deprecated; the "
-                     "constraint is per-query state — use "
-                     "QuerySpec::constraint with a serve/session.h "
-                     "Session (the ComputeSkyline shim still honors the "
-                     "old field for existing callers)")
-
-
 def check_dcheck_message(relpath, lines, allowed, findings):
     if not relpath.startswith("src/"):
         return
@@ -376,7 +328,7 @@ def check_dcheck_message(relpath, lines, allowed, findings):
 
 
 RULES = ["facade-hygiene", "include-guard", "throw-discipline",
-         "counter-registry", "dcheck-message", "deprecated-constraint"]
+         "counter-registry", "dcheck-message"]
 
 
 def main():
@@ -420,8 +372,6 @@ def main():
                                    registry, used_literals)
         if "dcheck-message" in active:
             check_dcheck_message(relpath, lines, allowed, findings)
-        if "deprecated-constraint" in active:
-            check_deprecated_constraint(relpath, lines, allowed, findings)
 
     if "counter-registry" in active:
         check_registry_coverage(findings, registry, used_literals)
