@@ -1,11 +1,11 @@
 // bench_hotpath: microbenchmarks for the hot paths this library
-// optimizes — block dominance kernels, the allocation-lean shuffle and
-// ComparePartitions — reported as a machine-readable JSON file
-// (BENCH_hotpath.json).
+// optimizes — block dominance kernels, the allocation-lean shuffle,
+// ComparePartitions and the MR-GPMRS reducer filter — reported as a
+// machine-readable JSON file (BENCH_hotpath.json).
 //
 //   bench_hotpath [--out=BENCH_hotpath.json] [--scale=1.0] [--reps=3]
 //
-// Five benchmarks:
+// Six benchmarks:
 //
 //   dominance_kernel  block FirstDominatorIndex over an anti-correlated
 //                     row block vs the scalar CompareDominance loop
@@ -24,6 +24,11 @@
 //                     mapper windows of 10^5 * scale independent 6-d
 //                     tuples in 13 contiguous splits at PPD 4, vs the
 //                     all-pairs loop it replaced (retained below verbatim)
+//   gpmrs_reduce      the busiest MR-GPMRS reducer of one query over
+//                     10^5 * scale anti-correlated 6-d tuples (13 splits,
+//                     13 reducers, PPD 2): MergeParts + CompareAllPartitions
+//                     over the responsible cells only vs over every
+//                     received cell (the full-group filter it replaced)
 //
 // Speedups are computed from best-of-`reps` wall time; every benchmark
 // validates its result against the reference before reporting. The
@@ -33,6 +38,7 @@
 // counters (row counts, skyline size, shuffle bytes) that
 // tools/bench_diff.py hard-gates against a committed baseline.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +49,8 @@
 
 #include "src/common/rng.h"
 #include "src/core/compare_partitions.h"
+#include "src/core/independent_groups.h"
+#include "src/core/partition_bitstring.h"
 #include "src/data/generator.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
@@ -539,7 +547,12 @@ CompareResult BenchComparePartitions(double scale, int reps) {
     }
     return pass;
   };
-  const Pass walk = time_passes(core::CompareAllPartitions, &out.walk_samples);
+  const Pass walk = time_passes(
+      [](const core::Grid& g, core::CellWindowMap* windows,
+         DominanceCounter* counter) {
+        return core::CompareAllPartitions(g, windows, counter);
+      },
+      &out.walk_samples);
   std::vector<double> all_pairs_samples;
   const Pass all_pairs =
       time_passes(AllPairsComparePartitions, &all_pairs_samples);
@@ -556,6 +569,144 @@ CompareResult BenchComparePartitions(double scale, int reps) {
   out.walk_seconds = BestOf(out.walk_samples);
   out.all_pairs_seconds = BestOf(all_pairs_samples);
   out.speedup = out.all_pairs_seconds / out.walk_seconds;
+  return out;
+}
+
+// ---------------------------------------------------------------------
+// Benchmark 6: the MR-GPMRS reduce-side filter.
+// ---------------------------------------------------------------------
+
+struct GpmrsReduceResult {
+  size_t tuples = 0;
+  size_t received_tuples = 0;  // Decoded rows the busiest reducer holds.
+  size_t group_cells = 0;
+  size_t responsible_cells = 0;
+  size_t output_tuples = 0;
+  uint64_t full_tuple_comparisons = 0;
+  uint64_t responsible_tuple_comparisons = 0;
+  std::vector<double> responsible_samples;
+  double full_seconds = 0.0;
+  double responsible_seconds = 0.0;
+  double speedup = 0.0;
+};
+
+GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
+  constexpr size_t kDim = 6;
+  constexpr size_t kSplits = 13;
+  constexpr int kReducers = 13;
+  // The PPD the session's default policy picks for this input at scale 1.
+  constexpr uint32_t kPpd = 2;
+  GpmrsReduceResult out;
+  out.tuples = EnvScaledTuples(100000, scale);
+  const Dataset data =
+      data::GenerateAntiCorrelated(out.tuples, kDim, /*seed=*/20140324);
+  const core::Grid grid = std::move(core::Grid::Create(
+                                        kDim, kPpd, Bounds::UnitCube(kDim)))
+                              .value();
+  DynamicBitset bits = core::BuildLocalBitstring(
+      grid, data, 0, static_cast<TupleId>(out.tuples));
+  core::PruneDominated(grid, &bits);
+  const std::vector<core::ReducerGroup> groups = core::AssignGroupsToReducers(
+      grid, core::GenerateIndependentGroups(grid, bits), kReducers,
+      core::GroupMergeStrategy::kComputationCost);
+
+  // Algorithm 8 per split: BNL windows of the unpruned cells,
+  // ComparePartitions, then one payload per reducer group, decoded from
+  // its wire bytes as a reducer receives it.
+  std::vector<std::vector<core::GroupPayload>> inboxes(groups.size());
+  for (size_t s = 0; s < kSplits; ++s) {
+    core::CellWindowMap windows;
+    for (size_t i = s * out.tuples / kSplits;
+         i < (s + 1) * out.tuples / kSplits; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      const core::CellId cell = grid.CellOf(data.RowPtr(id));
+      if (!bits.Test(cell)) {
+        continue;
+      }
+      auto [it, inserted] = windows.try_emplace(cell, SkylineWindow(kDim));
+      it->second.Insert(data.RowPtr(id), id, nullptr);
+    }
+    core::CompareAllPartitions(grid, &windows, nullptr);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      core::GroupPayload payload;
+      payload.reducer_group = static_cast<uint32_t>(g);
+      payload.responsible = groups[g].responsible;
+      for (const core::CellId cell : groups[g].cells) {
+        const auto it = windows.find(cell);
+        if (it != windows.end()) {
+          payload.parts.push_back(core::PartitionSkyline{cell, it->second});
+        }
+      }
+      ByteSink sink;
+      Serde<core::GroupPayload>::Write(payload, &sink);
+      ByteSource source(sink.data(), sink.size());
+      inboxes[g].push_back(Serde<core::GroupPayload>::Read(&source));
+    }
+  }
+
+  // The busiest reducer: the one receiving the most rows.
+  size_t busiest = 0;
+  for (size_t g = 0; g < inboxes.size(); ++g) {
+    size_t received = 0;
+    for (const core::GroupPayload& payload : inboxes[g]) {
+      for (const core::PartitionSkyline& part : payload.parts) {
+        received += part.window.size();
+      }
+    }
+    if (received > out.received_tuples) {
+      out.received_tuples = received;
+      busiest = g;
+    }
+  }
+  const std::vector<core::GroupPayload>& inbox = inboxes[busiest];
+  const std::vector<core::CellId>& responsible = groups[busiest].responsible;
+  out.group_cells = groups[busiest].cells.size();
+  out.responsible_cells = responsible.size();
+
+  // Times the reducer's filter with `targets` (null: every received cell)
+  // and returns the sorted ids of its responsible cells.
+  const auto time_filter = [&](const std::vector<core::CellId>* targets,
+                               std::vector<double>* samples,
+                               uint64_t* tuple_comparisons) {
+    std::vector<TupleId> ids;
+    for (int r = 0; r < reps; ++r) {
+      DominanceCounter counter;
+      core::CellWindowMap windows;
+      const double start = Now();
+      for (const core::GroupPayload& payload : inbox) {
+        core::MergeParts(payload.parts, kDim, &windows, &counter, targets);
+      }
+      core::CompareAllPartitions(grid, &windows, &counter, targets);
+      samples->push_back(Now() - start);
+      *tuple_comparisons = counter.count();
+      ids.clear();
+      for (const core::CellId cell : responsible) {
+        const auto it = windows.find(cell);
+        if (it != windows.end()) {
+          ids.insert(ids.end(), it->second.ids().begin(),
+                     it->second.ids().end());
+        }
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  std::vector<double> full_samples;
+  const std::vector<TupleId> full =
+      time_filter(nullptr, &full_samples, &out.full_tuple_comparisons);
+  const std::vector<TupleId> responsible_only =
+      time_filter(&responsible, &out.responsible_samples,
+                  &out.responsible_tuple_comparisons);
+  if (full != responsible_only) {
+    std::fprintf(stderr,
+                 "gpmrs_reduce: responsible-only and full-group filters "
+                 "differ\n");
+    std::exit(1);
+  }
+  out.output_tuples = full.size();
+  out.full_seconds = BestOf(full_samples);
+  out.responsible_seconds = BestOf(out.responsible_samples);
+  out.speedup = out.full_seconds / out.responsible_seconds;
   return out;
 }
 
@@ -610,6 +761,16 @@ int Run(int argc, char** argv) {
                compare.speedup, compare.partitions,
                static_cast<unsigned long long>(
                    compare.partition_comparisons));
+
+  std::fprintf(stderr, "gpmrs_reduce...\n");
+  const GpmrsReduceResult reduce = BenchGpmrsReduce(scale, reps);
+  std::fprintf(stderr,
+               "  %.2fx vs full group (%zu of %zu cells, %llu vs %llu "
+               "tuple tests)\n",
+               reduce.speedup, reduce.responsible_cells, reduce.group_cells,
+               static_cast<unsigned long long>(
+                   reduce.responsible_tuple_comparisons),
+               static_cast<unsigned long long>(reduce.full_tuple_comparisons));
 
   obs::BenchArtifact artifact("bench_hotpath");
   artifact.environment().reps = reps;
@@ -687,6 +848,29 @@ int Run(int argc, char** argv) {
         static_cast<int64_t>(compare.partition_comparisons);
     row.deterministic["tuple_comparisons"] =
         static_cast<int64_t>(compare.tuple_comparisons);
+    artifact.AddRow(std::move(row));
+  }
+  {
+    obs::BenchRow row;
+    row.name = "gpmrs_reduce";
+    row.wall = obs::WallStats::FromSamples(reduce.responsible_samples);
+    row.metrics["scale"] = scale;
+    row.metrics["responsible_seconds"] = reduce.responsible_seconds;
+    row.metrics["full_group_seconds"] = reduce.full_seconds;
+    row.metrics["speedup_vs_full_group"] = reduce.speedup;
+    row.deterministic["tuples"] = static_cast<int64_t>(reduce.tuples);
+    row.deterministic["received_tuples"] =
+        static_cast<int64_t>(reduce.received_tuples);
+    row.deterministic["group_cells"] =
+        static_cast<int64_t>(reduce.group_cells);
+    row.deterministic["responsible_cells"] =
+        static_cast<int64_t>(reduce.responsible_cells);
+    row.deterministic["output_tuples"] =
+        static_cast<int64_t>(reduce.output_tuples);
+    row.deterministic["responsible_tuple_comparisons"] =
+        static_cast<int64_t>(reduce.responsible_tuple_comparisons);
+    row.deterministic["full_group_tuple_comparisons"] =
+        static_cast<int64_t>(reduce.full_tuple_comparisons);
     artifact.AddRow(std::move(row));
   }
 

@@ -6,10 +6,12 @@
 // in the skyline phase (or a deliberate re-run, e.g. after a chaos-killed
 // job) resumes from the stored bitstring instead of rescanning the input.
 //
-// Entries are keyed by a fingerprint of everything that determines the
-// phase's output (dataset shape, PPD policy, prune mode, bounds choice,
-// constraint box). A checkpoint from a different configuration simply
-// misses, so resuming can never serve stale results. The store can be
+// Entries are keyed by a 64-bit fingerprint of everything that determines
+// the phase's output: a digest of every dataset value, the PPD policy,
+// prune mode, bounds choice and constraint box (Session's
+// FingerprintPrefix and FingerprintFor). A checkpoint from a different
+// dataset or configuration misses, so resuming can never serve stale
+// results short of a 64-bit hash collision. The store can be
 // persisted to a single file (skymr_cli --checkpoint=FILE) and reloaded
 // in a later process.
 

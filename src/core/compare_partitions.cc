@@ -1,13 +1,15 @@
 #include "src/core/compare_partitions.h"
 
-#include <vector>
+#include <algorithm>
 
+#include "src/common/logging.h"
 #include "src/obs/trace.h"
 
 namespace skymr::core {
 
 uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
-                              DominanceCounter* tuple_counter) {
+                              DominanceCounter* tuple_counter,
+                              const std::vector<CellId>* targets) {
   SKYMR_TRACE_SPAN("core.compare_partitions", "partitions",
                    static_cast<int64_t>(windows->size()));
   // The map iterates ascending, so cells[i] and partitions[i] line up with
@@ -27,7 +29,7 @@ uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
   // order and the tuple-comparison count.
   uint64_t partition_comparisons = 0;
   std::vector<uint32_t> coords(grid.dim());
-  for (size_t i = 0; i < cells.size(); ++i) {
+  const auto filter = [&](size_t i) {
     grid.CoordsOf(cells[i], coords.data());
     SkylineWindow& target = *partitions[i];
     // Algorithm 5, line 2: only partitions in p.ADR can hold dominators.
@@ -35,6 +37,21 @@ uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
       ++partition_comparisons;
       target.RemoveDominatedBy(*partitions[j], tuple_counter);
     });
+  };
+  if (targets == nullptr) {
+    for (size_t i = 0; i < cells.size(); ++i) {
+      filter(i);
+    }
+    return partition_comparisons;
+  }
+  SKYMR_DCHECK(std::is_sorted(targets->begin(), targets->end()))
+      << "CompareAllPartitions targets must be ascending";
+  auto next = cells.begin();
+  for (const CellId cell : *targets) {
+    next = std::lower_bound(next, cells.end(), cell);
+    if (next != cells.end() && *next == cell) {
+      filter(static_cast<size_t>(next - cells.begin()));
+    }
   }
   return partition_comparisons;
 }

@@ -8,22 +8,28 @@
 #define SKYMR_CORE_COMPARE_PARTITIONS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/core/grid.h"
 #include "src/core/messages.h"
 
 namespace skymr::core {
 
-/// Applies Algorithm 5 to every window in `windows`: each partition is
-/// compared only with the occupied partitions of its anti-dominating
+/// Applies Algorithm 5 to the windows in `windows`: each target partition
+/// is compared only with the occupied partitions of its anti-dominating
 /// region, found by walking an AdrIndex over the map's cells. Targets and
 /// each target's sources are taken in ascending CellId order.
+/// Every window is a target unless `targets` (ascending) is given; then
+/// only those cells are filtered, targets absent from the map are
+/// skipped, and every other window is only read as a source, so it may
+/// hold rows that other rows dominate (MergeParts' source-only windows).
 /// Returns the number of partition-wise comparisons performed, i.e. how
 /// many times Algorithm 5's line 3 executed — the quantity the paper's
 /// cost model (Section 6) estimates and Section 7.5 measures.
 /// `tuple_counter` (optional) additionally accrues tuple dominance tests.
 uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
-                              DominanceCounter* tuple_counter);
+                              DominanceCounter* tuple_counter,
+                              const std::vector<CellId>* targets = nullptr);
 
 }  // namespace skymr::core
 

@@ -1,7 +1,7 @@
 #include "src/core/gpmrs.h"
 
 #include <numeric>
-#include <unordered_set>
+#include <string>
 
 #include "src/obs/trace.h"
 
@@ -26,20 +26,13 @@ class GpmrsMapper : public mr::Mapper<TupleId, uint32_t, GroupPayload> {
     CellWindowMap windows =
         phase_.Finish(&ctx.counters(), &ctx.histograms());
 
-    // Line 11: generate the independent groups from the bitstring only, so
-    // every mapper derives exactly the same grouping (the consistency
-    // requirement Section 5.3 states). Merging and duplicate-output
-    // responsibility (Section 5.4) are equally bitstring-deterministic.
-    SKYMR_TRACE_SPAN("gpmrs.group_assign", "reducers",
-                     context.num_reducers);
-    const std::vector<IndependentGroup> groups =
-        GenerateIndependentGroups(context.grid, context.bits);
-    const std::vector<ReducerGroup> reducer_groups = AssignGroupsToReducers(
-        context.grid, groups, context.num_reducers, context.merge);
-
-    // Lines 12-19: ship each group's local skylines to its reducer.
-    for (uint32_t i = 0; i < reducer_groups.size(); ++i) {
-      const ReducerGroup& group = reducer_groups[i];
+    // Lines 11-19: ship each group's local skylines to its reducer. The
+    // groups (line 11, Algorithm 7) with Section 5.4's merging and output
+    // responsibility come from the bitstring alone, so RunGpmrsJob derives
+    // them once and every mapper reads the same broadcast copy — the
+    // consistency requirement Section 5.3 states.
+    for (uint32_t i = 0; i < context.reducer_groups.size(); ++i) {
+      const ReducerGroup& group = context.reducer_groups[i];
       GroupPayload payload;
       payload.reducer_group = i;
       payload.responsible = group.responsible;
@@ -71,44 +64,58 @@ class GpmrsReducer
 
   void Reduce(const uint32_t& key, mr::ValueIterator<GroupPayload>& values,
               mr::ReduceContext<SkylineWindow>& ctx) override {
-    (void)key;
+    if (key >= context_->reducer_groups.size()) {
+      throw mr::TaskFailure("GPMRS reducer: no reducer group " +
+                            std::to_string(key));
+    }
     if (!values.HasNext()) {
       return;
     }
     SKYMR_TRACE_SPAN("gpmrs.merge", "group", static_cast<int64_t>(key),
                      "values", static_cast<int64_t>(values.remaining()));
     const size_t dim = context_->grid.dim();
+    // Section 5.4.2: the cells this group outputs. Every other received
+    // cell is a replica, output by another group.
+    const std::vector<CellId>& responsible =
+        context_->reducer_groups[key].responsible;
     DominanceCounter dominance_counter;
-    // Lines 2-8: merge per-partition skylines across mappers, one payload
-    // at a time. Every mapper ships the same responsibility list for a
-    // group, so remembering the first payload's copy is enough.
-    const GroupPayload first = values.Next();
-    std::vector<CellId> responsible_cells = first.responsible;
     CellWindowMap windows;
-    MergeParts(first.parts, dim, &windows, &dominance_counter);
+    // Lines 2-8: merge per-partition skylines across mappers, one payload
+    // at a time. Only responsible cells are merged; replicas are appended
+    // unchecked to source-only windows.
     while (values.HasNext()) {
       const GroupPayload payload = values.Next();
-      MergeParts(payload.parts, dim, &windows, &dominance_counter);
+      if (payload.responsible != responsible) {
+        throw SerdeUnderflow(
+            "serde underflow: payload for reducer group " +
+            std::to_string(key) + " carries a foreign responsibility list");
+      }
+      MergeParts(payload.parts, dim, &windows, &dominance_counter,
+                 &responsible);
     }
-    // Lines 9-10: false-positive elimination within the group. The group
-    // is independent (Definition 5), so every partition's full
-    // anti-dominating region is present.
-    const uint64_t partition_comparisons = CompareAllPartitions(
-        context_->grid, &windows, &dominance_counter);
+    // Lines 9-10: false-positive elimination of the responsible cells.
+    // The group is independent (Definition 5), so every partition's full
+    // anti-dominating region is present. Dominance is transitive, so a
+    // tuple that some received tuple dominates is also dominated by one
+    // that nothing received dominates, which no filter ever removes:
+    // replicas serve as sources without being merged or filtered.
+    const uint64_t partition_comparisons =
+        CompareAllPartitions(context_->grid, &windows, &dominance_counter,
+                             &responsible);
     ctx.counters().Add(mr::kCounterPartitionComparisons,
                        static_cast<int64_t>(partition_comparisons));
     ctx.counters().Add(mr::kCounterTupleComparisons,
                        static_cast<int64_t>(dominance_counter.count()));
 
-    // Line 11 + Section 5.4.2: output only the partitions this group is
-    // responsible for, eliminating duplicates across replicated cells.
-    const std::unordered_set<CellId> responsible(responsible_cells.begin(),
-                                                 responsible_cells.end());
+    // Line 11: output the responsible partitions, so every replicated cell
+    // is output exactly once.
     SkylineWindow out(dim);
-    for (const auto& [cell, window] : windows) {
-      if (responsible.count(cell) == 0) {
+    for (const CellId cell : responsible) {
+      const auto it = windows.find(cell);
+      if (it == windows.end()) {
         continue;
       }
+      const SkylineWindow& window = it->second;
       for (size_t i = 0; i < window.size(); ++i) {
         out.AppendUnchecked(window.RowAt(i), window.IdAt(i));
       }
@@ -140,13 +147,17 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
   mr::DistributedCache cache;
   SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
   auto context = std::make_shared<SkylineJobContext>(grid, bits);
-  context->merge = merge;
-  context->num_reducers = engine.num_reducers;
+  {
+    SKYMR_TRACE_SPAN("gpmrs.group_assign", "reducers", engine.num_reducers);
+    context->reducer_groups = AssignGroupsToReducers(
+        grid, GenerateIndependentGroups(grid, bits), engine.num_reducers,
+        merge);
+  }
   context->constraint = constraint;
   context->local_algorithm = local_algorithm;
   SKYMR_RETURN_IF_ERROR(cache.Put(
       kCacheKeySkylineContext,
-      std::shared_ptr<const SkylineJobContext>(std::move(context))));
+      std::shared_ptr<const SkylineJobContext>(context)));
 
   std::vector<TupleId> ids(data->size());
   std::iota(ids.begin(), ids.end(), 0);
@@ -165,13 +176,8 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
 
   SkylineJobRun run;
   run.metrics = std::move(result.metrics);
-  // Per-reducer group load (Section 5.4.1's balancing target). The
-  // assignment is bitstring-deterministic, so recomputing it here matches
-  // exactly what every mapper shipped.
-  const std::vector<ReducerGroup> reducer_groups = AssignGroupsToReducers(
-      grid, GenerateIndependentGroups(grid, bits), engine.num_reducers,
-      merge);
-  for (const ReducerGroup& group : reducer_groups) {
+  // Per-reducer group load (Section 5.4.1's balancing target).
+  for (const ReducerGroup& group : context->reducer_groups) {
     run.metrics.histograms.Add("skymr.reducer_group_cells",
                                group.cells.size());
     run.metrics.histograms.Add("skymr.reducer_group_cost", group.cost);

@@ -1,12 +1,14 @@
 // MR-GPMRS: Grid Partitioning based Multiple-Reducer Skyline computation
 // (Section 5 of the paper, Algorithms 8-9, Figure 5).
 //
-// Mappers run the same local phase as MR-GPSRS, then generate independent
-// partition groups from the bitstring (Algorithm 7) — identically on every
-// mapper — and ship each group's local skylines to its reducer. Every
+// The job derives the independent partition groups from the bitstring
+// once (Algorithm 7, with Section 5.4's group merging and output
+// responsibility) and broadcasts them. Mappers run the same local phase
+// as MR-GPSRS and ship each group's local skylines to its reducer. Every
 // reducer independently finalizes its groups' share of the global skyline
-// (Lemma 2), so no post-merge step exists. Section 5.4's group merging and
-// duplicate-elimination-by-responsible-group are applied.
+// (Lemma 2), so no post-merge step exists; it merges and filters only the
+// partitions it is responsible for outputting, reading the replicated
+// rest as sources of dominators only.
 
 #ifndef SKYMR_CORE_GPMRS_H_
 #define SKYMR_CORE_GPMRS_H_

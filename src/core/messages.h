@@ -52,11 +52,17 @@ struct GroupPayload {
 using CellWindowMap = std::map<CellId, SkylineWindow>;
 
 /// Merges `parts` into `windows` tuple by tuple with InsertTuple
-/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8). Throws SerdeUnderflow
-/// when a non-empty part's window has a dim other than `dim` (a decoded
-/// but foreign shuffle value); the engine turns that into a task failure.
+/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8). When `targets`
+/// (ascending) is given, only parts of those cells are merged; every
+/// other part is appended unchecked to a source-only window, which may
+/// hold rows that other rows dominate and so may only be read as a
+/// source by CompareAllPartitions with the same `targets`. Throws
+/// SerdeUnderflow when a non-empty part's window has a dim other than
+/// `dim` (a decoded but foreign shuffle value); the engine turns that
+/// into a task failure.
 void MergeParts(const std::vector<PartitionSkyline>& parts, size_t dim,
-                CellWindowMap* windows, DominanceCounter* counter);
+                CellWindowMap* windows, DominanceCounter* counter,
+                const std::vector<CellId>* targets = nullptr);
 
 /// Concatenates all windows into one (the reducer's output union).
 SkylineWindow UnionWindows(const CellWindowMap& windows, size_t dim);

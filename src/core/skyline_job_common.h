@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/dynamic_bitset.h"
 #include "src/common/status.h"
@@ -104,12 +105,14 @@ inline constexpr const char* kCounterBbsAutoSfs =
 
 /// Side data broadcast to every task of a skyline job: the grid, the
 /// Equation 2 bitstring BS_R, the optional constraint box, and (for
-/// MR-GPMRS) the group policy.
+/// MR-GPMRS) the reducer groups.
 struct SkylineJobContext {
   Grid grid;
   DynamicBitset bits;
-  GroupMergeStrategy merge = GroupMergeStrategy::kComputationCost;
-  int num_reducers = 1;
+  /// MR-GPMRS only: Algorithm 7's independent groups assigned to reducers
+  /// with Section 5.4's merging and output responsibility, computed once
+  /// per job. Entry i is reducer key i; empty for MR-GPSRS.
+  std::vector<ReducerGroup> reducer_groups;
   std::optional<Box> constraint;
   LocalAlgorithm local_algorithm = LocalAlgorithm::kBnl;
 
@@ -129,23 +132,19 @@ struct SkylineJobRun {
 inline constexpr size_t kDebugSkylineVerifyMaxTuples = 4096;
 
 /// Debug/sanitizer builds only (SKYMR_DCHECK_IS_ON): cross-checks a
-/// finished GPSRS/GPMRS run against the O(n^2) reference skyline and
-/// aborts on any mismatch. Constrained runs are skipped — the reference
-/// is defined over the whole dataset — as are inputs too large for the
-/// quadratic check.
+/// finished GPSRS/GPMRS run against the O(n^2) reference skyline — of the
+/// in-box rows for a constrained run — and aborts on any mismatch. Inputs
+/// too large for the quadratic check are skipped.
 inline void DebugVerifySkyline(const char* algorithm, const Dataset& data,
                                const SkylineWindow& skyline,
                                const std::optional<Box>& constraint) {
-  if (!DchecksEnabled() || constraint.has_value() ||
-      data.size() > kDebugSkylineVerifyMaxTuples) {
+  if (!DchecksEnabled() || data.size() > kDebugSkylineVerifyMaxTuples) {
     return;
   }
-  std::vector<TupleId> ids;
-  ids.reserve(skyline.size());
-  for (size_t i = 0; i < skyline.size(); ++i) {
-    ids.push_back(skyline.IdAt(i));
-  }
-  const std::string mismatch = ExplainSkylineMismatch(data, ids);
+  const std::string mismatch =
+      constraint.has_value()
+          ? ExplainSkylineMismatch(data, *constraint, skyline.ids())
+          : ExplainSkylineMismatch(data, skyline.ids());
   SKYMR_CHECK(mismatch.empty())
       << algorithm << " produced a wrong skyline: " << mismatch;
 }

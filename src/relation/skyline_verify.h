@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/relation/box.h"
 #include "src/relation/dataset.h"
 #include "src/relation/tuple.h"
 
@@ -18,6 +19,10 @@ namespace skymr {
 /// tuples do not dominate each other.
 std::vector<TupleId> ReferenceSkyline(const Dataset& data);
 
+/// Reference skyline of the rows of `data` inside `box` (a constrained
+/// query's answer), reported by their ids in `data`.
+std::vector<TupleId> ReferenceSkyline(const Dataset& data, const Box& box);
+
 /// True iff `candidate` equals `expected` as a set of tuple ids.
 bool SameIdSet(std::vector<TupleId> candidate, std::vector<TupleId> expected);
 
@@ -25,6 +30,11 @@ bool SameIdSet(std::vector<TupleId> candidate, std::vector<TupleId> expected);
 /// every candidate is non-dominated, no non-dominated tuple is missing, and
 /// no id repeats. Returns an empty string on success, else a diagnostic.
 std::string ExplainSkylineMismatch(const Dataset& data,
+                                   const std::vector<TupleId>& candidate);
+
+/// The constrained-query form: `candidate` must be exactly the skyline of
+/// the rows of `data` inside `box`, reported by their ids in `data`.
+std::string ExplainSkylineMismatch(const Dataset& data, const Box& box,
                                    const std::vector<TupleId>& candidate);
 
 }  // namespace skymr

@@ -185,9 +185,11 @@ void FillModeledTimes(const mr::ClusterModel& cluster,
 /// The session-scoped prefix of the bitstring fingerprint: dataset shape
 /// plus a content probe (first/middle/last tuples), PPD policy, prune
 /// mode, and bounds choice. FingerprintFor extends it per query with the
-/// constraint box. The mixing chain must stay byte-compatible with the
-/// pre-split BitstringFingerprint(data, config) so checkpoint files
-/// written by earlier versions still hit.
+/// constraint box. A session with a checkpoint store also mixes in a
+/// digest of every value: the store outlives the session and may serve
+/// sessions over other datasets, which can agree on the probe rows. A
+/// session's own cache only ever sees its own dataset, so it skips the
+/// O(n·d) pass.
 uint64_t FingerprintPrefix(const Dataset& data,
                            const SessionOptions& options) {
   uint64_t h = mr::ChaosMix64(0x736b796d72636b70ULL);
@@ -203,6 +205,11 @@ uint64_t FingerprintPrefix(const Dataset& data,
       for (size_t d = 0; d < data.dim(); ++d) {
         mix_double(data.RowPtr(static_cast<TupleId>(probe))[d]);
       }
+    }
+  }
+  if (options.checkpoint != nullptr) {
+    for (const double v : data.values()) {
+      mix_double(v);
     }
   }
   mix(options.ppd.explicit_ppd);

@@ -113,8 +113,10 @@ struct SessionOptions {
   /// before running a bitstring phase and updated after; a resumed
   /// query skips the whole first job. Distinct from the in-session
   /// cache, which lives and dies with the session: the checkpoint
-  /// persists across processes via SaveFile/LoadFile. Fingerprint-keyed,
-  /// so a config or dataset change misses. Null disables it.
+  /// persists across processes via SaveFile/LoadFile. Keyed by a
+  /// fingerprint that includes a digest of every dataset value (one
+  /// O(n·d) pass at Open), so a config or dataset change misses. Null
+  /// disables it.
   core::PipelineCheckpoint* checkpoint = nullptr;
   /// Admission sizing: concurrent queries (0 = unbounded) and the
   /// slots reserved for the small lane.

@@ -293,6 +293,85 @@ TEST_P(WalkMatchesAllPairsTest, MapperAndReducerWindows) {
   EXPECT_EQ(ExplainSkylineMismatch(data, ids), "");
 }
 
+std::vector<TupleId> SortedIds(const SkylineWindow& window) {
+  std::vector<TupleId> ids = window.ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_P(WalkMatchesAllPairsTest, TargetListFiltersOnlyTargets) {
+  const auto& [distribution, shape] = GetParam();
+  const auto& [dim, ppd] = shape;
+  data::GeneratorConfig config;
+  config.distribution = distribution;
+  config.cardinality = kTuples;
+  config.dim = dim;
+  config.seed = 20140325 + dim * 131 + ppd;
+  const Dataset data = std::move(data::Generate(config)).value();
+  const Grid grid = MakeGrid(dim, ppd);
+
+  std::vector<PartitionSkyline> parts;
+  for (size_t s = 0; s < kSplits; ++s) {
+    CellWindowMap mapped = SplitWindows(grid, data, s * kTuples / kSplits,
+                                        (s + 1) * kTuples / kSplits);
+    CompareAllPartitions(grid, &mapped, nullptr);
+    for (const auto& [cell, window] : mapped) {
+      parts.push_back({cell, window});
+    }
+  }
+  CellWindowMap merged;
+  MergeParts(parts, dim, &merged, nullptr);
+
+  // Every other occupied cell, plus the first unoccupied one (skipped).
+  std::vector<CellId> targets;
+  bool odd = false;
+  for (const auto& [cell, window] : merged) {
+    if (odd) {
+      targets.push_back(cell);
+    }
+    odd = !odd;
+  }
+  for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
+    if (merged.count(cell) == 0) {
+      targets.insert(std::lower_bound(targets.begin(), targets.end(), cell),
+                     cell);
+      break;
+    }
+  }
+
+  CellWindowMap all_cells = merged;
+  CompareAllPartitions(grid, &all_cells, nullptr);
+  // Targets among merged windows, and among the source-only windows
+  // MergeParts builds for the same targets (the MR-GPMRS reducer's case).
+  CellWindowMap targeted = merged;
+  CompareAllPartitions(grid, &targeted, nullptr, &targets);
+  CellWindowMap source_only;
+  MergeParts(parts, dim, &source_only, nullptr, &targets);
+  const CellWindowMap sources = source_only;
+  CompareAllPartitions(grid, &source_only, nullptr, &targets);
+
+  ASSERT_EQ(targeted.size(), merged.size());
+  ASSERT_EQ(source_only.size(), merged.size());
+  size_t filtered = 0;
+  for (const auto& [cell, window] : merged) {
+    if (std::binary_search(targets.begin(), targets.end(), cell)) {
+      filtered += window.size() - all_cells[cell].size();
+      EXPECT_EQ(SortedIds(targeted[cell]), SortedIds(all_cells[cell]))
+          << "target " << cell;
+      EXPECT_EQ(SortedIds(source_only[cell]), SortedIds(all_cells[cell]))
+          << "target " << cell << " over source-only windows";
+    } else {
+      EXPECT_TRUE(targeted[cell] == window) << "non-target " << cell;
+      EXPECT_TRUE(source_only[cell] == sources.at(cell))
+          << "source-only " << cell;
+    }
+  }
+  // Correlated data leaves few cells in one another's ADR.
+  if (dim > 1 && distribution != data::Distribution::kCorrelated) {
+    EXPECT_GT(filtered, 0u) << "no target lost a row: the check is vacuous";
+  }
+}
+
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto& [distribution, shape] = info.param;
   std::string name = data::DistributionName(distribution);

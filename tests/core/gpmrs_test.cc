@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/serde.h"
 #include "src/core/partition_bitstring.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
@@ -18,14 +23,27 @@ struct Prepared {
   DynamicBitset bits;
 };
 
-Prepared Prepare(Dataset dataset, uint32_t ppd) {
+/// The grid over the unit cube and its pruned bitstring. Under a
+/// constraint only in-box tuples set bits, as in the bitstring job.
+Prepared Prepare(Dataset dataset, uint32_t ppd,
+                 const std::optional<Box>& constraint = std::nullopt) {
   Prepared p;
   p.data = std::make_shared<const Dataset>(std::move(dataset));
   p.grid = std::make_unique<Grid>(std::move(
       Grid::Create(p.data->dim(), ppd, Bounds::UnitCube(p.data->dim())))
                                       .value());
-  p.bits = BuildLocalBitstring(*p.grid, *p.data, 0,
-                               static_cast<TupleId>(p.data->size()));
+  if (constraint.has_value()) {
+    p.bits = DynamicBitset(p.grid->num_cells());
+    for (size_t i = 0; i < p.data->size(); ++i) {
+      const double* row = p.data->RowPtr(static_cast<TupleId>(i));
+      if (constraint->Contains(row, p.data->dim())) {
+        p.bits.Set(p.grid->CellOf(row));
+      }
+    }
+  } else {
+    p.bits = BuildLocalBitstring(*p.grid, *p.data, 0,
+                                 static_cast<TupleId>(p.data->size()));
+  }
   PruneDominated(*p.grid, &p.bits);
   return p;
 }
@@ -47,21 +65,35 @@ TEST(GpmrsTest, ComputesExactSkyline) {
   EXPECT_EQ(ExplainSkylineMismatch(*p.data, run->skyline.ids()), "");
 }
 
-class GpmrsConfigProperty
-    : public ::testing::TestWithParam<
-          std::tuple<int /*mappers*/, int /*reducers*/,
-                     GroupMergeStrategy>> {};
+using ConfigParam =
+    std::tuple<int /*mappers*/, int /*reducers*/, GroupMergeStrategy,
+               data::Distribution, size_t /*dim*/, bool /*constrained*/>;
+
+class GpmrsConfigProperty : public ::testing::TestWithParam<ConfigParam> {};
 
 TEST_P(GpmrsConfigProperty, SkylineInvariantUnderConfiguration) {
-  const auto& [mappers, reducers, strategy] = GetParam();
-  static const Dataset dataset = data::GenerateAntiCorrelated(1500, 3, 73);
-  const Prepared p = Prepare(Dataset(dataset), 3);
+  const auto& [mappers, reducers, strategy, distribution, dim, constrained] =
+      GetParam();
+  data::GeneratorConfig gen;
+  gen.distribution = distribution;
+  gen.cardinality = 1500;
+  gen.dim = dim;
+  gen.seed = 73;
+  std::optional<Box> box;
+  if (constrained) {
+    box = Box{std::vector<double>(dim, 0.2), std::vector<double>(dim, 0.8)};
+  }
+  const Prepared p = Prepare(std::move(data::Generate(gen)).value(), 3, box);
   mr::EngineOptions engine;
   engine.num_map_tasks = mappers;
   engine.num_reducers = reducers;
-  auto run = RunGpmrsJob(p.data, *p.grid, p.bits, strategy, engine);
+  auto run = RunGpmrsJob(p.data, *p.grid, p.bits, strategy, engine,
+                         /*pool=*/nullptr, box);
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(ExplainSkylineMismatch(*p.data, run->skyline.ids()), "");
+  EXPECT_EQ(box.has_value()
+                ? ExplainSkylineMismatch(*p.data, *box, run->skyline.ids())
+                : ExplainSkylineMismatch(*p.data, run->skyline.ids()),
+            "");
   EXPECT_EQ(run->metrics.reduce_tasks.size(),
             static_cast<size_t>(reducers));
 }
@@ -69,23 +101,143 @@ TEST_P(GpmrsConfigProperty, SkylineInvariantUnderConfiguration) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GpmrsConfigProperty,
     ::testing::Combine(
-        ::testing::Values(1, 4, 9),
-        ::testing::Values(1, 2, 5, 17),
+        ::testing::Values(1, 4, 9), ::testing::Values(1, 2, 5, 17),
         ::testing::Values(GroupMergeStrategy::kRoundRobin,
                           GroupMergeStrategy::kComputationCost,
                           GroupMergeStrategy::kCommunicationCost,
-                          GroupMergeStrategy::kBalanced)),
+                          GroupMergeStrategy::kBalanced),
+        ::testing::Values(data::Distribution::kIndependent,
+                          data::Distribution::kAntiCorrelated),
+        ::testing::Values(size_t{3}, size_t{6}), ::testing::Bool()),
     ([](const auto& info) {
-      const auto& [m, r, s] = info.param;
+      const auto& [m, r, s, distribution, dim, constrained] = info.param;
       std::string name = "m";
       name += std::to_string(m);
       name += "_r";
       name += std::to_string(r);
       name += "_";
       name += GroupMergeStrategyName(s);
+      name += "_";
+      name += data::DistributionName(distribution);
+      name += "_d";
+      name += std::to_string(dim);
+      if (constrained) {
+        name += "_box";
+      }
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     }));
+
+TEST(GpmrsTest, ReplicaDominatorFromAnotherMapperFiltersResponsibleTuple) {
+  // PPD 2 over the unit square; cells 0 = [0,.5)^2, 1 = [.5,1)x[0,.5),
+  // 2 = [0,.5)x[.5,1). The groups are seeded by cells 2 and 1, both
+  // holding cell 0, which only one of them outputs. In the other group
+  // cell 0 is a replica that receives tuple 0 from mapper 0 and tuple 2,
+  // which dominates it, from mapper 1. Tuple 2 is the only tuple
+  // dominating the responsible tuple 1; tuple 0 does not.
+  Dataset dataset(2);
+  dataset.Append({0.2, 0.4});   // Mapper 0, cell 0.
+  dataset.Append({0.6, 0.3});   // Mapper 0, cell 1.
+  dataset.Append({0.1, 0.2});   // Mapper 1, cell 0.
+  dataset.Append({0.05, 0.9});  // Mapper 1, cell 2.
+  const Prepared p = Prepare(std::move(dataset), 2);
+  const std::vector<ReducerGroup> groups = AssignGroupsToReducers(
+      *p.grid, GenerateIndependentGroups(*p.grid, p.bits), 2,
+      GroupMergeStrategy::kComputationCost);
+  ASSERT_EQ(groups.size(), 2u);
+  const auto outputs = [](const ReducerGroup& group, CellId cell) {
+    return std::count(group.responsible.begin(), group.responsible.end(),
+                      cell) > 0;
+  };
+  const ReducerGroup& group = outputs(groups[0], 1) ? groups[0] : groups[1];
+  ASSERT_TRUE(outputs(group, 1));
+  ASSERT_FALSE(outputs(group, 0));
+  ASSERT_EQ(group.cells, (std::vector<CellId>{0, 1}));
+
+  mr::EngineOptions engine;
+  engine.num_map_tasks = 2;
+  engine.num_reducers = 2;
+  auto run = RunGpmrsJob(p.data, *p.grid, p.bits,
+                         GroupMergeStrategy::kComputationCost, engine);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(SortedIds(run->skyline), (std::vector<TupleId>{2, 3}));
+}
+
+TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
+  // Replays Algorithm 8 on the engine's splits to rebuild every reducer's
+  // decoded payloads, then counts the tuple tests of merging and
+  // filtering every received cell. The job's reducers filter only the
+  // cells they output, so they must test fewer.
+  constexpr int kMappers = 4;
+  constexpr int kReducers = 4;
+  const Prepared p = Prepare(data::GenerateAntiCorrelated(2000, 6, 107), 2);
+  const size_t dim = p.data->dim();
+  mr::EngineOptions engine;
+  engine.num_map_tasks = kMappers;
+  engine.num_reducers = kReducers;
+  auto run = RunGpmrsJob(p.data, *p.grid, p.bits,
+                         GroupMergeStrategy::kComputationCost, engine);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(ExplainSkylineMismatch(*p.data, run->skyline.ids()), "");
+
+  const std::vector<ReducerGroup> groups = AssignGroupsToReducers(
+      *p.grid, GenerateIndependentGroups(*p.grid, p.bits), kReducers,
+      GroupMergeStrategy::kComputationCost);
+  std::vector<std::vector<GroupPayload>> inboxes(groups.size());
+  DominanceCounter map_counter;
+  const size_t n = p.data->size();
+  size_t begin = 0;
+  for (size_t s = 0; s < kMappers; ++s) {
+    // The engine's contiguous splits: the first n % m get one extra row.
+    const size_t end = begin + n / kMappers + (s < n % kMappers ? 1 : 0);
+    CellWindowMap windows;
+    for (size_t i = begin; i < end; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      const CellId cell = p.grid->CellOf(p.data->RowPtr(id));
+      if (p.bits.Test(cell)) {
+        windows.try_emplace(cell, SkylineWindow(dim))
+            .first->second.Insert(p.data->RowPtr(id), id, &map_counter);
+      }
+    }
+    CompareAllPartitions(*p.grid, &windows, &map_counter);
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      GroupPayload payload;
+      payload.reducer_group = g;
+      payload.responsible = groups[g].responsible;
+      for (const CellId cell : groups[g].cells) {
+        if (const auto it = windows.find(cell); it != windows.end()) {
+          payload.parts.push_back(PartitionSkyline{cell, it->second});
+        }
+      }
+      ByteSink sink;
+      Serde<GroupPayload>::Write(payload, &sink);
+      ByteSource source(sink.data(), sink.size());
+      inboxes[g].push_back(Serde<GroupPayload>::Read(&source));
+    }
+    begin = end;
+  }
+
+  int64_t map_side = 0;
+  for (const mr::TaskMetrics& task : run->metrics.map_tasks) {
+    map_side += task.counters.Get(mr::kCounterTupleComparisons);
+  }
+  ASSERT_EQ(map_side, static_cast<int64_t>(map_counter.count()))
+      << "the replay does not rebuild the job's map side";
+  DominanceCounter full_groups;
+  for (const std::vector<GroupPayload>& inbox : inboxes) {
+    CellWindowMap windows;
+    for (const GroupPayload& payload : inbox) {
+      MergeParts(payload.parts, dim, &windows, &full_groups);
+    }
+    CompareAllPartitions(*p.grid, &windows, &full_groups);
+  }
+  int64_t reduce_side = 0;
+  for (const mr::TaskMetrics& task : run->metrics.reduce_tasks) {
+    reduce_side += task.counters.Get(mr::kCounterTupleComparisons);
+  }
+  EXPECT_GT(reduce_side, 0);
+  EXPECT_LT(reduce_side, static_cast<int64_t>(full_groups.count()));
+}
 
 TEST(GpmrsTest, MatchesGpsrsResult) {
   // The two algorithms must produce identical skylines; MR-GPMRS merely

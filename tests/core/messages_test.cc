@@ -1,5 +1,7 @@
 #include "src/core/messages.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace skymr::core {
@@ -69,6 +71,25 @@ TEST(MergePartsTest, IncomparableTuplesAccumulate) {
   EXPECT_EQ(windows[0].size(), 2u);
 }
 
+TEST(MergePartsTest, MergesOnlyTargetsAndAppendsTheRest) {
+  CellWindowMap windows;
+  DominanceCounter counter;
+  const std::vector<CellId> targets = {4};
+  // Each cell gets a tuple and then one that dominates it.
+  MergeParts({{4, MakeWindow({{0, {0.5, 0.5}}}, 2)},
+              {7, MakeWindow({{1, {0.8, 0.8}}}, 2)}},
+             2, &windows, &counter, &targets);
+  MergeParts({{4, MakeWindow({{2, {0.4, 0.4}}}, 2)},
+              {7, MakeWindow({{3, {0.7, 0.7}}}, 2)}},
+             2, &windows, &counter, &targets);
+  // The target merged with InsertTuple; cell 7 is a source-only window
+  // holding both rows, dominated one included, with no tests spent.
+  ASSERT_EQ(windows[4].size(), 1u);
+  EXPECT_EQ(windows[4].IdAt(0), 2u);
+  EXPECT_EQ(windows[7].ids(), (std::vector<TupleId>{1, 3}));
+  EXPECT_EQ(counter.count(), 1u);
+}
+
 TEST(MergePartsTest, ForeignDimPartIsCleanUnderflow) {
   // A dim-1 part decodes cleanly (its window shape is self-consistent),
   // but a dim-6 job reading it would read 6 doubles per 1-double row.
@@ -84,6 +105,10 @@ TEST(MergePartsTest, ForeignDimPartIsCleanUnderflow) {
   EXPECT_EQ(counter.count(), 0u);
   // An empty part has no rows to misread, whatever its dim.
   EXPECT_NO_THROW(MergeParts({{3, SkylineWindow(1)}}, 6, &windows, nullptr));
+  // A part bound for a source-only window is checked the same way.
+  const std::vector<CellId> targets = {9};
+  EXPECT_THROW(MergeParts({decoded}, 6, &windows, &counter, &targets),
+               SerdeUnderflow);
   ASSERT_EQ(windows.count(3), 1u);
   EXPECT_EQ(windows[3].dim(), 6u);
 }

@@ -11,25 +11,6 @@ namespace {
 
 using session_testing::SubmitOnce;
 
-/// Reference: filter the dataset to the box, keep original ids.
-std::vector<TupleId> ConstrainedReference(const Dataset& data,
-                                          const Box& box) {
-  Dataset filtered(data.dim());
-  std::vector<TupleId> original_ids;
-  for (size_t i = 0; i < data.size(); ++i) {
-    const auto id = static_cast<TupleId>(i);
-    if (box.Contains(data.RowPtr(id), data.dim())) {
-      filtered.Append(data.Row(id));
-      original_ids.push_back(id);
-    }
-  }
-  std::vector<TupleId> result;
-  for (const TupleId local : ReferenceSkyline(filtered)) {
-    result.push_back(original_ids[local]);
-  }
-  return result;
-}
-
 Box MiddleBox(size_t dim) {
   Box box;
   box.lo.assign(dim, 0.2);
@@ -40,7 +21,7 @@ Box MiddleBox(size_t dim) {
 TEST(ConstrainedSkylineTest, AllAlgorithmsMatchFilteredReference) {
   const Dataset data = data::GenerateAntiCorrelated(2000, 3, 17);
   const Box box = MiddleBox(3);
-  const std::vector<TupleId> expected = ConstrainedReference(data, box);
+  const std::vector<TupleId> expected = ReferenceSkyline(data, box);
   ASSERT_FALSE(expected.empty());
   for (const Algorithm algorithm :
        {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs, Algorithm::kMrBnl,

@@ -98,20 +98,7 @@ TEST(FuzzTest, ConstrainedQueriesAgainstFilteredReference) {
       box.lo[k] = std::min(a, b);
       box.hi[k] = std::max(a, b);
     }
-    // Filtered reference with original ids.
-    Dataset filtered(data.dim());
-    std::vector<TupleId> original;
-    for (size_t i = 0; i < data.size(); ++i) {
-      const auto id = static_cast<TupleId>(i);
-      if (box.Contains(data.RowPtr(id), data.dim())) {
-        filtered.Append(data.Row(id));
-        original.push_back(id);
-      }
-    }
-    std::vector<TupleId> expected;
-    for (const TupleId local : ReferenceSkyline(filtered)) {
-      expected.push_back(original[local]);
-    }
+    const std::vector<TupleId> expected = ReferenceSkyline(data, box);
 
     SessionOptions options;
     QuerySpec query;

@@ -119,10 +119,11 @@ TEST(EngineTraceTest, ChainedJobsNestUnderThePipelineSpan) {
   }
 
   // The paper-phase spans fired: PPD selection and pruning inside the
-  // bitstring job, group assignment and merging inside the GPMRS job.
+  // bitstring job, group assignment once before the GPMRS job, merging
+  // inside it.
   EXPECT_EQ(ByName(events, "ppd.select").size(), 1u);
   EXPECT_EQ(ByName(events, "bitstring.prune").size(), 1u);
-  EXPECT_GE(ByName(events, "gpmrs.group_assign").size(), 3u);  // Per mapper.
+  EXPECT_EQ(ByName(events, "gpmrs.group_assign").size(), 1u);  // Per job.
   EXPECT_GE(ByName(events, "gpmrs.merge").size(), 1u);
   EXPECT_GE(ByName(events, "core.compare_partitions").size(), 1u);
   EXPECT_EQ(ByName(events, "shuffle.bucket").size(), 3u);

@@ -47,6 +47,16 @@ TEST(ReferenceSkylineTest, TotallyOrderedChainKeepsOnlyBest) {
   EXPECT_EQ(ReferenceSkyline(data), (std::vector<TupleId>{2}));
 }
 
+TEST(ReferenceSkylineTest, BoxKeepsInBoxRowsAndTheirIds) {
+  // [0.3, 1] x [0, 1] drops tuple 0, and tuple 2 dominates the rest;
+  // without tuple 2, tuples 1 and 3 are incomparable.
+  const Dataset data = TwoDimExample();
+  const Box box{{0.3, 0.0}, {1.0, 1.0}};
+  EXPECT_EQ(ReferenceSkyline(data, box), (std::vector<TupleId>{2}));
+  const Box upper{{0.45, 0.25}, {1.0, 1.0}};
+  EXPECT_EQ(ReferenceSkyline(data, upper), (std::vector<TupleId>{1, 3}));
+}
+
 TEST(SameIdSetTest, OrderInsensitive) {
   EXPECT_TRUE(SameIdSet({3, 1, 2}, {1, 2, 3}));
   EXPECT_FALSE(SameIdSet({1, 2}, {1, 2, 3}));
@@ -81,6 +91,16 @@ TEST(ExplainSkylineMismatchTest, RejectsOutOfRangeIds) {
   const Dataset data = TwoDimExample();
   const std::string msg = ExplainSkylineMismatch(data, {0, 99});
   EXPECT_NE(msg.find("out of range"), std::string::npos);
+}
+
+TEST(ExplainSkylineMismatchTest, BoxFormChecksAgainstInBoxRows) {
+  const Dataset data = TwoDimExample();
+  const Box upper{{0.45, 0.25}, {1.0, 1.0}};
+  EXPECT_EQ(ExplainSkylineMismatch(data, upper, {3, 1}), "");
+  EXPECT_EQ(ExplainSkylineMismatch(data, upper, {1, 3, 2}),
+            "tuple id 2 lies outside the constraint box");
+  EXPECT_EQ(ExplainSkylineMismatch(data, upper, {1}),
+            "skyline size mismatch: got 1, expected 2");
 }
 
 }  // namespace

@@ -267,6 +267,37 @@ TEST(SessionTest, FingerprintMissesWhenDatasetOrBoundsChange) {
     EXPECT_FALSE(result->resumed_from_checkpoint);
     EXPECT_EQ(checkpoint.size(), 3u);
   }
+  // ...and so must a dataset that agrees with a stored one on the rows the
+  // fingerprint probes (0, n/2, n-1) and nowhere else. `upper` lies in
+  // [0.5,1]^3, so its bitstring marks every cell of `lower`'s other rows,
+  // [0,0.5)^3, empty; resuming it would drop them.
+  {
+    const Dataset base = MakeData(1200, 3, 80);
+    Dataset upper(3);
+    Dataset lower(3);
+    for (size_t i = 0; i < base.size(); ++i) {
+      const double* row = base.RowPtr(static_cast<TupleId>(i));
+      const bool probe = i == 0 || i == base.size() / 2 ||
+                         i == base.size() - 1;
+      std::vector<double> high(3);
+      std::vector<double> low(3);
+      for (size_t d = 0; d < 3; ++d) {
+        high[d] = 0.5 + 0.5 * row[d];
+        low[d] = 0.49 * row[d];
+      }
+      upper.Append(high);
+      lower.Append(probe ? high : low);
+    }
+    for (const Dataset* data : {&upper, &lower}) {
+      auto session = Session::Open(*data, options);
+      ASSERT_TRUE(session.ok()) << session.status();
+      auto result = (*session)->Submit(spec);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_FALSE(result->resumed_from_checkpoint);
+      EXPECT_EQ(ExplainSkylineMismatch(*data, result->SkylineIds()), "");
+    }
+    EXPECT_EQ(checkpoint.size(), 5u);
+  }
 }
 
 // ---------------------------------------------------------------------
