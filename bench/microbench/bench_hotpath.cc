@@ -5,7 +5,7 @@
 //
 //   bench_hotpath [--out=BENCH_hotpath.json] [--scale=1.0] [--reps=3]
 //
-// Six benchmarks:
+// Seven benchmarks:
 //
 //   dominance_kernel  block FirstDominatorIndex over an anti-correlated
 //                     row block vs the scalar CompareDominance loop
@@ -29,6 +29,10 @@
 //                     13 reducers, PPD 2): MergeParts + CompareAllPartitions
 //                     over the responsible cells only vs over every
 //                     received cell (the full-group filter it replaced)
+//   csv_load          data::SaveCsv of 10^6 * scale independent 4-d
+//                     tuples, then data::LoadCsv of the file vs the
+//                     string-table loader it replaced (retained below
+//                     verbatim); both must load bit-identical values
 //
 // Speedups are computed from best-of-`reps` wall time; every benchmark
 // validates its result against the reference before reporting. The
@@ -39,18 +43,24 @@
 // tools/bench_diff.py hard-gates against a committed baseline.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/csv.h"
 #include "src/common/rng.h"
 #include "src/core/compare_partitions.h"
 #include "src/core/independent_groups.h"
 #include "src/core/partition_bitstring.h"
+#include "src/data/dataset_io.h"
 #include "src/data/generator.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
@@ -710,6 +720,154 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Benchmark 7: CSV input. The string-table loader data::LoadCsv replaced
+// (whole file into one string, one std::string per field, then strtod),
+// retained verbatim so the speedup is measured against the real baseline.
+// ---------------------------------------------------------------------
+
+StatusOr<std::vector<std::vector<std::string>>> ParseCsvText(
+    std::string_view text) {
+  std::vector<std::vector<std::string>> rows;
+  size_t begin = 0;
+  while (begin <= text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) {
+      if (begin == text.size()) {
+        break;  // No trailing fragment after the last newline.
+      }
+      end = text.size();
+    }
+    const std::string line(text.substr(begin, end - begin));
+    begin = end + 1;
+    if (line.empty() || (line.size() == 1 && line[0] == '\r')) {
+      continue;
+    }
+    rows.push_back(ParseCsvLine(line));
+  }
+  return rows;
+}
+
+StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
+    const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) {
+    return Status::IoError("failed reading " + path);
+  }
+  return ParseCsvText(buffer.str());
+}
+
+StatusOr<Dataset> DatasetFromRows(
+    const std::vector<std::vector<std::string>>& rows, bool has_header,
+    const std::string& origin) {
+  const size_t start = has_header ? 1 : 0;
+  if (rows.size() <= start) {
+    return Status::InvalidArgument("CSV has no data rows: " + origin);
+  }
+  const size_t dim = rows[start].size();
+  if (dim == 0) {
+    return Status::InvalidArgument("CSV has empty rows: " + origin);
+  }
+  Dataset out(dim);
+  out.Reserve(rows.size() - start);
+  std::vector<double> row(dim);
+  for (size_t i = start; i < rows.size(); ++i) {
+    if (rows[i].size() != dim) {
+      return Status::InvalidArgument("CSV row width mismatch at line " +
+                                     std::to_string(i + 1));
+    }
+    for (size_t k = 0; k < dim; ++k) {
+      const std::string& field = rows[i][k];
+      char* end = nullptr;
+      row[k] = std::strtod(field.c_str(), &end);
+      if (end == field.c_str() || (end != nullptr && *end != '\0')) {
+        return Status::InvalidArgument("CSV field is not a number: '" +
+                                       field + "' at line " +
+                                       std::to_string(i + 1));
+      }
+    }
+    out.Append(row);
+  }
+  return out;
+}
+
+StatusOr<Dataset> StringTableLoadCsv(const std::string& path,
+                                     bool has_header) {
+  auto rows_or = ReadCsvFile(path);
+  if (!rows_or.ok()) {
+    return rows_or.status();
+  }
+  return DatasetFromRows(rows_or.value(), has_header, path);
+}
+
+struct CsvLoadResult {
+  size_t rows = 0;
+  size_t dim = 4;
+  uint64_t file_bytes = 0;
+  uint64_t value_checksum = 0;  // FNV-1a over the value bits, 53 bits.
+  std::vector<double> load_samples;
+  double save_seconds = 0.0;
+  double load_seconds = 0.0;
+  double string_table_load_seconds = 0.0;
+  double speedup = 0.0;
+};
+
+bool SameBits(const Dataset& a, const Dataset& b) {
+  return a.dim() == b.dim() && a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size() * sizeof(double)) == 0;
+}
+
+CsvLoadResult BenchCsvLoad(double scale, int reps) {
+  CsvLoadResult out;
+  out.rows = EnvScaledTuples(1000000, scale);
+  const Dataset data =
+      data::GenerateIndependent(out.rows, out.dim, /*seed=*/20140324);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "skymr_bench_csv_load.csv")
+          .string();
+  out.save_seconds = BestOf(RepSeconds(reps, [&] {
+    if (const Status s = data::SaveCsv(data, path); !s.ok()) {
+      std::fprintf(stderr, "csv_load: %s\n", s.ToString().c_str());
+      std::exit(1);
+    }
+  }));
+  out.file_bytes = std::filesystem::file_size(path);
+
+  // Loads `path` with `load` once per rep; every load must reproduce the
+  // generated values bit for bit.
+  const auto time_load = [&](auto&& load, std::vector<double>* samples) {
+    for (int r = 0; r < reps; ++r) {
+      const double start = Now();
+      StatusOr<Dataset> loaded = load(path, false);
+      samples->push_back(Now() - start);
+      if (!loaded.ok() || !SameBits(*loaded, data)) {
+        std::fprintf(stderr, "csv_load: loaders differ from the data\n");
+        std::exit(1);
+      }
+    }
+  };
+  time_load(data::LoadCsv, &out.load_samples);
+  std::vector<double> string_table_samples;
+  time_load(StringTableLoadCsv, &string_table_samples);
+  std::remove(path.c_str());
+
+  uint64_t hash = 1469598103934665603ULL;
+  for (const double v : data.values()) {
+    hash = (hash ^ std::bit_cast<uint64_t>(v)) * 1099511628211ULL;
+  }
+  out.value_checksum = hash & ((uint64_t{1} << 53) - 1);
+  out.load_seconds = BestOf(out.load_samples);
+  out.string_table_load_seconds = BestOf(string_table_samples);
+  out.speedup = out.string_table_load_seconds / out.load_seconds;
+  return out;
+}
+
 int Run(int argc, char** argv) {
   std::string out_path = "BENCH_hotpath.json";
   double scale = 1.0;
@@ -771,6 +929,13 @@ int Run(int argc, char** argv) {
                static_cast<unsigned long long>(
                    reduce.responsible_tuple_comparisons),
                static_cast<unsigned long long>(reduce.full_tuple_comparisons));
+
+  std::fprintf(stderr, "csv_load...\n");
+  const CsvLoadResult csv = BenchCsvLoad(scale, reps);
+  std::fprintf(stderr,
+               "  %.2fx vs string table (%zu rows, %.1f MB, save %.3f s)\n",
+               csv.speedup, csv.rows,
+               static_cast<double>(csv.file_bytes) / 1e6, csv.save_seconds);
 
   obs::BenchArtifact artifact("bench_hotpath");
   artifact.environment().reps = reps;
@@ -871,6 +1036,23 @@ int Run(int argc, char** argv) {
         static_cast<int64_t>(reduce.responsible_tuple_comparisons);
     row.deterministic["full_group_tuple_comparisons"] =
         static_cast<int64_t>(reduce.full_tuple_comparisons);
+    artifact.AddRow(std::move(row));
+  }
+
+  {
+    obs::BenchRow row;
+    row.name = "csv_load";
+    row.wall = obs::WallStats::FromSamples(csv.load_samples);
+    row.metrics["scale"] = scale;
+    row.metrics["save_seconds"] = csv.save_seconds;
+    row.metrics["load_seconds"] = csv.load_seconds;
+    row.metrics["string_table_load_seconds"] = csv.string_table_load_seconds;
+    row.metrics["speedup_vs_string_table"] = csv.speedup;
+    row.deterministic["rows"] = static_cast<int64_t>(csv.rows);
+    row.deterministic["dim"] = static_cast<int64_t>(csv.dim);
+    row.deterministic["file_bytes"] = static_cast<int64_t>(csv.file_bytes);
+    row.deterministic["value_checksum"] =
+        static_cast<int64_t>(csv.value_checksum);
     artifact.AddRow(std::move(row));
   }
 

@@ -36,6 +36,11 @@ if(NOT SKYMR_SANITIZE STREQUAL "")
     endif()
     list(APPEND _skymr_fsanitize "-fsanitize=${_san}")
   endforeach()
+  # GCC's 'undefined' group leaves out float-cast-overflow, the check
+  # that catches a double converted to an integer type it does not fit.
+  if("undefined" IN_LIST SKYMR_SANITIZE_LIST)
+    list(APPEND _skymr_fsanitize "-fsanitize=float-cast-overflow")
+  endif()
 
   # -fno-sanitize-recover turns UBSan diagnostics into hard failures so
   # ctest actually goes red; frame pointers + -g keep reports readable.

@@ -374,6 +374,17 @@ void DatasetCsvSeeds(const fs::path& root) {
   WriteSeed(root, "dataset_csv", "specials",
             CsvSeed(false, "nan,-nan\ninf,-inf\n0,-0\n1e308,-1e-308\n"));
   WriteSeed(root, "dataset_csv", "header_only", CsvSeed(true, "x,y\n"));
+  // The reader's pinned rules (src/data/dataset_io.h).
+  WriteSeed(root, "dataset_csv", "nul_in_field",
+            CsvSeed(false, std::string("0.5\0junk,0.25\n", 14)));
+  WriteSeed(root, "dataset_csv", "blank_lines_then_ragged",
+            CsvSeed(false, "0.1,0.2\n\n\n0.3\n"));
+  WriteSeed(root, "dataset_csv", "out_of_range",
+            CsvSeed(false, "0.5,0.5\n1e400,0.5\n"));
+  WriteSeed(root, "dataset_csv", "hex_float",
+            CsvSeed(false, "0.5,0.5\n0x1p-1,0.5\n"));
+  WriteSeed(root, "dataset_csv", "pinned_accepts",
+            CsvSeed(true, "x,y\n 0.5,+0.25\n\"0.5\",inf\n-inf,4e-320\n"));
 }
 
 // --------------------------------------------------------------- config

@@ -1,8 +1,5 @@
 #include "src/common/csv.h"
 
-#include <fstream>
-#include <sstream>
-
 namespace skymr {
 
 std::vector<std::string> ParseCsvLine(const std::string& line) {
@@ -64,57 +61,6 @@ std::string FormatCsvLine(const std::vector<std::string>& fields) {
     }
   }
   return out;
-}
-
-StatusOr<std::vector<std::vector<std::string>>> ParseCsvText(
-    std::string_view text) {
-  std::vector<std::vector<std::string>> rows;
-  size_t begin = 0;
-  while (begin <= text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string_view::npos) {
-      if (begin == text.size()) {
-        break;  // No trailing fragment after the last newline.
-      }
-      end = text.size();
-    }
-    const std::string line(text.substr(begin, end - begin));
-    begin = end + 1;
-    if (line.empty() || (line.size() == 1 && line[0] == '\r')) {
-      continue;
-    }
-    rows.push_back(ParseCsvLine(line));
-  }
-  return rows;
-}
-
-StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("failed reading " + path);
-  }
-  return ParseCsvText(buffer.str());
-}
-
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  for (const auto& row : rows) {
-    out << FormatCsvLine(row) << '\n';
-  }
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace skymr

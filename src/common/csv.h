@@ -1,36 +1,21 @@
-// Minimal CSV reading/writing for dataset import/export and experiment
-// output. Handles quoted fields, embedded commas, and CRLF line endings.
+// RFC-4180 CSV line splitting and joining. data::LoadCsv parses most
+// lines itself and hands this splitter only a line holding a '"';
+// data::SaveCsv joins only its header line here.
 
 #ifndef SKYMR_COMMON_CSV_H_
 #define SKYMR_COMMON_CSV_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "src/common/status.h"
 
 namespace skymr {
 
-/// Parses one CSV line into fields. Supports RFC-4180 double quoting.
+/// Parses one CSV line into fields. Supports RFC-4180 double quoting;
+/// a trailing CR outside quotes is dropped.
 std::vector<std::string> ParseCsvLine(const std::string& line);
 
 /// Joins fields into one CSV line, quoting fields that need it.
 std::string FormatCsvLine(const std::vector<std::string>& fields);
-
-/// Parses CSV text into rows of fields. Skips empty lines. Untrusted
-/// input is fine: any byte sequence yields rows or a Status, never a
-/// crash.
-StatusOr<std::vector<std::vector<std::string>>> ParseCsvText(
-    std::string_view text);
-
-/// Reads a whole CSV file into rows of fields. Skips empty lines.
-StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path);
-
-/// Writes rows of fields to a CSV file, overwriting it.
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace skymr
 

@@ -56,13 +56,15 @@ CellId Grid::CellOf(const double* row) const {
   CellId index = 0;
   CellId stride = 1;
   for (size_t k = 0; k < dim_; ++k) {
-    double offset = (row[k] - bounds_.lo[k]) * inv_width_[k];
-    if (!(offset > 0.0)) {
-      offset = 0.0;  // Clamp below-range and NaN to the first cell.
-    }
-    auto coord = static_cast<uint64_t>(offset);
-    if (coord >= ppd_) {
-      coord = ppd_ - 1;  // Clamp the upper boundary into the last cell.
+    const double offset = (row[k] - bounds_.lo[k]) * inv_width_[k];
+    // Clamp in the double domain: the upper boundary, huge values and
+    // +inf go to the last cell, below-range values and NaN to the first,
+    // so the cast below never sees a value outside [0, ppd).
+    uint64_t coord = 0;
+    if (offset >= static_cast<double>(ppd_)) {
+      coord = ppd_ - 1;
+    } else if (offset > 0.0) {
+      coord = static_cast<uint64_t>(offset);
     }
     index += coord * stride;
     stride *= ppd_;

@@ -47,7 +47,14 @@ class JsonValue {
   /// Typed accessors; the caller must have checked the kind.
   bool AsBool() const { return bool_; }
   double AsDouble() const { return number_; }
-  int64_t AsInt() const { return static_cast<int64_t>(number_); }
+  /// The number truncated toward zero, saturated to int64's range (a
+  /// double outside it has no defined conversion).
+  int64_t AsInt() const {
+    if (number_ >= 0x1p63) {
+      return INT64_MAX;
+    }
+    return number_ >= -0x1p63 ? static_cast<int64_t>(number_) : INT64_MIN;
+  }
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& AsArray() const { return array_; }
   const std::map<std::string, JsonValue>& AsObject() const {

@@ -146,8 +146,10 @@ StatusOr<LogRecord> ParseLogLine(std::string_view line) {
   record.severity = severity_or.value();
   record.ts_us = doc.GetDouble("ts_us", 0.0);
   const double query = doc.GetDouble("query", 0.0);
-  record.query_id =
-      query > 0.0 ? static_cast<uint64_t>(query) : uint64_t{0};
+  // A value no uint64 holds is no query id, like a non-positive one.
+  record.query_id = query > 0.0 && query < 0x1p64
+                        ? static_cast<uint64_t>(query)
+                        : uint64_t{0};
   const int64_t task = doc.GetInt("task", -1);
   record.task = task >= 0 && task <= INT32_MAX
                     ? static_cast<int32_t>(task)

@@ -246,6 +246,9 @@ StatusOr<std::unique_ptr<Session>> Session::Open(
   if (const Status valid = options.Validate(); !valid.ok()) {
     return valid;
   }
+  SKYMR_DCHECK(std::none_of(data.values().begin(), data.values().end(),
+                            [](double v) { return std::isnan(v); }))
+      << "session dataset holds a NaN value";
   std::unique_ptr<Session> session(new Session(data, options));
   // Same no-throw contract as Submit: pool construction and bounds
   // computation failures surface as Status, never as exceptions.

@@ -166,7 +166,11 @@ class Session {
  public:
   /// Opens a session over `data` (which must outlive it): validates
   /// options, computes the grid domain bounds once, and spins up the
-  /// owned pool when none is borrowed.
+  /// owned pool when none is borrowed. Precondition: no value of `data`
+  /// is NaN. A NaN tuple dominates nothing, yet the grid would file it
+  /// in the all-low cell, which prunes cells it does not dominate.
+  /// data::LoadCsv rejects NaN; an in-memory dataset is checked only by
+  /// SKYMR_DCHECK.
   static StatusOr<std::unique_ptr<Session>> Open(
       const Dataset& data, const SessionOptions& options);
 

@@ -1,8 +1,5 @@
 #include "src/common/csv.h"
 
-#include <cstdio>
-#include <filesystem>
-
 #include <gtest/gtest.h>
 
 namespace skymr {
@@ -42,47 +39,6 @@ TEST(CsvFormatTest, RoundTripsThroughParse) {
   const std::vector<std::string> fields{"plain", "with,comma",
                                         "with \"quote\"", ""};
   EXPECT_EQ(ParseCsvLine(FormatCsvLine(fields)), fields);
-}
-
-TEST(CsvFileTest, WriteAndReadBack) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "skymr_csv_test.csv")
-          .string();
-  const std::vector<std::vector<std::string>> rows{
-      {"x", "y"}, {"1.5", "2.5"}, {"a,b", "c"}};
-  ASSERT_TRUE(WriteCsvFile(path, rows).ok());
-  auto read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value(), rows);
-  std::remove(path.c_str());
-}
-
-TEST(CsvFileTest, MissingFileIsIoError) {
-  const auto result = ReadCsvFile("/nonexistent/dir/file.csv");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-}
-
-TEST(CsvFileTest, WriteToBadPathIsIoError) {
-  const Status s = WriteCsvFile("/nonexistent/dir/file.csv", {{"a"}});
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
-}
-
-TEST(CsvFileTest, SkipsEmptyLines) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "skymr_csv_empty.csv")
-          .string();
-  {
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("a,b\n\n\nc,d\n", f);
-    std::fclose(f);
-  }
-  auto read = ReadCsvFile(path);
-  ASSERT_TRUE(read.ok());
-  ASSERT_EQ(read->size(), 2u);
-  EXPECT_EQ((*read)[1], (std::vector<std::string>{"c", "d"}));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/core/grid.h"
 
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -69,6 +70,14 @@ TEST(GridTest, CellOfBoundariesHalfOpen) {
   EXPECT_EQ(grid.CellOf(below), 0u);
   const double above[] = {2.0};
   EXPECT_EQ(grid.CellOf(above), 3u);
+  // Offsets at and past 2^64 must clamp too, not wrap through the cast.
+  for (const double huge : {4.6e18, 5e18, 1e20, 1e300,
+                            std::numeric_limits<double>::infinity()}) {
+    const double row[] = {huge};
+    EXPECT_EQ(grid.CellOf(row), 3u) << huge;
+  }
+  const double minus_inf[] = {-std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(grid.CellOf(minus_inf), 0u);
 }
 
 TEST(GridTest, CellOfDegenerateBounds) {

@@ -16,6 +16,10 @@ TEST(JsonParseTest, ParsesScalars) {
   EXPECT_DOUBLE_EQ(ParseJson("3.5")->AsDouble(), 3.5);
   EXPECT_DOUBLE_EQ(ParseJson("-1e3")->AsDouble(), -1000.0);
   EXPECT_EQ(ParseJson("42")->AsInt(), 42);
+  EXPECT_EQ(ParseJson("-7.9")->AsInt(), -7);
+  // Past int64's range the conversion saturates instead of being undefined.
+  EXPECT_EQ(ParseJson("1e300")->AsInt(), INT64_MAX);
+  EXPECT_EQ(ParseJson("-1e300")->AsInt(), INT64_MIN);
   EXPECT_EQ(ParseJson("\"hi\"")->AsString(), "hi");
 }
 

@@ -90,6 +90,16 @@ TEST(LogLineTest, ParseFormatIsFixpoint) {
   }
 }
 
+TEST(LogLineTest, ParseDropsQueryIdsNoIntegerHolds) {
+  for (const char* query : {"1e300", "18446744073709551616", "-3"}) {
+    auto parsed = ParseLogLine(std::string(R"({"sev":"info","query":)") +
+                               query + R"(,"task":1e300,"event":"x"})");
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->query_id, 0u) << query;
+    EXPECT_EQ(parsed->task, -1) << query;
+  }
+}
+
 TEST(LogLineTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseLogLine("").ok());
   EXPECT_FALSE(ParseLogLine("not json").ok());

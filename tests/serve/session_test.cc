@@ -8,6 +8,7 @@
 #include "src/serve/session.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -450,6 +451,31 @@ TEST(SessionTest, OpenRejectsInvalidOptions) {
     auto rejected = Session::Open(data, bad);
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SessionTest, HugeAndInfiniteCoordinatesGiveTheReferenceSkyline) {
+  // Past 2^64 the double->integer cast in Grid::CellOf used to send a
+  // tuple to cell 0, the all-low cell, where it pruned cells it does not
+  // dominate: GPSRS and GPMRS returned extra tuples with OK.
+  for (const double far : {1e20, std::numeric_limits<double>::infinity()}) {
+    const Dataset anti = data::GenerateAntiCorrelated(3000, 3, 5);
+    std::vector<double> values = anti.values();
+    for (size_t i = 0; i < anti.size(); i += 97) {
+      values[i * 3 + i % 3] = far;
+    }
+    const Dataset data = std::move(Dataset::FromFlat(3, values)).value();
+    const std::vector<TupleId> expected = ReferenceSkyline(data);
+    for (const Algorithm algorithm :
+         {Algorithm::kMrGpsrs, Algorithm::kMrGpmrs}) {
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      auto result = SubmitOnce(data, SessionOptions{}, spec);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected))
+          << AlgorithmName(algorithm) << " at " << far << ": "
+          << ExplainSkylineMismatch(data, result->SkylineIds());
+    }
   }
 }
 
