@@ -3,78 +3,47 @@
 #include <atomic>
 #include <mutex>
 
-namespace skymr {
+namespace skymr::internal {
 namespace {
 
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-std::mutex g_log_mutex;
-std::atomic<internal::FatalHook> g_fatal_hook{nullptr};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-    case LogLevel::kFatal:
-      return "F";
-  }
-  return "?";
-}
+std::mutex g_check_mutex;
+std::atomic<FatalHook> g_fatal_hook{nullptr};
 
 }  // namespace
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-namespace internal {
 
 void SetFatalHook(FatalHook hook) {
   g_fatal_hook.store(hook, std::memory_order_relaxed);
 }
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+CheckFailure::CheckFailure(const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p != '\0'; ++p) {
     if (*p == '/') {
       base = p + 1;
     }
   }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+  stream_ << "[F " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
+CheckFailure::~CheckFailure() {
   // Assemble the full line — newline included — before touching the sink,
   // then emit it with one insert: a single write that other threads (and,
   // since stderr is unbuffered, other processes sharing the fd) cannot
-  // split mid-line. See the flush policy note in logging.h.
+  // split mid-line.
   stream_ << '\n';
   const std::string line = stream_.str();
   {
-    std::lock_guard<std::mutex> lock(g_log_mutex);
+    std::lock_guard<std::mutex> lock(g_check_mutex);
     std::cerr << line;
   }
-  if (level_ == LogLevel::kFatal) {
-    // Give the flight recorder its last chance to dump before the abort;
-    // the hook is cleared first so a hook that itself fatals cannot
-    // recurse.
-    if (FatalHook hook =
-            g_fatal_hook.exchange(nullptr, std::memory_order_acq_rel)) {
-      hook();
-    }
-    std::abort();
+  // Give the flight recorder its last chance to dump before the abort;
+  // the hook is cleared first so a hook that itself fails a check cannot
+  // recurse.
+  if (FatalHook hook =
+          g_fatal_hook.exchange(nullptr, std::memory_order_acq_rel)) {
+    hook();
   }
+  std::abort();
 }
 
-}  // namespace internal
-}  // namespace skymr
+}  // namespace skymr::internal

@@ -1,15 +1,15 @@
-// Minimal leveled logger with a process-wide level and stream sink.
+// Invariant checks: SKYMR_CHECK (always on) and SKYMR_DCHECK (debug and
+// sanitizer builds).
 //
 // Usage:
-//   SKYMR_LOG(INFO) << "job finished in " << secs << "s";
-// Levels below the global threshold are compiled into a no-op branch.
+//   SKYMR_CHECK(bits.size() == cells) << "bitstring has " << bits.size();
 //
-// Emission and flush policy: each statement assembles its complete line
-// (prefix, message, trailing '\n') in a private buffer and emits it with a
-// single std::cerr insert under a process-wide mutex, so concurrent
-// ThreadPool tasks can never interleave fragments of two lines. std::cerr
-// is unit-buffered, so the single insert also flushes the line; there is
-// no separate flush step and no buffering across lines.
+// A failed check assembles its complete line — "[F file:line] Check
+// failed: cond message" plus the trailing '\n' — in a private buffer,
+// emits it with a single std::cerr insert under a process-wide mutex (so
+// two failing threads cannot interleave fragments), runs the fatal hook,
+// and aborts. Structured, query-scoped logging is obs::Logger
+// (src/obs/log.h).
 
 #ifndef SKYMR_COMMON_LOGGING_H_
 #define SKYMR_COMMON_LOGGING_H_
@@ -20,77 +20,48 @@
 #include <string>
 
 namespace skymr {
-
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-/// Returns the process-wide minimum level that is emitted.
-LogLevel GetLogLevel();
-
-/// Sets the process-wide minimum level. Thread-safe (relaxed atomic).
-void SetLogLevel(LogLevel level);
-
 namespace internal {
 
-/// Callback invoked once, right before a fatal log statement aborts the
+/// Callback invoked once, right before a failed check aborts the
 /// process. The observability layer registers a flight-recorder dump
 /// here (obs::Logger::InstallAsFatalDumper) so SKYMR_CHECK failures
 /// leave a post-mortem trail. The hook must be async-signal-tolerant in
-/// spirit: no throwing, no further fatal logging.
+/// spirit: no throwing, no further failing checks.
 using FatalHook = void (*)();
 
 /// Installs `hook` (nullptr clears). Thread-safe (relaxed atomic).
 void SetFatalHook(FatalHook hook);
 
-/// Accumulates one log line and flushes it on destruction.
-class LogMessage {
+/// Accumulates a failed check's line; writes it and aborts on
+/// destruction.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  CheckFailure(const char* file, int line);
+  ~CheckFailure();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  CheckFailure(const CheckFailure&) = delete;
+  CheckFailure& operator=(const CheckFailure&) = delete;
 
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-/// Swallows a log statement whose level is below the threshold.
-struct LogMessageVoidify {
+/// Gives the streamed check expression type void, so it fits the other
+/// arm of the conditional in SKYMR_CHECK.
+struct Voidify {
   void operator&(std::ostream&) {}
 };
 
 }  // namespace internal
 }  // namespace skymr
 
-#define SKYMR_LOG_LEVEL_DEBUG ::skymr::LogLevel::kDebug
-#define SKYMR_LOG_LEVEL_INFO ::skymr::LogLevel::kInfo
-#define SKYMR_LOG_LEVEL_WARNING ::skymr::LogLevel::kWarning
-#define SKYMR_LOG_LEVEL_ERROR ::skymr::LogLevel::kError
-#define SKYMR_LOG_LEVEL_FATAL ::skymr::LogLevel::kFatal
-
-#define SKYMR_LOG(severity)                                       \
-  (SKYMR_LOG_LEVEL_##severity < ::skymr::GetLogLevel())           \
-      ? (void)0                                                   \
-      : ::skymr::internal::LogMessageVoidify() &                  \
-            ::skymr::internal::LogMessage(SKYMR_LOG_LEVEL_##severity, \
-                                          __FILE__, __LINE__)     \
-                .stream()
-
 /// Always-on invariant check: aborts with a message when `cond` is false.
 #define SKYMR_CHECK(cond)                                              \
   (cond) ? (void)0                                                     \
-         : ::skymr::internal::LogMessageVoidify() &                    \
-               ::skymr::internal::LogMessage(SKYMR_LOG_LEVEL_FATAL,    \
-                                             __FILE__, __LINE__)       \
+         : ::skymr::internal::Voidify() &                              \
+               ::skymr::internal::CheckFailure(__FILE__, __LINE__)     \
                    .stream()                                           \
                << "Check failed: " #cond " "
 

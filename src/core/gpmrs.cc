@@ -24,7 +24,7 @@ class GpmrsMapper : public mr::Mapper<TupleId, uint32_t, GroupPayload> {
   void Cleanup(mr::MapContext<uint32_t, GroupPayload>& ctx) override {
     const SkylineJobContext& context = phase_.context();
     CellWindowMap windows =
-        phase_.Finish(&ctx.counters(), &ctx.histograms());
+        phase_.Finish(&ctx.counters(), &ctx.sketches());
 
     // Lines 11-19: ship each group's local skylines to its reducer. The
     // groups (line 11, Algorithm 7) with Section 5.4's merging and output
@@ -178,9 +178,10 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
   run.metrics = std::move(result.metrics);
   // Per-reducer group load (Section 5.4.1's balancing target).
   for (const ReducerGroup& group : context->reducer_groups) {
-    run.metrics.histograms.Add("skymr.reducer_group_cells",
-                               group.cells.size());
-    run.metrics.histograms.Add("skymr.reducer_group_cost", group.cost);
+    run.metrics.sketches["skymr.reducer_group_cells"].Add(
+        static_cast<double>(group.cells.size()));
+    run.metrics.sketches["skymr.reducer_group_cost"].Add(
+        static_cast<double>(group.cost));
   }
   run.skyline = SkylineWindow(data->dim());
   for (const SkylineWindow& window : result.outputs) {

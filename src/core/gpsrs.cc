@@ -22,7 +22,7 @@ class GpsrsMapper : public mr::Mapper<TupleId, uint32_t, LocalSkylineSet> {
 
   void Cleanup(mr::MapContext<uint32_t, LocalSkylineSet>& ctx) override {
     CellWindowMap windows =
-        phase_.Finish(&ctx.counters(), &ctx.histograms());
+        phase_.Finish(&ctx.counters(), &ctx.sketches());
     LocalSkylineSet set;
     set.parts.reserve(windows.size());
     for (auto& [cell, window] : windows) {

@@ -6,6 +6,7 @@
 #ifndef SKYMR_CORE_SKYLINE_JOB_COMMON_H_
 #define SKYMR_CORE_SKYLINE_JOB_COMMON_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,7 +25,7 @@
 #include "src/local/sfs.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
-#include "src/obs/histogram.h"
+#include "src/obs/metrics.h"
 #include "src/relation/box.h"
 #include "src/relation/skyline_verify.h"
 
@@ -188,11 +189,12 @@ class LocalSkylinePhase {
   }
 
   /// Algorithm 3 / 8, lines 9-10: remove cross-partition false positives.
-  /// Returns the windows and records counters; `histograms` receives the
-  /// per-partition window lengths (the scan lengths InsertTuple/SFS walk),
-  /// as the skymr.window_size distribution.
-  CellWindowMap Finish(mr::Counters* counters,
-                       obs::HistogramSet* histograms) {
+  /// Returns the windows and records counters; `sketches` receives the
+  /// per-partition window lengths after ComparePartitions, as the
+  /// skymr.window_size distribution.
+  CellWindowMap Finish(
+      mr::Counters* counters,
+      std::map<std::string, obs::QuantileSketch>* sketches) {
     const LocalAlgorithm algorithm = context_->local_algorithm;
     if (algorithm != LocalAlgorithm::kBnl) {
       for (auto& [cell, ids] : buffered_) {
@@ -242,9 +244,10 @@ class LocalSkylinePhase {
       counters->Add(kCounterBbsAutoSfs,
                     static_cast<int64_t>(auto_sfs_partitions_));
     }
-    if (histograms != nullptr) {
+    if (sketches != nullptr && !windows_.empty()) {
+      obs::QuantileSketch& window_size = (*sketches)["skymr.window_size"];
       for (const auto& [cell, window] : windows_) {
-        histograms->Add("skymr.window_size", window.size());
+        window_size.Add(static_cast<double>(window.size()));
       }
     }
     return std::move(windows_);

@@ -39,6 +39,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -152,7 +153,7 @@ class MapContext {
   int num_reducers() const { return num_reducers_; }
   const DistributedCache& cache() const { return *cache_; }
   Counters& counters() { return counters_; }
-  obs::HistogramSet& histograms() { return histograms_; }
+  std::map<std::string, obs::QuantileSketch>& sketches() { return sketches_; }
 
  private:
   template <typename In, typename KK, typename VV, typename Out>
@@ -206,7 +207,7 @@ class MapContext {
   std::vector<Bucket> buckets_;
   uint64_t output_records_ = 0;
   Counters counters_;
-  obs::HistogramSet histograms_;
+  std::map<std::string, obs::QuantileSketch> sketches_;
 };
 
 /// The interface reduce tasks use to emit output records.
@@ -225,7 +226,6 @@ class ReduceContext {
   int task_id() const { return task_id_; }
   const DistributedCache& cache() const { return *cache_; }
   Counters& counters() { return counters_; }
-  obs::HistogramSet& histograms() { return histograms_; }
 
  private:
   template <typename In, typename KK, typename VV, typename OO>
@@ -236,7 +236,6 @@ class ReduceContext {
   std::vector<Out> outputs_;
   uint64_t output_bytes_ = 0;
   Counters counters_;
-  obs::HistogramSet histograms_;
 };
 
 /// User map task: one instance per task attempt.
@@ -493,19 +492,14 @@ class Job {
     int64_t reduce_output_records = 0;
     for (const TaskMetrics& t : result.metrics.map_tasks) {
       result.metrics.counters.Merge(t.counters);
-      result.metrics.histograms.Merge(t.histograms);
-      result.metrics.histograms.Add(
-          "mr.map_task_busy_us",
-          static_cast<uint64_t>(t.busy_seconds * 1e6));
+      for (const auto& [name, sketch] : t.sketches) {
+        result.metrics.sketches[name].Merge(sketch);
+      }
       map_input_records += static_cast<int64_t>(t.input_records);
       map_output_records += static_cast<int64_t>(t.output_records);
     }
     for (const TaskMetrics& t : result.metrics.reduce_tasks) {
       result.metrics.counters.Merge(t.counters);
-      result.metrics.histograms.Merge(t.histograms);
-      result.metrics.histograms.Add(
-          "mr.reduce_task_busy_us",
-          static_cast<uint64_t>(t.busy_seconds * 1e6));
       reduce_output_records += static_cast<int64_t>(t.output_records);
     }
     // Structural export for the bench artifacts (skymr-bench-v1): task
@@ -521,9 +515,6 @@ class Job {
                                 map_output_records);
     result.metrics.counters.Add("mr.reduce_output_records",
                                 reduce_output_records);
-    for (const ReducerInput& in : reducer_inputs) {
-      result.metrics.histograms.Add("mr.shuffle_bucket_bytes", in.input_bytes);
-    }
     result.metrics.counters.Add("mr.task_retries", wave_stats.retries);
     // Fault-tolerance counters are added only when their machinery fired
     // (or was enabled), so chaos-free runs keep the exact counter set the
@@ -702,7 +693,7 @@ class Job {
     out->metrics.output_bytes = bytes;
     out->metrics.attempts = attempt.attempt;
     out->metrics.counters = context->counters_;
-    out->metrics.histograms = std::move(context->histograms_);
+    out->metrics.sketches = std::move(context->sketches_);
     out->context = std::move(context);
     return Status::OK();
   }
@@ -857,7 +848,6 @@ class Job {
     out->metrics.output_bytes = context.output_bytes_;
     out->metrics.attempts = attempt.attempt;
     out->metrics.counters = context.counters_;
-    out->metrics.histograms = std::move(context.histograms_);
     out->outputs = std::move(context.outputs_);
     return Status::OK();
   }

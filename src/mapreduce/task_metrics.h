@@ -6,11 +6,12 @@
 #define SKYMR_MAPREDUCE_TASK_METRICS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/mapreduce/counters.h"
-#include "src/obs/histogram.h"
+#include "src/obs/metrics.h"
 
 namespace skymr::mr {
 
@@ -34,8 +35,8 @@ struct TaskMetrics {
   /// shuffle edge weight; 0 on map tasks.
   double shuffle_seconds = 0.0;
   Counters counters;
-  /// Distribution metrics recorded by the task (window scan lengths, ...).
-  obs::HistogramSet histograms;
+  /// Distributions recorded by the task (skymr.window_size, ...).
+  std::map<std::string, obs::QuantileSketch> sketches;
 };
 
 /// Metrics for one MapReduce job.
@@ -51,10 +52,10 @@ struct JobMetrics {
   /// Counters merged across all tasks, plus the engine's own counters
   /// (mr.task_retries, mr.cache_hits, mr.cache_misses).
   Counters counters;
-  /// Histograms merged across all tasks, plus the engine's own
-  /// distributions (mr.map_task_busy_us, mr.reduce_task_busy_us,
-  /// mr.shuffle_bucket_bytes).
-  obs::HistogramSet histograms;
+  /// Task sketches merged by name, plus the ones the job's caller adds
+  /// (skymr.reducer_group_*). Built from work counts only, never timings,
+  /// so two same-seed runs agree on them exactly.
+  std::map<std::string, obs::QuantileSketch> sketches;
 
   /// Largest value of `counter` across map tasks (Figure 11a's
   /// "mapper with the highest number of comparisons").

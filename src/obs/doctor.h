@@ -1,7 +1,7 @@
 // `skymr doctor`: a diagnostics pass over a finished run's
-// skymr-report-v1 document. It interprets the telemetry PR 3 started
-// collecting and answers "why was this run slow?" with severity-ranked
-// findings instead of raw numbers:
+// skymr-report-v2 document. It interprets the engine's telemetry and
+// answers "why was this run slow?" with severity-ranked findings instead
+// of raw numbers:
 //
 //   task-skew          one map/reduce task busy far longer than the
 //                      median of its wave (straggler; bad split or
@@ -69,7 +69,7 @@
 //
 // Every heuristic has a floor below which it stays silent, so a healthy
 // run — including a tiny smoke-scale one — produces zero findings.
-// The first two critical-path checks read skymr-report-v1 documents
+// The first two critical-path checks read skymr-report-v2 documents
 // (AnalyzeReport); sampler-overhead and log-drop read skymr-metrics-v1
 // documents (AnalyzeMetrics); the load heuristics read skymr-load-v1
 // documents (AnalyzeLoad).
@@ -207,9 +207,9 @@ struct DoctorOptions {
   double min_session_cache_hit_fraction = 0.5;
 };
 
-/// Analyzes a parsed skymr-report-v1 document. Returns findings sorted
+/// Analyzes a parsed skymr-report-v2 document. Returns findings sorted
 /// most severe first; an empty vector means a clean bill of health.
-/// Returns InvalidArgument when `report` is not a skymr-report-v1
+/// Returns InvalidArgument when `report` is not a skymr-report-v2
 /// object.
 StatusOr<std::vector<Finding>> AnalyzeReport(
     const JsonValue& report, const DoctorOptions& options = {});

@@ -8,8 +8,8 @@
 
 #include "src/cost/cost_model.h"
 #include "src/obs/critical_path.h"
-#include "src/obs/histogram.h"
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 
 namespace skymr::obs {
 namespace {
@@ -34,27 +34,6 @@ double MedianBusySeconds(const std::vector<mr::TaskMetrics>& tasks) {
   std::sort(busy.begin(), busy.end());
   const size_t n = busy.size();
   return n % 2 == 1 ? busy[n / 2] : 0.5 * (busy[n / 2 - 1] + busy[n / 2]);
-}
-
-void WriteHistogramJson(const Histogram& histogram, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("count");
-  w->Uint(histogram.count());
-  w->Key("sum");
-  w->Uint(histogram.sum());
-  w->Key("min");
-  w->Uint(histogram.min());
-  w->Key("max");
-  w->Uint(histogram.max());
-  w->Key("mean");
-  w->Double(histogram.Mean());
-  w->Key("p50");
-  w->Double(histogram.Percentile(50.0));
-  w->Key("p95");
-  w->Double(histogram.Percentile(95.0));
-  w->Key("p99");
-  w->Double(histogram.Percentile(99.0));
-  w->EndObject();
 }
 
 void WriteTaskJson(const mr::TaskMetrics& task, bool is_reduce,
@@ -163,11 +142,11 @@ void WriteJobMetricsJson(const mr::JobMetrics& job, JsonWriter* w) {
     w->Int(value);
   }
   w->EndObject();
-  w->Key("histograms");
+  w->Key("sketches");
   w->BeginObject();
-  for (const auto& [name, histogram] : job.histograms.entries()) {
+  for (const auto& [name, sketch] : job.sketches) {
     w->Key(name);
-    WriteHistogramJson(histogram, w);
+    WriteSketchJson(sketch, w);
   }
   w->EndObject();
   w->Key("skew");
@@ -398,8 +377,16 @@ std::string RenderStatsText(const SkylineResult& result) {
               job.counters.Get("mr.chaos_cache_faults_injected")));
       os << buf;
     }
-    for (const auto& [name, histogram] : job.histograms.entries()) {
-      os << "  " << name << ": " << histogram.ToString() << "\n";
+    for (const auto& [name, sketch] : job.sketches) {
+      std::snprintf(buf, sizeof(buf),
+                    "  %s: count=%llu sum=%.15g min=%.15g p50=%.4g "
+                    "p95=%.4g p99=%.4g max=%.15g\n",
+                    name.c_str(),
+                    static_cast<unsigned long long>(sketch.count()),
+                    sketch.sum(), sketch.min(), sketch.Quantile(0.50),
+                    sketch.Quantile(0.95), sketch.Quantile(0.99),
+                    sketch.max());
+      os << buf;
     }
   }
   const mr::JobMetrics* skyline_job = SkylineJobOf(result);

@@ -1,12 +1,12 @@
-// Unified run report: counters, histograms, and task timelines of every
+// Unified run report: counters, sketches, and task timelines of every
 // job in a finished pipeline, plus the Section 6 cost-model predictions
 // next to the observed comparison counts (the Figure 11 comparison).
 //
 // Two renderings share one data walk: a machine-readable JSON document
-// (schema skymr-report-v1) and the human-readable text `skymr_cli stats`
+// (schema skymr-report-v2) and the human-readable text `skymr_cli stats`
 // prints. The JSON layout:
 //
-//   { "schema": "skymr-report-v1",
+//   { "schema": "skymr-report-v2",
 //     "algorithm": "mr-gpmrs", "wall_seconds": ..., "modeled_seconds": ...,
 //     "modeled_compute_seconds": ..., "skyline_size": ...,
 //     "ppd": ..., "nonempty_partitions": ..., "pruned_partitions": ...,
@@ -14,7 +14,8 @@
 //     "jobs": [ { "name": ..., "wall_seconds": ..., "shuffle_bytes": ...,
 //                 "task_retries": ..., "cache_hits": ..., "cache_misses": ...,
 //                 "counters": {...},
-//                 "histograms": { name: {count,sum,min,max,mean,p50,p95,p99} },
+//                 "sketches": { name: {count, sum, min, max, p50, p95, p99,
+//                                      relative_error} },
 //                 "skew": { "max_map_busy_seconds": ...,
 //                           "median_map_busy_seconds": ...,
 //                           "max_reduce_busy_seconds": ...,
@@ -46,6 +47,11 @@
 // makespan (they sum to 100), and the "deterministic" sub-block is built
 // from record counts only, so two same-seed runs emit it byte-identically
 // — CI's determinism gate diffs exactly that object.
+//
+// "sketches" hold work counts only (mapper window sizes, reducer group
+// load), so they too are byte-identical across same-seed runs. Task
+// timings and shuffle bucket sizes appear once, in "map_tasks" and
+// "reduce_tasks", summarized by "skew".
 
 #ifndef SKYMR_OBS_JOB_REPORT_H_
 #define SKYMR_OBS_JOB_REPORT_H_
@@ -60,7 +66,7 @@
 namespace skymr::obs {
 
 /// Schema identifier stamped into every report document.
-inline constexpr const char* kReportSchemaVersion = "skymr-report-v1";
+inline constexpr const char* kReportSchemaVersion = "skymr-report-v2";
 
 /// Writes the full pipeline report for `result` as JSON.
 void WriteJobReport(const SkylineResult& result, std::ostream& os);
@@ -74,8 +80,8 @@ Status WriteJobReportFile(const SkylineResult& result,
 std::string RenderJobMetricsJson(const mr::JobMetrics& metrics);
 
 /// Renders the human-readable summary `skymr_cli stats` prints: per-job
-/// task skew (max/median busy seconds), retries, cache traffic, histogram
-/// summaries, and the cost-model comparison. The critical-path table is
+/// task skew (max/median busy seconds), retries, cache traffic, one line
+/// per sketch, and the cost-model comparison. The critical-path table is
 /// separate (obs::RenderCriticalPathText), printed under --critical-path.
 std::string RenderStatsText(const SkylineResult& result);
 

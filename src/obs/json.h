@@ -24,7 +24,7 @@ namespace skymr::obs {
 ///
 ///   JsonWriter w(os);
 ///   w.BeginObject();
-///   w.Key("schema"); w.String("skymr-report-v1");
+///   w.Key("schema"); w.String("skymr-report-v2");
 ///   w.Key("jobs"); w.BeginArray(); ... w.EndArray();
 ///   w.EndObject();
 class JsonWriter {

@@ -1,5 +1,5 @@
 // Minimal JSON reader for the observability tooling: `skymr doctor`
-// parses skymr-report-v1 documents and the tests parse artifacts this
+// parses skymr-report-v2 documents and the tests parse artifacts this
 // repo itself produced. It is a strict recursive-descent parser over a
 // dynamically-typed JsonValue — not a general-purpose library: numbers
 // are doubles (int64 exposed as a checked view), no streaming, inputs

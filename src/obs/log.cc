@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -223,9 +224,6 @@ bool Logger::Append(const LogRecord& record) {
 
 void Logger::Log(LogSeverity severity, std::string_view event,
                  std::string_view message, const Fields& fields) {
-  if (!enabled(severity)) {
-    return;
-  }
   LogRecord record;
   record.ts_us =
       std::chrono::duration<double, std::micro>(
@@ -239,9 +237,7 @@ void Logger::Log(LogSeverity severity, std::string_view event,
   CopyTruncated(fields.tag, record.tag);
   CopyTruncated(fields.job, record.job);
   CopyTruncated(message, record.message);
-  if (severity >= options_.ring_min_severity) {
-    Append(record);
-  }
+  Append(record);
   if (severity >= options_.min_severity) {
     std::lock_guard<std::mutex> lock(sink_mutex_);
     for (LogSink* sink : sinks_) {
@@ -341,13 +337,14 @@ void Logger::NotifyFatal(std::string_view reason) {
   }
   const Status dumped =
       DumpFlightRecorderFile(options_.crash_dump_path, reason);
-  if (!dumped.ok()) {
-    SKYMR_LOG(ERROR) << "flight recorder dump failed: " << dumped.message();
-    return;
-  }
-  SKYMR_LOG(INFO) << "flight recorder: dumped " << ring_capacity()
-                  << "-slot ring to " << options_.crash_dump_path << " ("
-                  << reason << ")";
+  const std::string line =
+      dumped.ok() ? "flight recorder: dumped " +
+                        std::to_string(ring_capacity()) + "-slot ring to " +
+                        options_.crash_dump_path + " (" +
+                        std::string(reason) + ")\n"
+                  : "flight recorder: dump failed: " + dumped.message() +
+                        "\n";
+  std::cerr << line;  // One insert, so the line cannot interleave.
 }
 
 void Logger::InstallAsFatalDumper() {

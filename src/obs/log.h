@@ -26,9 +26,9 @@
 //    thousand-query flight recorder dump.
 //
 // Concurrency contract (exercised by the TSan test configuration):
-//  * Log()/enabled() are safe from any thread, lock-free on the ring
-//    path. Sinks are invoked under a per-logger mutex (sinks are for
-//    humans and files; the ring is for crashes).
+//  * Log() is safe from any thread, lock-free on the ring path. Sinks
+//    are invoked under a per-logger mutex (sinks are for humans and
+//    files; the ring is for crashes).
 //  * Records arriving while a Snapshot()/dump drains the ring, or racing
 //    a laggard writer a full ring-lap behind, are dropped and counted:
 //    dropped() and, when a MetricsRegistry is attached, the
@@ -69,9 +69,7 @@ struct QueryContext {
   std::string tag;
 };
 
-/// Severity of one structured record. Distinct from skymr::LogLevel
-/// (common/logging.h): that is the process-wide human text log; this is
-/// the per-logger structured stream.
+/// Severity of one structured record.
 enum class LogSeverity : int {
   kDebug = 0,
   kInfo = 1,
@@ -156,11 +154,8 @@ class Logger {
  public:
   struct Options {
     /// Records below this severity are not offered to sinks. The flight
-    /// recorder retains everything at or above `ring_min_severity`.
+    /// recorder retains every record, whatever its severity.
     LogSeverity min_severity = LogSeverity::kInfo;
-    /// Flight-recorder floor: debug-level records are ring-recorded by
-    /// default even when sinks only want info+.
-    LogSeverity ring_min_severity = LogSeverity::kDebug;
     /// Ring slots retained for the crash dump (rounded up to a power of
     /// two, minimum 8).
     size_t ring_capacity = 256;
@@ -187,13 +182,6 @@ class Logger {
     int32_t task = -1;
     int32_t attempt = 0;
   };
-
-  /// True when a record at `severity` would be retained anywhere; callers
-  /// guard expensive message formatting with it.
-  bool enabled(LogSeverity severity) const {
-    return severity >= options_.ring_min_severity ||
-           severity >= options_.min_severity;
-  }
 
   /// Records one event: into the flight recorder (lock-free) and to every
   /// sink at or above min_severity.
@@ -228,8 +216,11 @@ class Logger {
 
   /// Crash hook: logs a fatal record, then — when Options::crash_dump_path
   /// is set and no dump has fired yet — writes the flight-recorder dump
-  /// there. Called by the engine on a permanent (chaos-) task failure and
-  /// by the SKYMR_CHECK fatal hook after InstallAsFatalDumper().
+  /// there and reports the outcome (dump written or dump failed) as one
+  /// line on stderr: the line is about the ring itself, and no sink can
+  /// be relied on at crash time. Called by the engine on a permanent
+  /// (chaos-) task failure and by the SKYMR_CHECK fatal hook after
+  /// InstallAsFatalDumper().
   void NotifyFatal(std::string_view reason);
 
   /// Writes the skymr-flight-v1 dump: a header object (schema, reason,

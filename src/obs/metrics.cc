@@ -115,7 +115,7 @@ double QuantileSketch::Quantile(double q) const {
 }
 
 double QuantileSketch::min() const {
-  return std::isfinite(min_pos_) ? min_pos_ : 0.0;
+  return buckets_[0] == 0 && std::isfinite(min_pos_) ? min_pos_ : 0.0;
 }
 
 double QuantileSketch::max() const { return max_pos_; }
@@ -237,8 +237,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-namespace {
-
 void WriteSketchJson(const QuantileSketch& sketch, JsonWriter* w) {
   w->BeginObject();
   w->Key("count");
@@ -259,6 +257,8 @@ void WriteSketchJson(const QuantileSketch& sketch, JsonWriter* w) {
   w->Double(QuantileSketch::kRelativeError);
   w->EndObject();
 }
+
+namespace {
 
 void WriteIntMapJson(const std::map<std::string, int64_t>& values,
                      JsonWriter* w) {

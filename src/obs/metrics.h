@@ -90,8 +90,10 @@ class QuantileSketch {
   uint64_t count() const { return count_; }
   uint64_t zero_count() const { return buckets_[0]; }
   double sum() const { return sum_; }
-  /// Smallest / largest positive value added (0 when none).
+  /// Smallest value added: 0 once the zero bucket holds any value,
+  /// otherwise the smallest positive value (0 when empty).
   double min() const;
+  /// Largest positive value added (0 when none).
   double max() const;
   /// Raw bucket counts (slot 0 = zero bucket) — exposed for the
   /// associativity tests and the registry's atomic mirror.
@@ -123,6 +125,13 @@ class QuantileSketch {
   double min_pos_;  // +inf when no positive value yet.
   double max_pos_;  // 0 when no positive value yet.
 };
+
+class JsonWriter;  // json.h
+
+/// Writes `sketch` as one JSON object: count, sum, min, max, p50, p95,
+/// p99 and relative_error. Every sketch in a metrics snapshot and in a
+/// job report has this shape.
+void WriteSketchJson(const QuantileSketch& sketch, JsonWriter* w);
 
 /// Point-in-time copy of every registered metric.
 struct MetricsSnapshot {

@@ -336,8 +336,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
         }
         SKYMR_TRACE_INSTANT("session.cache_hit", "ppd",
                             static_cast<int64_t>(phase->ppd));
-        SKYMR_LOG(DEBUG) << "bitstring phase served from session cache "
-                         << "(ppd " << phase->ppd << ")";
         return Status::OK();
       }
       // kFailed: the previous leader errored. Take over leadership so
@@ -357,8 +355,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
     result->resumed_from_checkpoint = true;
     SKYMR_TRACE_INSTANT("checkpoint.resume", "ppd",
                         static_cast<int64_t>(phase->ppd));
-    SKYMR_LOG(DEBUG) << "bitstring phase resumed from checkpoint (ppd "
-                     << phase->ppd << ")";
   } else {
     auto bitstring_or = core::RunBitstringJob(Unowned(*data_),
                                               bitstring_config, engine,
@@ -446,9 +442,6 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
   result.ppd = phase.ppd;
   result.nonempty_partitions = phase.nonempty;
   result.pruned_partitions = phase.pruned;
-  SKYMR_LOG(DEBUG) << "bitstring job: selected PPD " << result.ppd << ", "
-                   << result.nonempty_partitions << " non-empty cells, "
-                   << result.pruned_partitions << " pruned";
 
   auto grid_or = core::Grid::Create(data.dim(), phase.ppd,
                                     bounds, options_.ppd.max_cells);
@@ -485,9 +478,6 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
     // (every retry exhausted), so fall back to the GPSRS single-reducer
     // merge over the same grid and bitstring — slower, but the skyline is
     // identical by Section 4/5 equivalence.
-    SKYMR_LOG(DEBUG) << "mr-gpmrs failed permanently ("
-                     << run_or.status().message()
-                     << "); degrading to mr-gpsrs";
     SKYMR_TRACE_INSTANT("degrade.gpsrs");
     result.degraded = true;
     result.algorithm_used = Algorithm::kMrGpsrs;
@@ -504,10 +494,6 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
   }
   result.wall_seconds = total_clock.ElapsedSeconds();
   FillModeledTimes(options_.cluster, &result);
-  SKYMR_LOG(DEBUG) << AlgorithmName(result.algorithm_used) << ": skyline "
-                   << result.skyline.size() << " of " << data.size()
-                   << " tuples in " << result.wall_seconds << "s wall, "
-                   << result.modeled_seconds << "s modeled";
   return result;
 }
 

@@ -195,6 +195,42 @@ TEST(JobTest, SetupCleanupCalledOncePerTask) {
   EXPECT_EQ(result.metrics.counters.Get("cleanup"), 5);
 }
 
+class SketchingMapper : public Mapper<int, int, int> {
+ public:
+  void Map(const int& record, MapContext<int, int>& ctx) override {
+    ctx.sketches()["values"].Add(static_cast<double>(record));
+    ctx.Emit(0, record);
+  }
+};
+
+TEST(JobTest, TaskSketchesMergeIntoJobSketches) {
+  std::vector<int> input;
+  obs::QuantileSketch expected;
+  for (int i = 0; i < 500; ++i) {
+    input.push_back(i * 37 % 101);  // Includes zeros.
+    expected.Add(static_cast<double>(input.back()));
+  }
+  for (const int tasks : {1, 4}) {
+    Job<int, int, int, std::vector<int>> job(
+        "sketching", [] { return std::make_unique<SketchingMapper>(); },
+        [] { return std::make_unique<CollectReducer>(); });
+    EngineOptions options;
+    options.num_map_tasks = tasks;
+    options.num_reducers = 1;
+    DistributedCache cache;
+    auto result = job.Run(input, options, cache);
+    ASSERT_TRUE(result.ok()) << result.status;
+    uint64_t task_count = 0;
+    for (const TaskMetrics& t : result.metrics.map_tasks) {
+      task_count += t.sketches.at("values").count();
+    }
+    EXPECT_EQ(task_count, input.size()) << tasks << " map tasks";
+    ASSERT_EQ(result.metrics.sketches.size(), 1u) << tasks << " map tasks";
+    EXPECT_EQ(result.metrics.sketches.at("values"), expected)
+        << tasks << " map tasks";
+  }
+}
+
 TEST(JobTest, ValuesOrderedByMapperThenEmitOrder) {
   Job<int, int, int, std::vector<int>> job(
       "ordering", [] { return std::make_unique<LifecycleMapper>(); },

@@ -17,10 +17,10 @@ namespace {
 
 using session_testing::SubmitOnce;
 
-/// Minimal syntactically valid skymr-report-v1 skeleton; tests splice
+/// Minimal syntactically valid skymr-report-v2 skeleton; tests splice
 /// extra members into the top level via `extra`.
 std::string Report(const std::string& extra) {
-  std::string doc = R"({"schema": "skymr-report-v1", "algorithm": "mr-gpsrs")";
+  std::string doc = R"({"schema": "skymr-report-v2", "algorithm": "mr-gpsrs")";
   if (!extra.empty()) {
     doc += ", " + extra;
   }
@@ -46,6 +46,8 @@ bool HasCode(const std::vector<Finding>& findings, const std::string& code) {
 
 TEST(DoctorTest, RejectsWrongSchema) {
   EXPECT_FALSE(AnalyzeReportJson(R"({"schema": "other-v9"})").ok());
+  // A v1 report carried log2 histograms; the doctor reads v2 only.
+  EXPECT_FALSE(AnalyzeReportJson(R"({"schema": "skymr-report-v1"})").ok());
   EXPECT_FALSE(AnalyzeReportJson("[1, 2]").ok());
   EXPECT_FALSE(AnalyzeReportJson("not json").ok());
 }
@@ -423,7 +425,7 @@ std::string Metrics(double uptime, double cost_us, int64_t count = 100) {
 }
 
 TEST(DoctorTest, MetricsRejectsWrongSchema) {
-  EXPECT_FALSE(AnalyzeMetricsJson(R"({"schema": "skymr-report-v1"})").ok());
+  EXPECT_FALSE(AnalyzeMetricsJson(R"({"schema": "skymr-report-v2"})").ok());
   EXPECT_FALSE(AnalyzeMetricsJson("[]").ok());
   EXPECT_FALSE(AnalyzeMetricsJson("nope").ok());
 }

@@ -12,6 +12,8 @@
 #include "src/cost/cost_model.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/job.h"
+#include "src/obs/json_parse.h"
+#include "src/obs/metrics.h"
 #include "tests/serve/session_test_util.h"
 #include "tests/obs/json_test_util.h"
 
@@ -45,17 +47,34 @@ TEST(JobReportTest, ReportIsValidJsonWithSchemaAndCostModel) {
   const std::string json = os.str();
 
   EXPECT_EQ(testing::JsonParseError(json), "") << json;
-  EXPECT_NE(json.find("\"schema\": \"skymr-report-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"skymr-report-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"algorithm\": \"mr-gpmrs\""), std::string::npos);
   EXPECT_NE(json.find("\"jobs\": ["), std::string::npos);
   // Both chained jobs are reported.
   EXPECT_NE(json.find("\"name\": \"bitstring-generation\""),
             std::string::npos);
   EXPECT_NE(json.find("\"name\": \"mr-gpmrs\""), std::string::npos);
-  // Engine histograms made it into the report.
-  EXPECT_NE(json.find("\"mr.map_task_busy_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"mr.shuffle_bucket_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"skymr.reducer_group_cells\""), std::string::npos);
+  // The skyline job's sketches hold work counts only: the mapper window
+  // sizes and the reducer group load, and no task timings (those live in
+  // map_tasks / reduce_tasks).
+  auto doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const JsonValue* jobs = doc->Find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  ASSERT_TRUE(jobs->is_array());
+  ASSERT_FALSE(jobs->AsArray().empty());
+  const JsonValue* sketches = jobs->AsArray().back().Find("sketches");
+  ASSERT_NE(sketches, nullptr);
+  ASSERT_TRUE(sketches->is_object());
+  for (const char* name : {"skymr.window_size", "skymr.reducer_group_cells",
+                           "skymr.reducer_group_cost"}) {
+    const JsonValue* sketch = sketches->Find(name);
+    ASSERT_NE(sketch, nullptr) << name;
+    EXPECT_GT(sketch->GetInt("count", 0), 0) << name;
+    EXPECT_NE(sketch->Find("relative_error"), nullptr) << name;
+  }
+  EXPECT_EQ(json.find("_busy_us\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   // A grid run carries the Section 6 cost-model comparison.
   EXPECT_NE(json.find("\"cost_model\""), std::string::npos);
   EXPECT_NE(json.find("\"predicted_mapper_comparisons\""), std::string::npos);
@@ -89,6 +108,30 @@ TEST(JobReportTest, StatsTextSummarizesJobsAndCostModel) {
   EXPECT_NE(text.find("retries:"), std::string::npos);
   EXPECT_NE(text.find("cache hits/misses:"), std::string::npos);
   EXPECT_NE(text.find("cost model"), std::string::npos);
+}
+
+TEST(JobReportTest, JobMetricsJsonRendersSketchQuantiles) {
+  // Three reducer groups of cost {335, 335, 360}: the rendered p50 must
+  // be the sketch's estimate of 335, not a power-of-two bucket's.
+  mr::JobMetrics metrics;
+  metrics.name = "groups";
+  for (const double cost : {335.0, 335.0, 360.0}) {
+    metrics.sketches["skymr.reducer_group_cost"].Add(cost);
+  }
+  const std::string json = RenderJobMetricsJson(metrics);
+  auto doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  const JsonValue* sketches = doc->Find("sketches");
+  ASSERT_NE(sketches, nullptr) << json;
+  const JsonValue* cost = sketches->Find("skymr.reducer_group_cost");
+  ASSERT_NE(cost, nullptr) << json;
+  EXPECT_EQ(cost->GetInt("count", 0), 3);
+  EXPECT_DOUBLE_EQ(cost->GetDouble("min", 0.0), 335.0);
+  EXPECT_DOUBLE_EQ(cost->GetDouble("max", 0.0), 360.0);
+  EXPECT_NEAR(cost->GetDouble("p50", 0.0), 335.0,
+              335.0 * QuantileSketch::kRelativeError);
+  EXPECT_DOUBLE_EQ(cost->GetDouble("relative_error", 0.0),
+                   QuantileSketch::kRelativeError);
 }
 
 TEST(JobReportTest, WriteJobReportFileRejectsBadPath) {

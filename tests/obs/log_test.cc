@@ -1,8 +1,10 @@
 #include "src/obs/log.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -131,7 +133,7 @@ TEST(LoggerTest, SinkSeesRecordsAtOrAboveMinSeverity) {
   const std::string text = out.str();
   EXPECT_EQ(text.find("quiet"), std::string::npos);
   EXPECT_NE(text.find("loud"), std::string::npos);
-  // The ring still retains both (ring_min_severity defaults to debug).
+  // The ring retains every record, below the sink floor too.
   EXPECT_EQ(logger.Snapshot().size(), 2u);
 }
 
@@ -251,10 +253,16 @@ TEST(LoggerTest, NotifyFatalDumpsOnce) {
   Logger logger(options);
   logger.Log(LogSeverity::kInfo, "before", "the crash");
   EXPECT_FALSE(logger.crash_dumped());
+  std::ostringstream err;
+  std::streambuf* const old_err = std::cerr.rdbuf(err.rdbuf());
   logger.NotifyFatal("first-failure");
   EXPECT_TRUE(logger.crash_dumped());
   // A second fatal must not overwrite the first dump.
   logger.NotifyFatal("second-failure");
+  std::cerr.rdbuf(old_err);
+  // The outcome is reported once, as one line on stderr.
+  EXPECT_EQ(err.str(), "flight recorder: dumped 256-slot ring to " + path +
+                           " (first-failure)\n");
   std::ifstream dump(path);
   ASSERT_TRUE(dump.good());
   std::string header_line;
@@ -274,6 +282,20 @@ TEST(LoggerTest, NotifyFatalDumpsOnce) {
   }
   EXPECT_TRUE(saw_before);
   EXPECT_TRUE(saw_fatal);
+}
+
+TEST(LoggerTest, NotifyFatalReportsAFailedDump) {
+  Logger::Options options;
+  options.crash_dump_path = "/nonexistent-dir/flight.jsonl";
+  Logger logger(options);
+  std::ostringstream err;
+  std::streambuf* const old_err = std::cerr.rdbuf(err.rdbuf());
+  logger.NotifyFatal("unwritable");
+  std::cerr.rdbuf(old_err);
+  EXPECT_TRUE(logger.crash_dumped());
+  const std::string text = err.str();
+  EXPECT_EQ(text.rfind("flight recorder: dump failed: ", 0), 0u) << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
 }
 
 TEST(LoggerTest, ConcurrentLoggingIsRaceFree) {

@@ -97,6 +97,25 @@ TEST(QuantileSketchTest, EmptyAndNonPositiveValues) {
   EXPECT_DOUBLE_EQ(sketch.max(), 0.0);
 }
 
+TEST(QuantileSketchTest, ZerosPullMinimumToZero) {
+  // Most mapper windows end empty after ComparePartitions: a sketch of
+  // window sizes holds zeros first, then positives. Its minimum is 0,
+  // and never above its median.
+  QuantileSketch sketch;
+  for (int i = 0; i < 6; ++i) {
+    sketch.Add(0.0);
+  }
+  for (const double v : {1.0, 4.0, 9.0}) {
+    sketch.Add(v);
+  }
+  EXPECT_DOUBLE_EQ(sketch.min(), 0.0);
+  EXPECT_DOUBLE_EQ(sketch.Quantile(0.5), 0.0);
+  EXPECT_LE(sketch.min(), sketch.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(sketch.max(), 9.0);
+  EXPECT_NEAR(sketch.Quantile(0.75), 1.0,
+              3.0 * QuantileSketch::kRelativeError);
+}
+
 // ---------------------------------------------------------------------
 // QuantileSketch: merge algebra.
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates skymr observability artifacts: a Chrome trace (skymr-trace-v1),
-a job report (skymr-report-v1), a bench artifact (skymr-bench-v1), a
+a job report (skymr-report-v2), a bench artifact (skymr-bench-v1), a
 metrics snapshot (skymr-metrics-v1), a load artifact (skymr-load-v1), and/or
 a flight-recorder crash dump (skymr-flight-v1).
 
@@ -57,16 +57,19 @@ def check_trace(path):
     print(f"check_obs_json: {path}: {len(events)} events OK")
 
 
-def check_histogram(where, h):
-    for key in ("count", "sum", "min", "max", "mean", "p50", "p95", "p99"):
-        if key not in h:
-            fail(f"{where}: histogram lacks {key!r}")
-    if h["count"] > 0:
-        if not h["min"] <= h["p50"] <= h["p95"] <= h["p99"] or \
-           not h["p99"] <= h["max"]:
-            fail(f"{where}: percentiles out of order: {h}")
-        if not h["min"] <= h["mean"] <= h["max"]:
-            fail(f"{where}: mean outside [min, max]: {h}")
+def check_sketch(where, sk):
+    """One QuantileSketch rendering, as both the report and the metrics
+    snapshot write it."""
+    for key in ("count", "sum", "min", "max", "p50", "p95", "p99",
+                "relative_error"):
+        if key not in sk:
+            fail(f"{where}: lacks {key!r}")
+    if sk["count"] > 0:
+        if not sk["min"] <= sk["p50"] <= sk["p95"] <= sk["p99"] \
+                <= sk["max"]:
+            fail(f"{where}: quantiles out of order: {sk}")
+    if not 0 < sk["relative_error"] < 1:
+        fail(f"{where}: relative_error out of (0, 1): {sk}")
 
 
 def check_critical_path(where, cp):
@@ -111,7 +114,7 @@ def check_critical_path(where, cp):
 def check_report(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "skymr-report-v1":
+    if doc.get("schema") != "skymr-report-v2":
         fail(f"{path}: schema is {doc.get('schema')!r}")
     for key in ("algorithm", "wall_seconds", "skyline_size", "dim",
                 "input_tuples", "jobs"):
@@ -122,12 +125,12 @@ def check_report(path):
     for job in doc["jobs"]:
         where = f"{path}: job {job.get('name')!r}"
         for key in ("name", "wall_seconds", "shuffle_bytes", "task_retries",
-                    "cache_hits", "cache_misses", "counters", "histograms",
+                    "cache_hits", "cache_misses", "counters", "sketches",
                     "skew", "map_tasks", "reduce_tasks"):
             if key not in job:
                 fail(f"{where}: missing {key!r}")
-        for name, h in job["histograms"].items():
-            check_histogram(f"{where}: {name}", h)
+        for name, sk in job["sketches"].items():
+            check_sketch(f"{where}: sketch {name!r}", sk)
         for task in job["map_tasks"] + job["reduce_tasks"]:
             if task["attempts"] < 1:
                 fail(f"{where}: task with attempts < 1: {task}")
@@ -346,18 +349,7 @@ def check_metrics(path):
         if counter["value"] < 0 or counter["rate_per_s"] < 0:
             fail(f"{path}: counter {name!r} is negative: {counter}")
     for name, sk in doc["sketches"].items():
-        where = f"{path}: sketch {name!r}"
-        for key in ("count", "sum", "min", "max", "p50", "p95", "p99",
-                    "relative_error"):
-            if key not in sk:
-                fail(f"{where}: lacks {key!r}")
-        if sk["count"] > 0:
-            if not sk["p50"] <= sk["p95"] <= sk["p99"]:
-                fail(f"{where}: quantiles out of order: {sk}")
-            if not sk["min"] <= sk["max"]:
-                fail(f"{where}: min > max: {sk}")
-        if not 0 < sk["relative_error"] < 1:
-            fail(f"{where}: relative_error out of (0, 1): {sk}")
+        check_sketch(f"{path}: sketch {name!r}", sk)
     samples = doc["samples"]
     if not isinstance(samples, list):
         fail(f"{path}: samples is not a list")

@@ -34,7 +34,7 @@ Rules:
                     kCounter* constant in src/mapreduce/counters.h is
                     registered with kind `slot`, and that the slot count
                     in the registry matches kNumSlots usage. The check is
-                    bidirectional for `histogram` and `metric` kinds:
+                    bidirectional for `sketch` and `metric` kinds:
                     each such registry row must be used by at least one
                     C++ string literal, so deleted metrics cannot leave
                     stale documentation behind.
@@ -259,16 +259,16 @@ def check_counter_literals(relpath, lines, allowed, findings, registry,
 
 
 def check_registry_coverage(findings, registry, used_literals):
-    """Reverse direction: histogram/metric rows must be used in C++.
+    """Reverse direction: sketch/metric rows must be used in C++.
 
     `slot` rows are covered by check_slot_constants and `counter`/`prefix`
-    rows may name counters that only materialize at runtime, but histogram
+    rows may name counters that only materialize at runtime, but sketch
     and metric names are always recorded through a string literal — a
     registered name no literal mentions is stale documentation.
     """
     exact, _ = registry
     for name, kind in sorted(exact.items()):
-        if kind not in ("histogram", "metric"):
+        if kind not in ("sketch", "metric"):
             continue
         if name not in used_literals:
             findings.add("DESIGN.md", 1, "counter-registry",

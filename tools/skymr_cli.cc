@@ -21,7 +21,7 @@
 // `generate` writes a synthetic dataset as CSV; `skyline` computes a
 // (possibly constrained) skyline of a CSV dataset and prints metrics;
 // `stats` runs the same pipeline with tracing on and prints per-task skew,
-// retries, histograms, and the cost-model comparison — `--critical-path`
+// retries, sketches, and the cost-model comparison — `--critical-path`
 // appends the obs/critical_path.h phase-attribution table (which paper
 // phase bounds the makespan, with what-if slack per phase) and
 // `--metrics-out` runs a live metrics registry + sampler thread during
@@ -30,12 +30,12 @@
 // dataset resident behind a serve/session.h Session and drives it with
 // the open-loop loadgen mix (cross-query bitstring cache + two-lane
 // admission), writing the skymr-load-v1 artifact; `doctor` analyzes a
-// previously written skymr-report-v1 document and prints severity-ranked
+// previously written skymr-report-v2 document and prints severity-ranked
 // findings (task skew, PPD-selection quality, cost-model deviation,
 // pruning effectiveness, reducer imbalance, retry storms, worker
 // blacklists, degradation). `--trace-out` writes Chrome trace-event JSON
 // (open in Perfetto / chrome://tracing); `--report-out` writes the
-// skymr-report-v1 JSON document.
+// skymr-report-v2 JSON document.
 //
 // Fault-tolerance flags: `--chaos-profile` picks a named deterministic
 // fault-injection schedule (`--chaos-seed` reseeds it; same seed = same
@@ -315,7 +315,7 @@ int BuildPipeline(const Args& args, const skymr::Dataset& data,
 /// the file-writing blocks:
 ///
 ///   --trace-out=FILE    Chrome trace-event JSON of the run
-///   --report-out=FILE   skymr-report-v1 job report (needs a result)
+///   --report-out=FILE   skymr-report-v2 job report (needs a result)
 ///   --metrics-out=FILE  live metrics registry + sampler snapshot
 ///   --bench-out=FILE    one-row skymr-bench-v1 artifact (needs a result)
 ///
