@@ -15,14 +15,16 @@
 //                     below verbatim)
 //   shuffle_roundtrip one MapReduce job shuffling 5*10^5 * scale records
 //                     map -> sort -> reduce, end to end
-//   metrics_overhead  the shuffle_roundtrip job in alternating pairs —
-//                     engine metrics off vs a live MetricsRegistry + 10 ms
-//                     sampler thread attached — reporting the median
-//                     per-pair overhead fraction (budget: < 2%)
-//   compare_partitions CompareAllPartitions (the ADR walk) over the
-//                     mapper windows of 10^5 * scale independent 6-d
-//                     tuples in 13 contiguous splits at PPD 4, vs the
-//                     all-pairs loop it replaced (retained below verbatim)
+//   metrics_overhead  the shuffle_roundtrip job in alternating pairs on
+//                     one shared thread pool — engine metrics off vs a
+//                     live MetricsRegistry + 10 ms sampler thread
+//                     attached — reporting the median per-pair overhead
+//                     fraction (budget: < 2%)
+//   compare_partitions CompareAllPartitions (the ADR walk, which skips
+//                     empty windows) over the mapper windows of
+//                     10^5 * scale independent 6-d tuples in 13
+//                     contiguous splits at PPD 4, vs the all-pairs loop
+//                     it replaced (retained below verbatim)
 //   gpmrs_reduce      the busiest MR-GPMRS reducer of one query over
 //                     10^5 * scale anti-correlated 6-d tuples (13 splits,
 //                     13 reducers, PPD 2): MergeParts + CompareAllPartitions
@@ -56,6 +58,7 @@
 
 #include "src/common/csv.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/compare_partitions.h"
 #include "src/core/independent_groups.h"
 #include "src/core/partition_bitstring.h"
@@ -418,12 +421,14 @@ MetricsOverheadResult BenchMetricsOverhead(double scale, int reps) {
     v = static_cast<int>(rng.NextBounded(1 << 20));
   }
   mr::DistributedCache cache;
+  // One pool serves both sides, so neither pays for starting threads.
+  ThreadPool pool(ThreadPool::DefaultThreads());
 
   const auto run_job = [&](const mr::EngineOptions& options) {
     mr::Job<int, int, std::vector<double>, double> job(
         "hotpath-metrics", [] { return std::make_unique<PayloadMapper>(); },
         [] { return std::make_unique<PayloadReducer>(); });
-    auto result = job.Run(inputs, options, cache);
+    auto result = job.Run(inputs, options, cache, &pool);
     if (!result.ok()) {
       std::fprintf(stderr, "metrics_overhead: %s\n",
                    result.status.ToString().c_str());
@@ -546,7 +551,8 @@ uint64_t AllPairsComparePartitions(const core::Grid& grid,
 struct CompareResult {
   size_t tuples = 0;
   size_t partitions = 0;
-  uint64_t partition_comparisons = 0;
+  uint64_t partition_comparisons = 0;  // The walk's: non-empty pairs.
+  uint64_t adr_pairs = 0;              // The all-pairs loop's.
   uint64_t tuple_comparisons = 0;
   std::vector<double> walk_samples;
   double walk_seconds = 0.0;
@@ -613,14 +619,18 @@ CompareResult BenchComparePartitions(double scale, int reps) {
   const Pass all_pairs =
       time_passes(AllPairsComparePartitions, &all_pairs_samples);
 
+  // The walk skips comparisons with empty windows, so it may count fewer
+  // partition comparisons than the loop, but never leaves other rows or
+  // tests other tuples.
   if (walk.windows != all_pairs.windows ||
-      walk.partition_comparisons != all_pairs.partition_comparisons ||
+      walk.partition_comparisons > all_pairs.partition_comparisons ||
       walk.tuple_comparisons != all_pairs.tuple_comparisons) {
     std::fprintf(stderr,
                  "compare_partitions: ADR walk and all-pairs loop differ\n");
     std::exit(1);
   }
   out.partition_comparisons = walk.partition_comparisons;
+  out.adr_pairs = all_pairs.partition_comparisons;
   out.tuple_comparisons = walk.tuple_comparisons;
   out.walk_seconds = BestOf(out.walk_samples);
   out.all_pairs_seconds = BestOf(all_pairs_samples);
@@ -667,8 +677,9 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
       core::GroupMergeStrategy::kComputationCost);
 
   // Algorithm 8 per split: BNL windows of the unpruned cells,
-  // ComparePartitions, then one payload per reducer group, decoded from
-  // its wire bytes as a reducer receives it.
+  // ComparePartitions, then one payload per reducer group holding the
+  // group's non-empty windows, decoded from its wire bytes as a reducer
+  // receives it.
   std::vector<std::vector<core::GroupPayload>> inboxes(groups.size());
   for (size_t s = 0; s < kSplits; ++s) {
     core::CellWindowMap windows;
@@ -689,7 +700,7 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
       payload.responsible = groups[g].responsible;
       for (const core::CellId cell : groups[g].cells) {
         const auto it = windows.find(cell);
-        if (it != windows.end()) {
+        if (it != windows.end() && !it->second.empty()) {
           payload.parts.push_back(core::PartitionSkyline{cell, it->second});
         }
       }
@@ -961,10 +972,11 @@ int Run(int argc, char** argv) {
   std::fprintf(stderr, "compare_partitions...\n");
   const CompareResult compare = BenchComparePartitions(scale, reps);
   std::fprintf(stderr,
-               "  %.2fx vs all-pairs (%zu partitions, %llu comparisons)\n",
+               "  %.2fx vs all-pairs (%zu partitions, %llu of %llu ADR "
+               "pairs compared)\n",
                compare.speedup, compare.partitions,
-               static_cast<unsigned long long>(
-                   compare.partition_comparisons));
+               static_cast<unsigned long long>(compare.partition_comparisons),
+               static_cast<unsigned long long>(compare.adr_pairs));
 
   std::fprintf(stderr, "gpmrs_reduce...\n");
   const GpmrsReduceResult reduce = BenchGpmrsReduce(scale, reps);
@@ -1057,6 +1069,7 @@ int Run(int argc, char** argv) {
         static_cast<int64_t>(compare.partitions);
     row.deterministic["partition_comparisons"] =
         static_cast<int64_t>(compare.partition_comparisons);
+    row.deterministic["adr_pairs"] = static_cast<int64_t>(compare.adr_pairs);
     row.deterministic["tuple_comparisons"] =
         static_cast<int64_t>(compare.tuple_comparisons);
     artifact.AddRow(std::move(row));

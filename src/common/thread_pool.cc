@@ -121,9 +121,11 @@ void ParallelFor(ThreadPool* pool, int count,
       } catch (...) {
         error = std::current_exception();
       }
+      // The exception moves into the shared state, so once it signals
+      // this worker holds no reference to what the caller rethrows.
       std::lock_guard<std::mutex> lock(state->mutex);
       if (error != nullptr && state->first_error == nullptr) {
-        state->first_error = error;
+        state->first_error = std::move(error);
       }
       if (--state->remaining == 0) {
         state->done.notify_all();
@@ -151,8 +153,16 @@ void ParallelFor(ThreadPool* pool, int count,
     break;
   }
 
-  if (state->first_error != nullptr) {
-    std::rethrow_exception(state->first_error);
+  // Take the exception out of the shared state: a worker may destroy its
+  // wrapper, and with it the last reference to `state`, after this call
+  // returns, and must not free the exception the caller is handling.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(state->mutex);
+    error = std::move(state->first_error);
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -26,16 +26,27 @@ uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
 
   // Targets ascending by CellId, each target's sources ascending by
   // CellId: the order that fixes which tuples survive, the windows' row
-  // order and the tuple-comparison count.
+  // order and the tuple-comparison count. A target only ever loses rows,
+  // and a comparison with an empty window tests no tuple, so skipping
+  // those comparisons changes none of the three.
   uint64_t partition_comparisons = 0;
   std::vector<uint32_t> coords(grid.dim());
   const auto filter = [&](size_t i) {
-    grid.CoordsOf(cells[i], coords.data());
     SkylineWindow& target = *partitions[i];
+    if (target.empty()) {
+      return;
+    }
+    grid.CoordsOf(cells[i], coords.data());
     // Algorithm 5, line 2: only partitions in p.ADR can hold dominators.
+    // The walk ends as soon as the target has no row left to remove.
     index.ForEachAdrMember(coords.data(), [&](size_t j) {
+      const SkylineWindow& source = *partitions[j];
+      if (source.empty()) {
+        return true;
+      }
       ++partition_comparisons;
-      target.RemoveDominatedBy(*partitions[j], tuple_counter);
+      target.RemoveDominatedBy(source, tuple_counter);
+      return !target.empty();
     });
   };
   if (targets == nullptr) {

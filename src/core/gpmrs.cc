@@ -129,6 +129,11 @@ class GpmrsReducer
 
 }  // namespace
 
+std::unique_ptr<mr::Reducer<uint32_t, GroupPayload, SkylineWindow>>
+NewGpmrsReducer() {
+  return std::make_unique<GpmrsReducer>();
+}
+
 StatusOr<SkylineJobRun> RunGpmrsJob(
     std::shared_ptr<const Dataset> data, const Grid& grid,
     const DynamicBitset& bits, GroupMergeStrategy merge,
@@ -164,7 +169,7 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
 
   mr::Job<TupleId, uint32_t, GroupPayload, SkylineWindow> job(
       "mr-gpmrs", [] { return std::make_unique<GpmrsMapper>(); },
-      [] { return std::make_unique<GpmrsReducer>(); });
+      NewGpmrsReducer);
   // Reducer-group i is pinned to reducer i (group count never exceeds the
   // reducer count after merging).
   job.UseModuloPartitioner();

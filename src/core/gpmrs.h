@@ -30,6 +30,13 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
     const std::optional<Box>& constraint = std::nullopt,
     LocalAlgorithm local_algorithm = LocalAlgorithm::kBnl);
 
+/// A fresh MR-GPMRS reducer (Algorithm 9), the one RunGpmrsJob's job
+/// builds per reduce task. Exposed as a test seam, so tests can drive
+/// Setup and Reduce directly with a hand-built cache and payloads; its
+/// Setup reads the SkylineJobContext under kCacheKeySkylineContext.
+std::unique_ptr<mr::Reducer<uint32_t, GroupPayload, SkylineWindow>>
+NewGpmrsReducer();
+
 }  // namespace skymr::core
 
 #endif  // SKYMR_CORE_GPMRS_H_

@@ -132,11 +132,12 @@ class AdrIndex {
   AdrIndex(const Grid& grid, const std::vector<CellId>& cells);
 
   /// Calls fn(i) for every position i in `cells` whose cell lies in the
-  /// ADR of the cell with coordinates `coords`, in ascending order of i.
-  /// The walk takes each node's children in ascending coordinate order and
-  /// stops at the first one above `coords`, so it visits only prefixes of
-  /// ADR members (never more nodes than the trie holds). Reuses internal
-  /// scratch: one index serves one thread at a time.
+  /// ADR of the cell with coordinates `coords`, in ascending order of i,
+  /// until fn returns false; then the walk ends at once. The walk takes
+  /// each node's children in ascending coordinate order and stops at the
+  /// first one above `coords`, so it visits only prefixes of ADR members
+  /// (never more nodes than the trie holds). Reuses internal scratch: one
+  /// index serves one thread at a time.
   template <typename Fn>
   void ForEachAdrMember(const uint32_t* coords, Fn&& fn) {
     if (levels_[0].coord.empty()) {
@@ -160,8 +161,8 @@ class AdrIndex {
       // ADR membership needs some coordinate strictly below the target's.
       const bool strict = frame.strict || coord[node] < bound;
       if (l == last) {
-        if (strict) {
-          fn(static_cast<size_t>(node));
+        if (strict && !fn(static_cast<size_t>(node))) {
+          return;
         }
         continue;
       }

@@ -35,6 +35,7 @@ std::vector<IndependentGroup> GenerateIndependentGroups(
     // than the seed, so group.cells comes out sorted.
     index.ForEachAdrMember(seed_coords.data(), [&](size_t i) {
       group.cells.push_back(set_cells[i]);
+      return true;
     });
     group.cells.push_back(seed);
     // Lines 5-6: clear the used partitions from the working copy only.

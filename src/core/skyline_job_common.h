@@ -189,9 +189,10 @@ class LocalSkylinePhase {
   }
 
   /// Algorithm 3 / 8, lines 9-10: remove cross-partition false positives.
-  /// Returns the windows and records counters; `sketches` receives the
-  /// per-partition window lengths after ComparePartitions, as the
-  /// skymr.window_size distribution.
+  /// Returns the windows ComparePartitions left non-empty and records
+  /// counters; `sketches` receives every partition's window length after
+  /// ComparePartitions, emptied ones included, as the skymr.window_size
+  /// distribution.
   CellWindowMap Finish(
       mr::Counters* counters,
       std::map<std::string, obs::QuantileSketch>* sketches) {
@@ -250,6 +251,10 @@ class LocalSkylinePhase {
         window_size.Add(static_cast<double>(window.size()));
       }
     }
+    // An emptied window holds nothing a reducer could merge or compare
+    // against, so it is not shipped.
+    std::erase_if(windows_,
+                  [](const auto& entry) { return entry.second.empty(); });
     return std::move(windows_);
   }
 

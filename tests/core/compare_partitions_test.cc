@@ -1,6 +1,7 @@
 #include "src/core/compare_partitions.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -63,6 +64,35 @@ uint64_t AllPairsCompare(const Grid& grid, CellWindowMap* windows,
   return partition_comparisons;
 }
 
+// The second reference, for the partition count alone: the same all-pairs
+// order, but a pair counts only while both windows are non-empty, and a
+// target stops once it is empty.
+uint64_t NonEmptyPairsCompare(const Grid& grid, CellWindowMap* windows) {
+  const size_t d = grid.dim();
+  std::vector<CellId> cells;
+  for (const auto& [cell, window] : *windows) {
+    cells.push_back(cell);
+  }
+  uint64_t partition_comparisons = 0;
+  for (const CellId p : cells) {
+    SkylineWindow& target = (*windows)[p];
+    const std::vector<uint32_t> p_coords = grid.Coords(p);
+    for (const CellId q : cells) {
+      if (target.empty()) {
+        break;
+      }
+      const SkylineWindow& source = (*windows)[q];
+      if (p == q || source.empty() ||
+          !InAdrOfCoords(d, p_coords.data(), grid.Coords(q).data())) {
+        continue;
+      }
+      ++partition_comparisons;
+      target.RemoveDominatedBy(source, nullptr);
+    }
+  }
+  return partition_comparisons;
+}
+
 SkylineWindow OneTuple(TupleId id, std::vector<double> row) {
   SkylineWindow window(row.size());
   window.AppendUnchecked(row.data(), id);
@@ -95,14 +125,64 @@ TEST(CompareAllPartitionsTest, IncomparableTuplesSurvive) {
   EXPECT_EQ(windows[3].size(), 1u);
 }
 
-TEST(CompareAllPartitionsTest, ComparisonCountMatchesAdrPairs) {
-  const Grid grid = MakeGrid(2, 3);
+// PPD 2 over the unit cube: cells 0..3 are the bottom layer (z < .5),
+// (0,0,0), (1,0,0), (0,1,0) and (1,1,0). ADR pairs among them:
+// 1->{0}, 2->{0}, 3->{0,1,2}. The third coordinate keeps every pair of
+// these rows incomparable, so no window empties.
+CellWindowMap BottomLayerWindows(const Grid& grid) {
   CellWindowMap windows;
-  for (const CellId cell : {0, 1, 3, 4}) {
-    windows.emplace(cell, SkylineWindow(2));
+  windows.emplace(0, OneTuple(0, {0.4, 0.4, 0.45}));
+  windows.emplace(1, OneTuple(1, {0.6, 0.3, 0.35}));
+  windows.emplace(2, OneTuple(2, {0.3, 0.6, 0.25}));
+  windows.emplace(3, OneTuple(3, {0.6, 0.6, 0.05}));
+  for (const auto& [cell, window] : windows) {
+    EXPECT_EQ(grid.CellOf(window.RowAt(0)), cell);
   }
-  // ADR pairs among {0,1,3,4}: 1->{0}, 3->{0}, 4->{0,1,3}. Total 5.
+  return windows;
+}
+
+TEST(CompareAllPartitionsTest, ComparisonCountMatchesAdrPairs) {
+  const Grid grid = MakeGrid(3, 2);
+  CellWindowMap windows = BottomLayerWindows(grid);
+  CellWindowMap reference = windows;
   EXPECT_EQ(CompareAllPartitions(grid, &windows, nullptr), 5u);
+  EXPECT_EQ(AllPairsCompare(grid, &reference, nullptr), 5u);
+  EXPECT_TRUE(windows == reference);
+  for (const auto& [cell, window] : windows) {
+    EXPECT_EQ(window.size(), 1u) << "cell " << cell;
+  }
+}
+
+TEST(CompareAllPartitionsTest, EmptiedTargetStopsItsWalk) {
+  const Grid grid = MakeGrid(3, 2);
+  CellWindowMap windows = BottomLayerWindows(grid);
+  // Cell 3's row is now dominated by cell 0's, and by cell 1's.
+  windows[3] = OneTuple(3, {0.6, 0.6, 0.46});
+  ASSERT_EQ(grid.CellOf(windows[3].RowAt(0)), 3u);
+  const std::vector<CellId> targets = {3};
+  DominanceCounter counter;
+  // Cells 0, 1 and 2 lie in cell 3's ADR, but its first source empties
+  // it: one comparison, one tuple test.
+  EXPECT_EQ(CompareAllPartitions(grid, &windows, &counter, &targets), 1u);
+  EXPECT_EQ(counter.count(), 1u);
+  EXPECT_TRUE(windows[3].empty());
+  EXPECT_EQ(windows[0].size() + windows[1].size() + windows[2].size(), 3u);
+}
+
+TEST(CompareAllPartitionsTest, EmptySourceIsNotCounted) {
+  const Grid grid = MakeGrid(3, 2);
+  CellWindowMap windows = BottomLayerWindows(grid);
+  windows[1] = SkylineWindow(3);
+  CellWindowMap reference = windows;
+  DominanceCounter counter;
+  DominanceCounter reference_counter;
+  // 2->{0} and 3->{0,2}; the empty cell 1 is neither filtered nor a
+  // source. The all-pairs loop also counts 1->{0} and 3->{1}.
+  EXPECT_EQ(CompareAllPartitions(grid, &windows, &counter), 3u);
+  EXPECT_EQ(AllPairsCompare(grid, &reference, &reference_counter), 5u);
+  EXPECT_TRUE(windows == reference);
+  EXPECT_EQ(counter.count(), reference_counter.count());
+  EXPECT_EQ(counter.count(), 3u);
 }
 
 TEST(CompareAllPartitionsTest, EmptyMapZeroComparisons) {
@@ -155,12 +235,17 @@ TEST(CompareAllPartitionsTest, CountsTupleChecksIntoCounter) {
 // The ADR walk against the all-pairs reference.
 // ---------------------------------------------------------------------
 
+/// The members the walk yields for `target`, up to the `limit`-th, where
+/// the callback returns false.
 std::vector<CellId> WalkAdr(AdrIndex* index, const std::vector<CellId>& cells,
-                            const Grid& grid, CellId target) {
+                            const Grid& grid, CellId target,
+                            size_t limit = SIZE_MAX) {
   std::vector<CellId> out;
   const std::vector<uint32_t> coords = grid.Coords(target);
-  index->ForEachAdrMember(coords.data(),
-                          [&](size_t i) { out.push_back(cells[i]); });
+  index->ForEachAdrMember(coords.data(), [&](size_t i) {
+    out.push_back(cells[i]);
+    return out.size() < limit;
+  });
   return out;
 }
 
@@ -210,6 +295,16 @@ TEST(AdrIndexTest, YieldsExactlyTheOccupiedAdrAscending) {
         ASSERT_EQ(WalkAdr(&index, cells, grid, p), expected)
             << "d=" << dim << " ppd=" << ppd << " trial=" << trial
             << " p=" << p << " occupied=" << cells.size();
+        if (expected.empty()) {
+          continue;
+        }
+        // A callback that returns false at the k-th member sees exactly
+        // the first k.
+        const size_t k = 1 + rng.NextBounded(expected.size());
+        ASSERT_EQ(WalkAdr(&index, cells, grid, p, k),
+                  std::vector<CellId>(expected.begin(), expected.begin() + k))
+            << "d=" << dim << " ppd=" << ppd << " trial=" << trial
+            << " p=" << p << " k=" << k;
       }
     }
   }
@@ -236,19 +331,24 @@ class WalkMatchesAllPairsTest : public ::testing::TestWithParam<SweepParam> {
     return windows;
   }
 
-  /// Runs the walk on `windows` and the reference on a copy, and requires
-  /// identical counts and windows. Returns the partition comparisons.
+  /// Runs the walk on `windows` and both references on copies. The
+  /// all-pairs loop must leave identical windows and tuple counts; the
+  /// non-empty-pairs reference must count the same partition comparisons,
+  /// at most the loop's. Returns the partition comparisons.
   static uint64_t ExpectSameAsReference(const Grid& grid,
                                         CellWindowMap* windows,
                                         const std::string& what) {
     CellWindowMap reference = *windows;
+    CellWindowMap non_empty = *windows;
     DominanceCounter walked_tuples;
     DominanceCounter reference_tuples;
     const uint64_t walked_partitions =
         CompareAllPartitions(grid, windows, &walked_tuples);
     const uint64_t reference_partitions =
         AllPairsCompare(grid, &reference, &reference_tuples);
-    EXPECT_EQ(walked_partitions, reference_partitions) << what;
+    EXPECT_EQ(walked_partitions, NonEmptyPairsCompare(grid, &non_empty))
+        << what;
+    EXPECT_LE(walked_partitions, reference_partitions) << what;
     EXPECT_EQ(walked_tuples.count(), reference_tuples.count()) << what;
     EXPECT_TRUE(*windows == reference) << what;
     return walked_partitions;
@@ -280,7 +380,9 @@ TEST_P(WalkMatchesAllPairsTest, MapperAndReducerWindows) {
     }
   }
 
-  // Reducer side: the splits' parts merged cell by cell.
+  // Reducer side: the splits' parts merged cell by cell. The parts keep
+  // the windows the mappers emptied, which the job does not ship, so this
+  // walk also meets targets that are empty from the start.
   CellWindowMap merged;
   MergeParts(parts, dim, &merged, nullptr);
   partition_comparisons += ExpectSameAsReference(grid, &merged, "reducer");
@@ -340,7 +442,7 @@ TEST_P(WalkMatchesAllPairsTest, TargetListFiltersOnlyTargets) {
   }
 
   CellWindowMap all_cells = merged;
-  CompareAllPartitions(grid, &all_cells, nullptr);
+  AllPairsCompare(grid, &all_cells, nullptr);
   // Targets among merged windows, and among the source-only windows
   // MergeParts builds for the same targets (the MR-GPMRS reducer's case).
   CellWindowMap targeted = merged;

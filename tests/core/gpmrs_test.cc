@@ -167,7 +167,9 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
   // Replays Algorithm 8 on the engine's splits to rebuild every reducer's
   // decoded payloads, then counts the tuple tests of merging and
   // filtering every received cell. The job's reducers filter only the
-  // cells they output, so they must test fewer.
+  // cells they output, so they must test fewer. Mappers ship only the
+  // windows ComparePartitions left non-empty, so the replay's encoded
+  // keys and payloads are exactly the job's shuffle bytes.
   constexpr int kMappers = 4;
   constexpr int kReducers = 4;
   const Prepared p = Prepare(data::GenerateAntiCorrelated(2000, 6, 107), 2);
@@ -185,6 +187,7 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
       GroupMergeStrategy::kComputationCost);
   std::vector<std::vector<GroupPayload>> inboxes(groups.size());
   DominanceCounter map_counter;
+  uint64_t shuffle_bytes = 0;
   const size_t n = p.data->size();
   size_t begin = 0;
   for (size_t s = 0; s < kMappers; ++s) {
@@ -205,13 +208,17 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
       payload.reducer_group = g;
       payload.responsible = groups[g].responsible;
       for (const CellId cell : groups[g].cells) {
-        if (const auto it = windows.find(cell); it != windows.end()) {
+        if (const auto it = windows.find(cell);
+            it != windows.end() && !it->second.empty()) {
           payload.parts.push_back(PartitionSkyline{cell, it->second});
         }
       }
       ByteSink sink;
+      Serde<uint32_t>::Write(g, &sink);
+      const size_t key_bytes = sink.size();
       Serde<GroupPayload>::Write(payload, &sink);
-      ByteSource source(sink.data(), sink.size());
+      shuffle_bytes += sink.size();
+      ByteSource source(sink.data() + key_bytes, sink.size() - key_bytes);
       inboxes[g].push_back(Serde<GroupPayload>::Read(&source));
     }
     begin = end;
@@ -223,6 +230,7 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
   }
   ASSERT_EQ(map_side, static_cast<int64_t>(map_counter.count()))
       << "the replay does not rebuild the job's map side";
+  EXPECT_EQ(run->metrics.shuffle_bytes, shuffle_bytes);
   DominanceCounter full_groups;
   for (const std::vector<GroupPayload>& inbox : inboxes) {
     CellWindowMap windows;
@@ -237,6 +245,80 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
   }
   EXPECT_GT(reduce_side, 0);
   EXPECT_LT(reduce_side, static_cast<int64_t>(full_groups.count()));
+}
+
+// Drives NewGpmrsReducer() directly: the job context of three tuples on
+// a 2-d, PPD 2 grid, two reducer groups, in a hand-built cache, and
+// payloads encoded as the shuffle delivers them.
+class GpmrsReducerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Dataset dataset(2);
+    dataset.Append({0.2, 0.4});   // Cell 0.
+    dataset.Append({0.6, 0.3});   // Cell 1.
+    dataset.Append({0.05, 0.9});  // Cell 2.
+    const Prepared p = Prepare(std::move(dataset), 2);
+    auto context = std::make_shared<SkylineJobContext>(*p.grid, p.bits);
+    context->reducer_groups = AssignGroupsToReducers(
+        *p.grid, GenerateIndependentGroups(*p.grid, p.bits), 2,
+        GroupMergeStrategy::kComputationCost);
+    groups_ = context->reducer_groups;
+    ASSERT_EQ(groups_.size(), 2u);
+    ASSERT_TRUE(cache_
+                    .Put(kCacheKeySkylineContext,
+                         std::shared_ptr<const SkylineJobContext>(
+                             std::move(context)))
+                    .ok());
+  }
+
+  /// Group `g`'s payload as a mapper holding no rows builds it.
+  GroupPayload PayloadFor(uint32_t g) const {
+    GroupPayload payload;
+    payload.reducer_group = g;
+    payload.responsible = groups_[g].responsible;
+    return payload;
+  }
+
+  /// Runs a fresh reducer's Setup, then Reduce(key) over `payloads`.
+  void Reduce(uint32_t key, const std::vector<GroupPayload>& payloads) {
+    std::vector<ByteSink> sinks(payloads.size());
+    std::vector<mr::ValueIterator<GroupPayload>::Slice> slices;
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      Serde<GroupPayload>::Write(payloads[i], &sinks[i]);
+      slices.push_back({sinks[i].data(), sinks[i].size()});
+    }
+    mr::ValueIterator<GroupPayload> values(slices.data(), slices.size());
+    mr::ReduceContext<SkylineWindow> ctx(/*task_id=*/0, &cache_);
+    const auto reducer = NewGpmrsReducer();
+    reducer->Setup(ctx);
+    reducer->Reduce(key, values, ctx);
+  }
+
+  mr::DistributedCache cache_;
+  std::vector<ReducerGroup> groups_;
+};
+
+// The control for the two rejection tests below: a fixture that threw on
+// every input would pass them vacuously.
+TEST_F(GpmrsReducerTest, AcceptsItsOwnGroupsPayload) {
+  EXPECT_NO_THROW(Reduce(0, {PayloadFor(0), PayloadFor(0)}));
+  EXPECT_NO_THROW(Reduce(1, {PayloadFor(1)}));
+}
+
+TEST_F(GpmrsReducerTest, KeyPastTheLastGroupIsATaskFailure) {
+  const auto key = static_cast<uint32_t>(groups_.size());
+  EXPECT_THROW(Reduce(key, {}), mr::TaskFailure);
+  GroupPayload payload = PayloadFor(0);
+  payload.reducer_group = key;
+  EXPECT_THROW(Reduce(key, {payload}), mr::TaskFailure);
+}
+
+TEST_F(GpmrsReducerTest, ForeignResponsibilityListIsSerdeUnderflow) {
+  GroupPayload foreign = PayloadFor(0);
+  foreign.responsible.push_back(3);
+  EXPECT_THROW(Reduce(0, {PayloadFor(0), foreign}), SerdeUnderflow);
+  ASSERT_NE(groups_[0].responsible, groups_[1].responsible);
+  EXPECT_THROW(Reduce(0, {PayloadFor(1)}), SerdeUnderflow);
 }
 
 TEST(GpmrsTest, MatchesGpsrsResult) {

@@ -103,10 +103,21 @@ TEST(GpsrsTest, DuplicateTuplesAllReported) {
   EXPECT_EQ(ids, (std::vector<TupleId>{0, 1, 2, 3}));
 }
 
-TEST(GpsrsTest, PrunedPartitionTuplesNeverShipped) {
+int64_t MapSideCounter(const SkylineJobRun& run, const char* counter) {
+  int64_t total = 0;
+  for (const mr::TaskMetrics& task : run.metrics.map_tasks) {
+    total += task.counters.Get(counter);
+  }
+  return total;
+}
+
+TEST(GpsrsTest, PruningSavesMapSideWork) {
   // With uniform data, tuples in dominated partitions are dropped at the
-  // mappers (Algorithm 3 line 4), so shuffle bytes shrink versus a run
-  // with an all-ones bitstring.
+  // mappers (Algorithm 3 line 4) instead of being inserted into windows
+  // that ComparePartitions then empties, so the mappers test fewer tuples
+  // and compare fewer partitions than in a run with an all-ones
+  // bitstring. Emptied windows are not shipped, so both runs ship about
+  // the same bytes.
   const Dataset dataset = data::GenerateIndependent(4000, 2, 53);
   const Prepared pruned = Prepare(dataset, 5);
 
@@ -124,7 +135,11 @@ TEST(GpsrsTest, PrunedPartitionTuplesNeverShipped) {
       RunGpsrsJob(unpruned.data, *unpruned.grid, unpruned.bits, engine);
   ASSERT_TRUE(run_pruned.ok());
   ASSERT_TRUE(run_unpruned.ok());
-  EXPECT_LT(run_pruned->metrics.shuffle_bytes,
+  EXPECT_LT(MapSideCounter(*run_pruned, mr::kCounterTupleComparisons),
+            MapSideCounter(*run_unpruned, mr::kCounterTupleComparisons));
+  EXPECT_LT(MapSideCounter(*run_pruned, mr::kCounterPartitionComparisons),
+            MapSideCounter(*run_unpruned, mr::kCounterPartitionComparisons));
+  EXPECT_LE(run_pruned->metrics.shuffle_bytes,
             run_unpruned->metrics.shuffle_bytes);
   EXPECT_GT(run_pruned->metrics.counters.Get(mr::kCounterTuplesPruned), 0);
   // Both still compute the right skyline.
