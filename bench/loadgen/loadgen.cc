@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -12,8 +11,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/mapreduce/chaos.h"
-#include "src/obs/bench_artifact.h"
-#include "src/obs/json.h"
 #include "src/serve/session.h"
 
 namespace skymr::loadgen {
@@ -453,181 +450,30 @@ StatusOr<LoadReport> RunLoad(const LoadConfig& config,
 
 namespace {
 
-void WriteSketchSummary(obs::JsonWriter& w, const obs::QuantileSketch& s) {
-  w.BeginObject();
-  w.Key("count");
-  w.Uint(s.count());
-  w.Key("p50_us");
-  w.Double(s.Quantile(0.50));
-  w.Key("p95_us");
-  w.Double(s.Quantile(0.95));
-  w.Key("p99_us");
-  w.Double(s.Quantile(0.99));
-  w.Key("max_us");
-  w.Double(s.max());
-  w.Key("mean_us");
-  w.Double(s.count() > 0 ? s.sum() / static_cast<double>(s.count()) : 0.0);
-  w.EndObject();
-}
-
-void WriteEnvironment(obs::JsonWriter& w, const obs::BenchEnvironment& env) {
-  w.BeginObject();
-  w.Key("git_sha");
-  w.String(env.git_sha);
-  w.Key("compiler");
-  w.String(env.compiler);
-  w.Key("build_type");
-  w.String(env.build_type);
-  w.Key("cxx_flags");
-  w.String(env.cxx_flags);
-  w.Key("cpu");
-  w.String(env.cpu);
-  w.Key("kernel_backend");
-  w.String(env.kernel_backend);
-  w.Key("tracing_compiled");
-  w.Bool(env.tracing_compiled);
-  w.Key("threads");
-  w.Int(env.threads);
-  w.Key("scale_env");
-  w.String(env.scale_env);
-  w.Key("full_env");
-  w.String(env.full_env);
-  w.Key("reps");
-  w.Int(env.reps);
-  w.EndObject();
-}
-
-/// Emits one bench-v1-shaped row so tools/bench_diff.py can gate the
-/// deterministic section with its existing row machinery. Wall medians
-/// are latency p50 in seconds (soft-warn territory, like every wall).
-void WriteRow(obs::JsonWriter& w, const std::string& name,
-              const obs::QuantileSketch& latency,
-              const std::map<std::string, double>& metrics,
-              const std::map<std::string, int64_t>& deterministic) {
-  w.BeginObject();
-  w.Key("name");
-  w.String(name);
-  w.Key("wall");
-  w.BeginObject();
-  w.Key("reps");
-  w.Int(static_cast<int64_t>(latency.count()));
-  w.Key("median_seconds");
-  w.Double(latency.Quantile(0.5) / 1e6);
-  w.Key("mad_seconds");
-  w.Double(0.0);
-  w.Key("cv");
-  w.Double(0.0);
-  w.Key("min_seconds");
-  w.Double(latency.min() / 1e6);
-  w.Key("max_seconds");
-  w.Double(latency.max() / 1e6);
-  w.Key("mean_seconds");
-  w.Double(latency.count() > 0
-               ? latency.sum() / static_cast<double>(latency.count()) / 1e6
-               : 0.0);
-  w.EndObject();
-  w.Key("metrics");
-  w.BeginObject();
-  for (const auto& [key, value] : metrics) {
-    w.Key(key);
-    w.Double(value);
-  }
-  w.EndObject();
-  w.Key("deterministic");
-  w.BeginObject();
-  for (const auto& [key, value] : deterministic) {
-    w.Key(key);
-    w.Int(value);
-  }
-  w.EndObject();
-  w.EndObject();
+/// A row's wall block summarizes its queries' latency sketch: reps is the
+/// query count and the median is p50. The sketch keeps no samples, so the
+/// MAD and CV stay 0.
+obs::WallStats LatencyWall(const obs::QuantileSketch& latency_us) {
+  obs::WallStats wall;
+  wall.reps = static_cast<int>(latency_us.count());
+  wall.median_seconds = latency_us.Quantile(0.5) / 1e6;
+  wall.min_seconds = latency_us.min() / 1e6;
+  wall.max_seconds = latency_us.max() / 1e6;
+  wall.mean_seconds =
+      latency_us.count() > 0
+          ? latency_us.sum() / static_cast<double>(latency_us.count()) / 1e6
+          : 0.0;
+  return wall;
 }
 
 }  // namespace
 
-void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
-                       std::ostream& os) {
+obs::BenchArtifact BuildLoadArtifact(const LoadConfig& config,
+                                     const LoadReport& report) {
   // Must resolve the empty-mix default exactly as the run did, or the
   // per-size rows would be read against the wrong class list.
   const std::vector<SizeClass> mix = ResolveMix(config);
-  obs::JsonWriter w(os);
-  w.BeginObject();
-  w.Key("schema");
-  w.String("skymr-load-v1");
-  w.Key("bench");
-  w.String("loadgen");
-  w.Key("environment");
-  WriteEnvironment(w, obs::CaptureBenchEnvironment());
-
-  w.Key("config");
-  w.BeginObject();
-  w.Key("seed");
-  w.Uint(config.seed);
-  w.Key("target_qps");
-  w.Double(config.target_qps);
-  w.Key("queries");
-  w.Int(config.queries);
-  w.Key("admission_slots");
-  w.Int(config.admission_slots);
-  w.Key("threads");
-  w.Int(config.threads);
-  w.Key("deadline_ms");
-  w.Double(config.deadline_ms);
-  w.Key("chaos_enabled");
-  w.Bool(config.chaos.enabled());
-  w.Key("slow_query_index");
-  w.Int(config.slow_query_index);
-  w.Key("slow_query_ms");
-  w.Double(config.slow_query_ms);
-  w.Key("mode");
-  w.String(config.serve ? "serve" : "batch");
-  if (config.serve) {
-    w.Key("small_reserved_slots");
-    w.Int(config.small_reserved_slots);
-    w.Key("warmup");
-    w.Bool(config.warmup);
-    w.Key("resident");
-    w.Bool(config.resident != nullptr);
-  }
-  w.EndObject();
-
-  // Machine-dependent load summary: the tail-latency story.
-  w.Key("load");
-  w.BeginObject();
-  w.Key("latency");
-  WriteSketchSummary(w, report.latency_us);
-  w.Key("queue_wait");
-  WriteSketchSummary(w, report.queue_wait_us);
-  w.Key("throughput_qps");
-  w.Double(report.wall_seconds > 0.0
-               ? static_cast<double>(report.completed) / report.wall_seconds
-               : 0.0);
-  w.Key("wall_seconds");
-  w.Double(report.wall_seconds);
-  w.Key("counters");
-  w.BeginObject();
-  w.Key("completed");
-  w.Int(report.completed);
-  w.Key("errors");
-  w.Int(report.errors);
-  w.Key("deadline_missed");
-  w.Int(report.deadline_missed);
-  w.Key("max_queue_depth");
-  w.Int(report.max_queue_depth);
-  w.Key("max_inflight");
-  w.Int(report.max_inflight);
-  w.Key("log_dropped");
-  w.Int(report.log_dropped);
-  if (config.serve) {
-    w.Key("session_cache_hits");
-    w.Int(report.session_cache_hits);
-    w.Key("session_cache_misses");
-    w.Int(report.session_cache_misses);
-    w.Key("bitstring_jobs");
-    w.Int(report.bitstring_jobs);
-  }
-  w.EndObject();
-  w.EndObject();
+  obs::BenchArtifact artifact("loadgen");
 
   // Per-size deterministic aggregates, in arrival (index) order.
   std::vector<int64_t> size_queries(mix.size(), 0);
@@ -643,74 +489,92 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
     size_cache_hits[out.size_class] += out.cache_hit ? 1 : 0;
   }
 
-  w.Key("rows");
-  w.BeginArray();
-  {
-    // The aggregate row: the schedule fingerprint is split into two
-    // 32-bit halves because JSON numbers are doubles (53-bit mantissa).
-    std::map<std::string, double> m;
-    m["throughput_qps"] =
-        report.wall_seconds > 0.0
-            ? static_cast<double>(report.completed) / report.wall_seconds
-            : 0.0;
-    m["latency_p99_us"] = report.latency_us.Quantile(0.99);
-    m["queue_wait_p99_us"] = report.queue_wait_us.Quantile(0.99);
-    std::map<std::string, int64_t> d;
-    d["queries"] = config.queries;
-    d["schedule_hash_hi"] = static_cast<int64_t>(report.schedule_hash >> 32);
-    d["schedule_hash_lo"] =
-        static_cast<int64_t>(report.schedule_hash & 0xffffffffULL);
-    d["completed"] = report.completed;
-    d["errors"] = report.errors;
-    d["comparisons"] = 0;
-    for (size_t c = 0; c < mix.size(); ++c) {
-      d["comparisons"] += size_comparisons[c];
-    }
-    if (config.serve) {
-      // Serve-only keys stay out of batch artifacts: bench_diff compares
-      // the key-union of deterministic sections, so adding them
-      // unconditionally would break every committed batch baseline.
-      // Single-flight makes both deterministic for a fixed config; which
-      // *query* led a miss is racy, so hit counts only ever appear in
-      // aggregates, never per class.
-      d["session_cache_hits"] = report.session_cache_hits;
-      d["bitstring_jobs"] = report.bitstring_jobs;
-    }
-    WriteRow(w, "loadgen", report.latency_us, m, d);
+  // The aggregate row. Its metrics carry the run's configuration and the
+  // machine-dependent load summary; the latency count and p50 are its
+  // wall block's reps and median.
+  obs::BenchRow aggregate;
+  aggregate.name = "loadgen";
+  aggregate.wall = LatencyWall(report.latency_us);
+  std::map<std::string, double>& m = aggregate.metrics;
+  m["seed"] = static_cast<double>(config.seed);
+  m["target_qps"] = config.target_qps;
+  m["admission_slots"] = config.admission_slots;
+  m["threads"] = config.threads;
+  m["deadline_ms"] = config.deadline_ms;
+  m["chaos_enabled"] = config.chaos.enabled() ? 1.0 : 0.0;
+  m["slow_query_index"] = config.slow_query_index;
+  m["slow_query_ms"] = config.slow_query_ms;
+  m["serve"] = config.serve ? 1.0 : 0.0;
+  if (config.serve) {
+    m["small_reserved_slots"] = config.small_reserved_slots;
+    m["warmup"] = config.warmup ? 1.0 : 0.0;
+    m["resident"] = config.resident != nullptr ? 1.0 : 0.0;
   }
+  m["throughput_qps"] =
+      report.wall_seconds > 0.0
+          ? static_cast<double>(report.completed) / report.wall_seconds
+          : 0.0;
+  m["wall_seconds"] = report.wall_seconds;
+  m["latency_p95_us"] = report.latency_us.Quantile(0.95);
+  m["latency_p99_us"] = report.latency_us.Quantile(0.99);
+  m["queue_wait_p50_us"] = report.queue_wait_us.Quantile(0.50);
+  m["queue_wait_p95_us"] = report.queue_wait_us.Quantile(0.95);
+  m["queue_wait_p99_us"] = report.queue_wait_us.Quantile(0.99);
+  m["queue_wait_max_us"] = report.queue_wait_us.max();
+  m["queue_wait_mean_us"] =
+      report.queue_wait_us.count() > 0
+          ? report.queue_wait_us.sum() /
+                static_cast<double>(report.queue_wait_us.count())
+          : 0.0;
+  m["deadline_missed"] = static_cast<double>(report.deadline_missed);
+  m["max_queue_depth"] = static_cast<double>(report.max_queue_depth);
+  m["max_inflight"] = static_cast<double>(report.max_inflight);
+  m["log_dropped"] = static_cast<double>(report.log_dropped);
+  // The schedule fingerprint is split into two 32-bit halves because JSON
+  // numbers are doubles (53-bit mantissa).
+  std::map<std::string, int64_t>& d = aggregate.deterministic;
+  d["queries"] = config.queries;
+  d["schedule_hash_hi"] = static_cast<int64_t>(report.schedule_hash >> 32);
+  d["schedule_hash_lo"] =
+      static_cast<int64_t>(report.schedule_hash & 0xffffffffULL);
+  d["completed"] = report.completed;
+  d["errors"] = report.errors;
+  d["comparisons"] = 0;
   for (size_t c = 0; c < mix.size(); ++c) {
-    std::map<std::string, double> m;
-    m["latency_p99_us"] = report.per_size_latency_us[c].Quantile(0.99);
+    d["comparisons"] += size_comparisons[c];
+  }
+  if (config.serve) {
+    // Serve-only keys stay out of batch artifacts: bench_diff compares
+    // the key-union of deterministic sections, so adding them
+    // unconditionally would break every committed batch baseline.
+    // Single-flight makes both deterministic for a fixed config; which
+    // *query* led a miss is racy, so hit counts only ever appear in
+    // aggregates, never per class. Every executed bitstring job was a
+    // cache miss, so bitstring_jobs is also the miss count.
+    d["session_cache_hits"] = report.session_cache_hits;
+    d["bitstring_jobs"] = report.bitstring_jobs;
+  }
+  artifact.AddRow(std::move(aggregate));
+
+  for (size_t c = 0; c < mix.size(); ++c) {
+    obs::BenchRow row;
+    row.name = "size:" + mix[c].name;
+    row.wall = LatencyWall(report.per_size_latency_us[c]);
+    row.metrics["latency_p99_us"] =
+        report.per_size_latency_us[c].Quantile(0.99);
     if (config.serve) {
       // Informational (metrics are never hard-gated): without warmup the
       // class that wins a shared fingerprint's single-flight race eats
       // the miss, so the split is timing-dependent.
-      m["cache_hits"] = static_cast<double>(size_cache_hits[c]);
+      row.metrics["cache_hits"] = static_cast<double>(size_cache_hits[c]);
     }
-    std::map<std::string, int64_t> d;
-    d["queries"] = size_queries[c];
-    d["ok"] = size_ok[c];
-    d["comparisons"] = size_comparisons[c];
-    d["skyline_size"] = size_skyline[c];
-    WriteRow(w, "size:" + mix[c].name, report.per_size_latency_us[c], m, d);
+    row.deterministic["queries"] = size_queries[c];
+    row.deterministic["ok"] = size_ok[c];
+    row.deterministic["comparisons"] = size_comparisons[c];
+    row.deterministic["skyline_size"] = size_skyline[c];
+    artifact.AddRow(std::move(row));
   }
-  w.EndArray();
-  w.EndObject();
-  os << "\n";
-}
-
-Status WriteLoadArtifactFile(const LoadConfig& config,
-                             const LoadReport& report,
-                             const std::string& path) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return Status::Internal("loadgen: cannot open artifact path " + path);
-  }
-  WriteLoadArtifact(config, report, file);
-  if (!file) {
-    return Status::Internal("loadgen: artifact write failed: " + path);
-  }
-  return Status::OK();
+  return artifact;
 }
 
 }  // namespace skymr::loadgen

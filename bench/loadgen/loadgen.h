@@ -14,8 +14,8 @@
 // Determinism: the arrival schedule, size-class assignment, datasets,
 // and every per-query comparison counter depend only on LoadConfig
 // (seed, qps, query count, mix) — never on wall-clock timing — so the
-// `deterministic` section of the emitted skymr-load-v1 artifact is
-// bit-identical across same-seed runs and is hard-gated by
+// `deterministic` sections of the emitted skymr-bench-v1 artifact are
+// bit-identical across same-seed runs and are hard-gated by
 // tools/bench_diff.py in CI. Latency/throughput numbers are
 // machine-dependent and informational.
 
@@ -23,7 +23,6 @@
 #define SKYMR_BENCH_LOADGEN_LOADGEN_H_
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/chaos.h"
+#include "src/obs/bench_artifact.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 
@@ -196,12 +196,12 @@ StatusOr<LoadReport> RunLoad(const LoadConfig& config,
                              obs::MetricsRegistry* metrics,
                              obs::Logger* logger);
 
-/// Writes the skymr-load-v1 artifact (see DESIGN.md §16 for the layout).
-void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
-                       std::ostream& os);
-Status WriteLoadArtifactFile(const LoadConfig& config,
-                             const LoadReport& report,
-                             const std::string& path);
+/// The run's skymr-bench-v1 artifact, bench "loadgen" (DESIGN.md §16.2):
+/// an aggregate `loadgen` row, then one `size:<class>` row per size class
+/// of the resolved mix. Each row's wall block summarizes its queries'
+/// latency.
+obs::BenchArtifact BuildLoadArtifact(const LoadConfig& config,
+                                     const LoadReport& report);
 
 }  // namespace skymr::loadgen
 

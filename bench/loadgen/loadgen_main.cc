@@ -18,7 +18,7 @@
 // large lane.
 //
 // Runs the seeded arrival schedule against the in-process engine and
-// writes the skymr-load-v1 artifact (--out; validated by
+// writes the skymr-bench-v1 artifact (--out; validated by
 // tools/check_obs_json.py --load and diffed by tools/bench_diff.py).
 // --log-out streams every structured record as JSON lines; --crash-dump
 // arms the flight recorder, so a fatal chaos fault (e.g.
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   const std::string out = args.GetString("out", "");
   if (!out.empty()) {
     auto written =
-        skymr::loadgen::WriteLoadArtifactFile(config, report, out);
+        skymr::loadgen::BuildLoadArtifact(config, report).WriteFile(out);
     if (!written.ok()) {
       std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 1;

@@ -386,16 +386,13 @@ class Job {
     // caller's thread after the wave completes.
     std::vector<MapTaskOutput> map_outputs(static_cast<size_t>(m));
     Status wave_status;
-    uint64_t map_wave_id = 0;
     {
-      SKYMR_TRACE_SPAN_ID(map_wave_span, "map.wave", "tasks", m);
-      map_wave_id = map_wave_span.id();
+      SKYMR_TRACE_SPAN("map.wave", "tasks", m);
       wave_status = scheduler.RunWave(
           pool, TaskKind::kMap, m,
           [&](const TaskAttempt& attempt) {
             return RunMapAttempt(
                 attempt, SplitOf(input, attempt.task_id, m), r, cache,
-                map_wave_id,
                 &map_outputs[static_cast<size_t>(attempt.task_id)]);
           },
           &wave_stats);
@@ -428,17 +425,10 @@ class Job {
     // partially consumed state.
     std::vector<ReducerInput> reducer_inputs(static_cast<size_t>(r));
     std::vector<ReduceTaskOutput> reduce_outputs(static_cast<size_t>(r));
-    std::vector<uint64_t> bucket_span_ids(static_cast<size_t>(r), 0);
     {
-      SKYMR_TRACE_SPAN_ID(reduce_wave_span, "reduce.wave", "tasks", r);
-      const uint64_t reduce_wave_id = reduce_wave_span.id();
+      SKYMR_TRACE_SPAN("reduce.wave", "tasks", r);
       ParallelFor(pool, r, [&](int task) {
-        // The shuffle edge: contained in the reduce wave, causally fed by
-        // the map wave (the cross-wave link the span DAG rebuilds).
-        SKYMR_TRACE_SPAN_ID(bucket_span, "shuffle.bucket", "reducer", task);
-        bucket_span.SetParent(reduce_wave_id);
-        bucket_span.SetLink(map_wave_id);
-        bucket_span_ids[static_cast<size_t>(task)] = bucket_span.id();
+        SKYMR_TRACE_SPAN("shuffle.bucket", "reducer", task);
         Stopwatch shuffle_clock;
         BuildReducerInput(map_outputs, task,
                           &reducer_inputs[static_cast<size_t>(task)]);
@@ -451,8 +441,7 @@ class Job {
             return RunReduceAttempt(
                 attempt,
                 reducer_inputs[static_cast<size_t>(attempt.task_id)],
-                scheduler.chaos(), cache, reduce_wave_id,
-                bucket_span_ids[static_cast<size_t>(attempt.task_id)],
+                scheduler.chaos(), cache,
                 &reduce_outputs[static_cast<size_t>(attempt.task_id)]);
           },
           &wave_stats);
@@ -651,16 +640,15 @@ class Job {
   /// can never leak partial state into the shuffle or metrics.
   Status RunMapAttempt(const TaskAttempt& attempt, std::span<const In> split,
                        int num_reducers, const DistributedCache& cache,
-                       uint64_t wave_span_id, MapTaskOutput* out) {
+                       MapTaskOutput* out) {
     PartitionerKind kind = partitioner_kind_;
     if (kind != PartitionerKind::kCustom && num_reducers == 1) {
       kind = PartitionerKind::kSingleReducer;
     }
     auto context = std::make_unique<MapContext<K2, V2>>(
         attempt.task_id, num_reducers, &cache, kind, &partitioner_);
-    SKYMR_TRACE_SPAN_ID(task_span, "map.task", "task", attempt.task_id,
-                        "attempt", attempt.attempt);
-    task_span.SetParent(wave_span_id);
+    SKYMR_TRACE_SPAN("map.task", "task", attempt.task_id, "attempt",
+                     attempt.attempt);
     Stopwatch clock;
     std::unique_ptr<Mapper<In, K2, V2>> mapper = mapper_factory_();
     mapper->Setup(*context);
@@ -677,10 +665,6 @@ class Job {
     if (!attempt.TryCommit()) {
       return Status::OK();  // A duplicate committed first; discard.
     }
-    // Exactly one commit instant per task, under the winning attempt's
-    // span id: the marker BuildSpanDag uses to drop losing attempts.
-    SKYMR_TRACE_INSTANT_UNDER(task_span.id(), "task.commit", "task",
-                              attempt.task_id, "attempt", attempt.attempt);
     out->metrics.busy_seconds = clock.ElapsedSeconds();
     out->metrics.input_records = split.size();
     out->metrics.output_records = context->output_records_;
@@ -796,14 +780,11 @@ class Job {
   /// bytes.
   Status RunReduceAttempt(const TaskAttempt& attempt, const ReducerInput& in,
                           ChaosEngine* chaos, const DistributedCache& cache,
-                          uint64_t wave_span_id, uint64_t bucket_span_id,
                           ReduceTaskOutput* out) {
     const std::vector<ShuffleEntry>& entries = in.entries;
     ReduceContext<Out> context(attempt.task_id, &cache);
-    SKYMR_TRACE_SPAN_ID(task_span, "reduce.task", "task", attempt.task_id,
-                        "attempt", attempt.attempt);
-    task_span.SetParent(wave_span_id);
-    task_span.SetLink(bucket_span_id);
+    SKYMR_TRACE_SPAN("reduce.task", "task", attempt.task_id, "attempt",
+                     attempt.attempt);
     Stopwatch clock;
     const Slice* slices = in.slices.data();
     std::vector<Slice> corrupted;
@@ -838,8 +819,6 @@ class Job {
     if (!attempt.TryCommit()) {
       return Status::OK();  // A duplicate committed first; discard.
     }
-    SKYMR_TRACE_INSTANT_UNDER(task_span.id(), "task.commit", "task",
-                              attempt.task_id, "attempt", attempt.attempt);
     out->metrics.busy_seconds = clock.ElapsedSeconds();
     out->metrics.input_records = entries.size();
     out->metrics.input_bytes = in.input_bytes;

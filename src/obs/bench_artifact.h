@@ -1,6 +1,7 @@
 // Machine-readable bench artifacts, schema skymr-bench-v1: the document
 // every bench binary (the nine figure/ablation benches and
-// bench_hotpath) writes so CI can diff runs over time.
+// bench_hotpath) and the load harness (bench/loadgen) write so CI can
+// diff runs over time.
 //
 // The schema splits every row into three sections with different trust
 // levels:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -402,58 +401,6 @@ std::string RenderCriticalPathText(const CriticalPathReport& report) {
   }
   os << "  dag signature: " << report.dag_signature << "\n";
   return os.str();
-}
-
-SpanDag BuildSpanDag(const std::vector<TraceEventView>& events) {
-  SpanDag dag;
-  // Winning attempts: the scheduler emits exactly one task.commit
-  // instant per task, under the committed attempt's span id.
-  std::set<uint64_t> committed;
-  for (const TraceEventView& e : events) {
-    if (e.phase == 'i' && e.name == "task.commit" && e.parent_id != 0) {
-      committed.insert(e.parent_id);
-    }
-  }
-  const auto is_task_span = [](const std::string& name) {
-    return name == "map.task" || name == "reduce.task";
-  };
-  std::map<uint64_t, const TraceEventView*> spans;
-  for (const TraceEventView& e : events) {
-    if (e.phase == 'X' && e.id != 0) {
-      spans.emplace(e.id, &e);
-    }
-  }
-  // A span is excluded when it, or any ancestor on its parent chain, is
-  // a task span with no commit instant (a losing attempt).
-  const auto excluded = [&](const TraceEventView* span) {
-    size_t hops = 0;
-    for (const TraceEventView* at = span;
-         at != nullptr && hops <= spans.size(); ++hops) {
-      if (is_task_span(at->name) && committed.count(at->id) == 0) {
-        return true;
-      }
-      auto it = spans.find(at->parent_id);
-      at = it == spans.end() ? nullptr : it->second;
-    }
-    return false;
-  };
-  for (const auto& [id, span] : spans) {
-    if (excluded(span)) {
-      if (is_task_span(span->name) && committed.count(id) == 0) {
-        ++dag.dropped_attempts;
-      }
-      continue;
-    }
-    SpanDagNode node;
-    node.id = id;
-    node.name = span->name;
-    node.parent_id = span->parent_id;
-    node.link_id = span->link_id;
-    node.ts_us = span->ts_us;
-    node.dur_us = span->dur_us;
-    dag.nodes.push_back(std::move(node));
-  }
-  return dag;
 }
 
 }  // namespace skymr::obs

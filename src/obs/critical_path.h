@@ -19,12 +19,9 @@
 //    shuffle: reducer input records) — bit-identical across same-seed
 //    runs, so CI can assert two runs agree on DAG shape and attribution.
 //
-// Span-DAG reconstruction (trace side): spans carry stable ids, parent
-// ids, and shuffle-edge links (trace.h). A map/reduce task attempt is on
-// the DAG only if a "task.commit" instant points at its span id — the
-// scheduler emits that instant exactly once per task, for the winning
-// attempt — so retried tasks' losing attempts (and their child spans)
-// never appear on the critical path.
+// Retries: only the attempt that wins TryCommit writes its task's
+// TaskMetrics, so a losing attempt never becomes a node, and a retried
+// task's node differs from a clean run's only in `attempts` and wall time.
 
 #ifndef SKYMR_OBS_CRITICAL_PATH_H_
 #define SKYMR_OBS_CRITICAL_PATH_H_
@@ -36,7 +33,6 @@
 
 #include "src/common/status.h"
 #include "src/mapreduce/task_metrics.h"
-#include "src/obs/trace.h"
 
 namespace skymr::obs {
 
@@ -145,31 +141,6 @@ CriticalPathReport AnalyzeCriticalPath(
 /// Renders the human-readable attribution table `skymr_cli stats
 /// --critical-path` prints.
 std::string RenderCriticalPathText(const CriticalPathReport& report);
-
-/// One span in a reconstructed trace DAG.
-struct SpanDagNode {
-  uint64_t id = 0;
-  std::string name;
-  /// Containment edge (0 = root) and causal shuffle link (0 = none).
-  uint64_t parent_id = 0;
-  uint64_t link_id = 0;
-  double ts_us = 0.0;
-  double dur_us = 0.0;
-};
-
-/// The span DAG of one traced run: committed work only.
-struct SpanDag {
-  /// Nodes sorted by id.
-  std::vector<SpanDagNode> nodes;
-  /// map.task / reduce.task spans dropped because no "task.commit"
-  /// instant pointed at them — losing attempts of retried tasks.
-  size_t dropped_attempts = 0;
-};
-
-/// Reconstructs the span DAG from a trace snapshot. A map.task or
-/// reduce.task span is kept only when a "task.commit" instant names it as
-/// parent; spans nested under a dropped attempt are dropped with it.
-SpanDag BuildSpanDag(const std::vector<TraceEventView>& events);
 
 }  // namespace skymr::obs
 

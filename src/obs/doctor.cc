@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/obs/bench_artifact.h"
 #include "src/obs/job_report.h"
 #include "src/obs/metrics.h"
 
@@ -538,28 +539,59 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
     return Status::InvalidArgument("doctor: load is not a JSON object");
   }
   const std::string schema = load.GetString("schema", "");
-  if (schema != "skymr-load-v1") {
+  if (schema != kBenchSchemaVersion) {
+    return Status::InvalidArgument("doctor: expected schema '" +
+                                   std::string(kBenchSchemaVersion) +
+                                   "', got '" + schema + "'");
+  }
+  const JsonValue* row = nullptr;
+  const JsonValue* rows = load.Find("rows");
+  if (rows != nullptr && rows->is_array()) {
+    for (const JsonValue& candidate : rows->AsArray()) {
+      if (candidate.GetString("name", "") == "loadgen") {
+        row = &candidate;
+        break;
+      }
+    }
+  }
+  if (row == nullptr) {
     return Status::InvalidArgument(
-        "doctor: expected schema 'skymr-load-v1', got '" + schema + "'");
+        "doctor: bench document has no 'loadgen' row");
   }
+  // A missing section reads as null, whose Get* calls return the
+  // fallback.
+  static const JsonValue kAbsent;
+  const auto section = [row](std::string_view key) -> const JsonValue& {
+    const JsonValue* value = row->Find(key);
+    return value != nullptr ? *value : kAbsent;
+  };
+  const JsonValue& wall = section("wall");
+  const JsonValue& metrics = section("metrics");
+  const JsonValue& deterministic = section("deterministic");
   std::vector<Finding> findings;
-  const JsonValue* summary = load.Find("load");
-  if (summary == nullptr || !summary->is_object()) {
-    return findings;
-  }
-  const JsonValue* latency = summary->Find("latency");
-  const JsonValue* queue_wait = summary->Find("queue_wait");
-  const int64_t queries =
-      latency != nullptr && latency->is_object()
-          ? static_cast<int64_t>(latency->GetInt("count", 0))
-          : 0;
 
-  if (latency != nullptr && latency->is_object() &&
-      queue_wait != nullptr && queue_wait->is_object() &&
-      queries >= options.min_queries_for_load) {
-    const double latency_p50 = latency->GetDouble("p50_us", 0.0);
-    const double latency_p99 = latency->GetDouble("p99_us", 0.0);
-    const double wait_p99 = queue_wait->GetDouble("p99_us", 0.0);
+  // query-errors: a failed query still records a (short) latency, so a
+  // run in which every query failed looks fast to the checks below.
+  const int64_t completed = deterministic.GetInt("completed", 0);
+  const int64_t errors = deterministic.GetInt("errors", 0);
+  if (errors > 0) {
+    findings.push_back(Finding{
+        completed == 0 ? Severity::kCritical : Severity::kWarning,
+        "query-errors",
+        Format("%lld of %lld queries failed — check the flight recorder "
+               "(--crash-dump) for the failing tasks; a chaos profile with "
+               "too few attempts fails queries permanently",
+               static_cast<long long>(errors),
+               static_cast<long long>(completed + errors))});
+  }
+
+  // The row's wall block summarizes every query's latency: reps is the
+  // query count and the median is p50.
+  const int64_t queries = wall.GetInt("reps", 0);
+  if (queries >= options.min_queries_for_load) {
+    const double latency_p50 = wall.GetDouble("median_seconds", 0.0) * 1e6;
+    const double latency_p99 = metrics.GetDouble("latency_p99_us", 0.0);
+    const double wait_p99 = metrics.GetDouble("queue_wait_p99_us", 0.0);
 
     // queueing-delay: the tail is waiting for admission, not computing.
     if (wait_p99 >= options.min_queue_wait_p99_us && latency_p99 > 0.0) {
@@ -598,44 +630,39 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
   }
 
   // log-drop: a hole in the very stream that post-mortems depend on.
-  const JsonValue* counters = summary->Find("counters");
-  if (counters != nullptr && counters->is_object()) {
-    const int64_t dropped =
-        static_cast<int64_t>(counters->GetInt("log_dropped", 0));
-    if (dropped >= options.min_log_dropped) {
-      findings.push_back(Finding{
-          Severity::kWarning, "log-drop",
-          Format("%lld structured log records were dropped during the run "
-                 "— the flight recorder would have holes exactly where a "
-                 "post-mortem looks; grow Logger ring_capacity or log "
-                 "less on the hot path",
-                 static_cast<long long>(dropped))});
-    }
+  const int64_t dropped =
+      static_cast<int64_t>(metrics.GetDouble("log_dropped", 0.0));
+  if (dropped >= options.min_log_dropped) {
+    findings.push_back(Finding{
+        Severity::kWarning, "log-drop",
+        Format("%lld structured log records were dropped during the run "
+               "— the flight recorder would have holes exactly where a "
+               "post-mortem looks; grow Logger ring_capacity or log "
+               "less on the hot path",
+               static_cast<long long>(dropped))});
+  }
 
-    // session-cache-cold: only serve-mode artifacts carry the session
-    // counters; a batch artifact misses both keys and stays silent.
-    const int64_t cache_hits =
-        static_cast<int64_t>(counters->GetInt("session_cache_hits", -1));
-    const int64_t cache_misses =
-        static_cast<int64_t>(counters->GetInt("session_cache_misses", -1));
-    const int64_t lookups = cache_hits + cache_misses;
-    if (cache_hits >= 0 && cache_misses >= 0 &&
-        lookups >= options.min_queries_for_load) {
-      const double hit_fraction =
-          static_cast<double>(cache_hits) / static_cast<double>(lookups);
-      if (hit_fraction < options.min_session_cache_hit_fraction) {
-        findings.push_back(Finding{
-            Severity::kWarning, "session-cache-cold",
-            Format("the resident session's bitstring cache hit only %lld "
-                   "of %lld lookups (%.0f%%) — the phase the session "
-                   "exists to share is being rebuilt per query; check "
-                   "for fingerprint churn (constraint boxes that never "
-                   "repeat) or warm the mix's classes before taking "
-                   "traffic",
-                   static_cast<long long>(cache_hits),
-                   static_cast<long long>(lookups),
-                   100.0 * hit_fraction)});
-      }
+  // session-cache-cold: only serve-mode rows carry the session counters
+  // (every executed bitstring job was a cache miss); a batch row misses
+  // both keys and stays silent.
+  const int64_t cache_hits = deterministic.GetInt("session_cache_hits", -1);
+  const int64_t cache_misses = deterministic.GetInt("bitstring_jobs", -1);
+  const int64_t lookups = cache_hits + cache_misses;
+  if (cache_hits >= 0 && cache_misses >= 0 &&
+      lookups >= options.min_queries_for_load) {
+    const double hit_fraction =
+        static_cast<double>(cache_hits) / static_cast<double>(lookups);
+    if (hit_fraction < options.min_session_cache_hit_fraction) {
+      findings.push_back(Finding{
+          Severity::kWarning, "session-cache-cold",
+          Format("the resident session's bitstring cache hit only %lld "
+                 "of %lld lookups (%.0f%%) — the phase the session "
+                 "exists to share is being rebuilt per query; check "
+                 "for fingerprint churn (constraint boxes that never "
+                 "repeat) or warm the mix's classes before taking "
+                 "traffic",
+                 static_cast<long long>(cache_hits),
+                 static_cast<long long>(lookups), 100.0 * hit_fraction)});
     }
   }
 

@@ -62,17 +62,23 @@
 //                      admission slot, a chaos storm) inflated everyone
 //                      scheduled behind them, the open-loop harness's
 //                      coordinated-omission signature;
+//   session-cache-cold (serve-mode load artifacts) few of the resident
+//                      session's bitstring lookups hit the cross-query
+//                      cache;
+//   query-errors       (load artifacts) queries failed: a warning when
+//                      any failed, critical when none completed;
 //   log-drop           structured log records were dropped (flight-ring
 //                      lap contention or snapshot races) — the crash
 //                      dump would have holes; grow ring_capacity or log
 //                      less on the hot path.
 //
-// Every heuristic has a floor below which it stays silent, so a healthy
-// run — including a tiny smoke-scale one — produces zero findings.
-// The first two critical-path checks read skymr-report-v2 documents
-// (AnalyzeReport); sampler-overhead and log-drop read skymr-metrics-v1
-// documents (AnalyzeMetrics); the load heuristics read skymr-load-v1
-// documents (AnalyzeLoad).
+// Every heuristic but query-errors has a floor below which it stays
+// silent, so a healthy run — including a tiny smoke-scale one — produces
+// zero findings. The findings down to straggler-on-critical-path read
+// skymr-report-v2 documents (AnalyzeReport); sampler-overhead and
+// log-drop read skymr-metrics-v1 documents (AnalyzeMetrics); the load
+// findings and log-drop read the `loadgen` row of the load harness's
+// skymr-bench-v1 document (AnalyzeLoad).
 
 #ifndef SKYMR_OBS_DOCTOR_H_
 #define SKYMR_OBS_DOCTOR_H_
@@ -232,9 +238,11 @@ StatusOr<std::vector<Finding>> AnalyzeMetricsJson(
 StatusOr<std::vector<Finding>> AnalyzeMetricsFile(
     const std::string& path, const DoctorOptions& options = {});
 
-/// Analyzes a parsed skymr-load-v1 document (the loadgen's artifact):
-/// queueing-delay, tail-amplification, and log-drop. Returns
-/// InvalidArgument when `load` is not a skymr-load-v1 object.
+/// Analyzes the `loadgen` row of a parsed skymr-bench-v1 document (the
+/// load harness's artifact): query-errors, queueing-delay,
+/// tail-amplification, session-cache-cold and log-drop. Returns
+/// InvalidArgument when `load` is not a skymr-bench-v1 object or has no
+/// `loadgen` row.
 StatusOr<std::vector<Finding>> AnalyzeLoad(
     const JsonValue& load, const DoctorOptions& options = {});
 

@@ -38,13 +38,8 @@ Registry& GetRegistry() {
 }
 
 thread_local ThreadBuffer* t_buffer = nullptr;
-/// Stack of span ids open on this thread; size doubles as nesting depth.
-thread_local std::vector<uint64_t> t_span_stack;
-
-/// Process-wide span id source. Ids restart from 1 at StartTracing() so
-/// same-seed runs produce identical id assignments (the header restricts
-/// StartTracing to quiescent moments, so the relaxed store is safe).
-std::atomic<uint64_t> g_next_span_id{1};
+/// Number of spans open on this thread.
+thread_local uint32_t t_span_depth = 0;
 
 ThreadBuffer* GetThreadBuffer() {
   if (t_buffer == nullptr) {
@@ -70,21 +65,9 @@ void RecordEvent(const TraceEvent& event) {
   GetThreadBuffer()->events.push_back(event);
 }
 
-uint64_t NextSpanId() {
-  return g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-}
+uint32_t EnterSpan() { return t_span_depth++; }
 
-uint64_t CurrentSpanId() {
-  return t_span_stack.empty() ? 0 : t_span_stack.back();
-}
-
-uint32_t EnterSpan(uint64_t id) {
-  const uint32_t depth = static_cast<uint32_t>(t_span_stack.size());
-  t_span_stack.push_back(id);
-  return depth;
-}
-
-void LeaveSpan() { t_span_stack.pop_back(); }
+void LeaveSpan() { --t_span_depth; }
 
 }  // namespace internal
 
@@ -99,7 +82,6 @@ void StartTracing() {
       buffer->events.clear();
     }
     registry.epoch = internal::Clock::now();
-    internal::g_next_span_id.store(1, std::memory_order_relaxed);
   }
   internal::g_tracing_active.store(true, std::memory_order_relaxed);
 }
@@ -139,9 +121,6 @@ std::vector<TraceEventView> SnapshotTrace() {
       view.tid = buffer->tid;
       view.depth = event.depth;
       view.phase = event.phase;
-      view.id = event.id;
-      view.parent_id = event.parent_id;
-      view.link_id = event.link_id;
       if (event.arg1_name != nullptr) {
         view.args.emplace_back(event.arg1_name, event.arg1_value);
       }
@@ -192,18 +171,6 @@ void WriteChromeTrace(std::ostream& os) {
       w.BeginObject();
       w.Key("depth");
       w.Uint(event.depth);
-      if (event.id != 0) {
-        w.Key("id");
-        w.Uint(event.id);
-      }
-      if (event.parent_id != 0) {
-        w.Key("parent");
-        w.Uint(event.parent_id);
-      }
-      if (event.link_id != 0) {
-        w.Key("link");
-        w.Uint(event.link_id);
-      }
       if (event.arg1_name != nullptr) {
         w.Key(event.arg1_name);
         w.Int(event.arg1_value);

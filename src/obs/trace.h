@@ -12,14 +12,9 @@
 //  * Spans are RAII: SKYMR_TRACE_SPAN("name") records a complete ("X")
 //    event from construction to scope exit, with up to two static-named
 //    int64 args and the span's nesting depth on its thread.
-//  * Every span carries a stable id, its parent span's id, and an
-//    optional causal link to another span (see critical_path.h). The
-//    parent defaults to the innermost span open on the same thread;
-//    cross-thread edges (a pool task under a wave span, a reducer
-//    depending on a shuffle bucket) are set explicitly via
-//    SKYMR_TRACE_SPAN_ID + SetParent()/SetLink(). Ids restart from 1 at
-//    every StartTracing(), so a fixed workload yields a reproducible id
-//    assignment per (thread, order) schedule.
+//  * Spans carry no ids or cross-thread edges: a trace is for viewing.
+//    The critical path is analyzed from the engine's per-task metrics
+//    (critical_path.h), which only committed attempts write.
 //  * When the build is configured with -DSKYMR_TRACING=OFF the macros
 //    compile to nothing (argument expressions are type-checked but never
 //    evaluated), so hot paths carry zero cost.
@@ -88,12 +83,6 @@ struct TraceEventView {
   uint32_t tid = 0;
   uint32_t depth = 0;
   char phase = 'X';  // 'X' complete span, 'i' instant.
-  /// Stable span id (0 for plain instants), the enclosing/explicit
-  /// parent span's id (0 = root), and the causal-link target span id
-  /// (0 = none). See critical_path.h for how these become a DAG.
-  uint64_t id = 0;
-  uint64_t parent_id = 0;
-  uint64_t link_id = 0;
   std::vector<std::pair<std::string, int64_t>> args;
 };
 
@@ -118,9 +107,6 @@ struct TraceEvent {
   uint32_t depth;
   char phase;
   char name[kMaxNameLength + 1];
-  uint64_t id;
-  uint64_t parent_id;
-  uint64_t link_id;
   // Arg names must be string literals (stored by pointer).
   const char* arg1_name;
   const char* arg2_name;
@@ -134,16 +120,24 @@ double NowMicros();
 /// Appends one completed event to the calling thread's buffer.
 void RecordEvent(const TraceEvent& event);
 
-/// Allocates the next span id (process-wide; reset by StartTracing).
-uint64_t NextSpanId();
-
-/// Id of the innermost span open on this thread (0 when none).
-uint64_t CurrentSpanId();
-
-/// Pushes `id` onto this thread's open-span stack; returns the span's
-/// nesting depth. LeaveSpan pops.
-uint32_t EnterSpan(uint64_t id);
+/// Returns the nesting depth of a span opening on this thread and counts
+/// it as open; LeaveSpan closes it.
+uint32_t EnterSpan();
 void LeaveSpan();
+
+/// Sets `event`'s name (truncated to kMaxNameLength), phase and args.
+inline void InitEvent(TraceEvent& event, std::string_view name, char phase,
+                      const char* arg1_name, int64_t arg1_value,
+                      const char* arg2_name, int64_t arg2_value) {
+  const size_t n = name.size() < kMaxNameLength ? name.size() : kMaxNameLength;
+  std::memcpy(event.name, name.data(), n);
+  event.name[n] = '\0';
+  event.phase = phase;
+  event.arg1_name = arg1_name;
+  event.arg1_value = arg1_value;
+  event.arg2_name = arg2_name;
+  event.arg2_value = arg2_value;
+}
 
 /// Swallows macro arguments in compiled-out builds without evaluating
 /// them (the call sits in an `if (false)` branch).
@@ -163,20 +157,9 @@ class TraceSpan {
       return;
     }
     active_ = true;
-    const size_t n =
-        name.size() < internal::kMaxNameLength ? name.size()
-                                               : internal::kMaxNameLength;
-    std::memcpy(event_.name, name.data(), n);
-    event_.name[n] = '\0';
-    event_.phase = 'X';
-    event_.arg1_name = arg1_name;
-    event_.arg1_value = arg1_value;
-    event_.arg2_name = arg2_name;
-    event_.arg2_value = arg2_value;
-    event_.id = internal::NextSpanId();
-    event_.parent_id = internal::CurrentSpanId();
-    event_.link_id = 0;
-    event_.depth = internal::EnterSpan(event_.id);
+    internal::InitEvent(event_, name, 'X', arg1_name, arg1_value, arg2_name,
+                        arg2_value);
+    event_.depth = internal::EnterSpan();
     event_.ts_us = internal::NowMicros();
   }
 
@@ -192,37 +175,9 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// This span's stable id (0 when tracing is inactive).
-  uint64_t id() const { return active_ ? event_.id : 0; }
-
-  /// Overrides the auto (same-thread) parent — for spans whose causal
-  /// parent opened on another thread (pool tasks under a wave span).
-  void SetParent(uint64_t parent_id) {
-    if (active_) {
-      event_.parent_id = parent_id;
-    }
-  }
-
-  /// Records a causal dependency on another span (shuffle edges): this
-  /// span could not start before the linked span finished.
-  void SetLink(uint64_t link_id) {
-    if (active_) {
-      event_.link_id = link_id;
-    }
-  }
-
  private:
   bool active_ = false;
   internal::TraceEvent event_;
-};
-
-/// No-op stand-in SKYMR_TRACE_SPAN_ID declares in compiled-out builds:
-/// id() folds to 0 and the Set* calls vanish, so call sites need no
-/// #ifdefs yet carry zero cost under -DSKYMR_TRACING=OFF.
-struct NullTraceSpan {
-  static constexpr uint64_t id() { return 0; }
-  static constexpr void SetParent(uint64_t) {}
-  static constexpr void SetLink(uint64_t) {}
 };
 
 /// Records a zero-duration instant event (e.g. a task retry).
@@ -235,50 +190,8 @@ inline void TraceInstant(std::string_view name,
     return;
   }
   internal::TraceEvent event;
-  const size_t n = name.size() < internal::kMaxNameLength
-                       ? name.size()
-                       : internal::kMaxNameLength;
-  std::memcpy(event.name, name.data(), n);
-  event.name[n] = '\0';
-  event.phase = 'i';
-  event.arg1_name = arg1_name;
-  event.arg1_value = arg1_value;
-  event.arg2_name = arg2_name;
-  event.arg2_value = arg2_value;
-  event.id = 0;
-  event.parent_id = internal::CurrentSpanId();
-  event.link_id = 0;
-  event.depth = 0;
-  event.ts_us = internal::NowMicros();
-  event.dur_us = 0.0;
-  internal::RecordEvent(event);
-}
-
-/// Records an instant attached to an explicit parent span — for marks
-/// that belong to a span owned by other code (the engine's task.commit
-/// marks, recorded under the winning attempt's task span).
-inline void TraceInstantUnder(uint64_t parent_id, std::string_view name,
-                              const char* arg1_name = nullptr,
-                              int64_t arg1_value = 0,
-                              const char* arg2_name = nullptr,
-                              int64_t arg2_value = 0) {
-  if (!TracingActive()) {
-    return;
-  }
-  internal::TraceEvent event;
-  const size_t n = name.size() < internal::kMaxNameLength
-                       ? name.size()
-                       : internal::kMaxNameLength;
-  std::memcpy(event.name, name.data(), n);
-  event.name[n] = '\0';
-  event.phase = 'i';
-  event.arg1_name = arg1_name;
-  event.arg1_value = arg1_value;
-  event.arg2_name = arg2_name;
-  event.arg2_value = arg2_value;
-  event.id = 0;
-  event.parent_id = parent_id;
-  event.link_id = 0;
+  internal::InitEvent(event, name, 'i', arg1_name, arg1_value, arg2_name,
+                      arg2_value);
   event.depth = 0;
   event.ts_us = internal::NowMicros();
   event.dur_us = 0.0;
@@ -298,16 +211,6 @@ inline void TraceInstantUnder(uint64_t parent_id, std::string_view name,
                                              __LINE__)(__VA_ARGS__)
 /// Records an instant event: SKYMR_TRACE_INSTANT("task.retry", "task", i);
 #define SKYMR_TRACE_INSTANT(...) ::skymr::obs::TraceInstant(__VA_ARGS__)
-/// Opens a span bound to a named local so the caller can read its id and
-/// set cross-thread parent / causal-link edges:
-///   SKYMR_TRACE_SPAN_ID(span, "map.task", "task", id);
-///   span.SetParent(wave_id);
-#define SKYMR_TRACE_SPAN_ID(var, ...) \
-  ::skymr::obs::TraceSpan var(__VA_ARGS__)
-/// Instant under an explicit parent span id:
-///   SKYMR_TRACE_INSTANT_UNDER(span.id(), "task.commit");
-#define SKYMR_TRACE_INSTANT_UNDER(...) \
-  ::skymr::obs::TraceInstantUnder(__VA_ARGS__)
 #else
 // Compiled out: arguments are type-checked inside a dead branch (keeping
 // names "used" for -Werror) but never evaluated, and the branch folds away.
@@ -318,22 +221,6 @@ inline void TraceInstantUnder(uint64_t parent_id, std::string_view name,
     }                                                          \
   } while (0)
 #define SKYMR_TRACE_INSTANT(...)                               \
-  do {                                                         \
-    if (false) {                                               \
-      ::skymr::obs::internal::IgnoreTraceArgs(__VA_ARGS__);    \
-    }                                                          \
-  } while (0)
-// Declares `var` as a NullTraceSpan: id() folds to the constant 0, the
-// Set* methods are empty inlines, and the span arguments fold away in a
-// dead branch — the id bookkeeping fully compiles out.
-#define SKYMR_TRACE_SPAN_ID(var, ...)                          \
-  [[maybe_unused]] ::skymr::obs::NullTraceSpan var;            \
-  do {                                                         \
-    if (false) {                                               \
-      ::skymr::obs::internal::IgnoreTraceArgs(__VA_ARGS__);    \
-    }                                                          \
-  } while (0)
-#define SKYMR_TRACE_INSTANT_UNDER(...)                         \
   do {                                                         \
     if (false) {                                               \
       ::skymr::obs::internal::IgnoreTraceArgs(__VA_ARGS__);    \

@@ -1,9 +1,9 @@
 // Tests of the open-loop traffic harness (bench/loadgen): schedule
 // determinism, coordinated-omission-safe latency accounting, the
-// skymr-load-v1 artifact, the doctor's load heuristics, and the flight
-// recorder post-mortem flow on an injected fatal chaos fault. RunLoadTest
-// drives the one driver, RunLoad, in batch mode (a fresh session per
-// query), RunServeLoadTest in serve mode (resident sessions).
+// skymr-bench-v1 load artifact, the doctor's load heuristics, and the
+// flight recorder post-mortem flow on an injected fatal chaos fault.
+// RunLoadTest drives the one driver, RunLoad, in batch mode (a fresh
+// session per query), RunServeLoadTest in serve mode (resident sessions).
 
 #include "bench/loadgen/loadgen.h"
 
@@ -185,22 +185,11 @@ TEST(LoadArtifactTest, WritesValidSchemaWithDeterministicRows) {
   auto report = RunLoad(config, nullptr, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
   std::ostringstream os;
-  WriteLoadArtifact(config, report.value(), os);
+  BuildLoadArtifact(config, report.value()).Write(os);
   auto doc = obs::ParseJson(os.str());
   ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_EQ(doc->GetString("schema", ""), "skymr-load-v1");
+  EXPECT_EQ(doc->GetString("schema", ""), "skymr-bench-v1");
   EXPECT_EQ(doc->GetString("bench", ""), "loadgen");
-  // Batch artifacts carry no session counters, so the committed batch
-  // baselines and the doctor's session-cache-cold check are unaffected.
-  const obs::JsonValue* cfg = doc->Find("config");
-  ASSERT_NE(cfg, nullptr);
-  EXPECT_EQ(cfg->GetString("mode", ""), "batch");
-  const obs::JsonValue* load = doc->Find("load");
-  ASSERT_NE(load, nullptr);
-  const obs::JsonValue* counters = load->Find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->Find("session_cache_hits"), nullptr);
-  EXPECT_EQ(counters->Find("session_cache_misses"), nullptr);
   const obs::JsonValue* rows = doc->Find("rows");
   ASSERT_NE(rows, nullptr);
   ASSERT_TRUE(rows->is_array());
@@ -208,6 +197,12 @@ TEST(LoadArtifactTest, WritesValidSchemaWithDeterministicRows) {
   ASSERT_EQ(rows->AsArray().size(), 1 + config.mix.size());
   const obs::JsonValue& agg = rows->AsArray()[0];
   EXPECT_EQ(agg.GetString("name", ""), "loadgen");
+  const obs::JsonValue* metrics = agg.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->GetDouble("serve", -1.0), 0.0);
+  const obs::JsonValue* wall = agg.Find("wall");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->GetInt("reps", -1), config.queries);
   const obs::JsonValue* det = agg.Find("deterministic");
   ASSERT_NE(det, nullptr);
   EXPECT_EQ(det->GetInt("queries", -1), config.queries);
@@ -215,6 +210,17 @@ TEST(LoadArtifactTest, WritesValidSchemaWithDeterministicRows) {
       (static_cast<uint64_t>(det->GetInt("schedule_hash_hi", 0)) << 32) |
       static_cast<uint64_t>(det->GetInt("schedule_hash_lo", 0));
   EXPECT_EQ(hash, report->schedule_hash);
+  // Batch rows carry no session keys, so the committed batch baselines
+  // and the doctor's session-cache-cold check are unaffected.
+  for (const obs::JsonValue& row : rows->AsArray()) {
+    const std::string name = row.GetString("name", "");
+    EXPECT_EQ(row.Find("deterministic")->Find("session_cache_hits"),
+              nullptr)
+        << name;
+    EXPECT_EQ(row.Find("deterministic")->Find("bitstring_jobs"), nullptr)
+        << name;
+    EXPECT_EQ(row.Find("metrics")->Find("cache_hits"), nullptr) << name;
+  }
   // Per-size query counts partition the schedule.
   int64_t total = 0;
   for (size_t i = 1; i < rows->AsArray().size(); ++i) {
@@ -223,7 +229,7 @@ TEST(LoadArtifactTest, WritesValidSchemaWithDeterministicRows) {
     total += size_det->GetInt("queries", 0);
   }
   EXPECT_EQ(total, config.queries);
-  // The doctor accepts the artifact and a healthy tiny run is clean.
+  // The doctor accepts the artifact.
   auto findings = obs::AnalyzeLoadJson(os.str());
   ASSERT_TRUE(findings.ok()) << findings.status();
 }
@@ -340,30 +346,27 @@ TEST(LoadArtifactTest, ServeArtifactCarriesSessionCounters) {
   auto report = RunLoad(config, nullptr, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
   std::ostringstream os;
-  WriteLoadArtifact(config, report.value(), os);
+  BuildLoadArtifact(config, report.value()).Write(os);
   auto doc = obs::ParseJson(os.str());
   ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_EQ(doc->GetString("schema", ""), "skymr-load-v1");
-  const obs::JsonValue* cfg = doc->Find("config");
-  ASSERT_NE(cfg, nullptr);
-  EXPECT_EQ(cfg->GetString("mode", ""), "serve");
-  const obs::JsonValue* load = doc->Find("load");
-  ASSERT_NE(load, nullptr);
-  const obs::JsonValue* counters = load->Find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->GetInt("session_cache_hits", -1),
-            report->session_cache_hits);
-  EXPECT_EQ(counters->GetInt("session_cache_misses", -1),
-            report->session_cache_misses);
-  // The cache-effectiveness signal is part of the *deterministic* diff
-  // surface, so a regression that stops sharing the phase fails CI.
+  EXPECT_EQ(doc->GetString("schema", ""), "skymr-bench-v1");
   const obs::JsonValue* rows = doc->Find("rows");
   ASSERT_NE(rows, nullptr);
-  const obs::JsonValue* det = rows->AsArray()[0].Find("deterministic");
+  const obs::JsonValue& agg = rows->AsArray()[0];
+  const obs::JsonValue* metrics = agg.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->GetDouble("serve", -1.0), 1.0);
+  // The cache-effectiveness signal is part of the *deterministic* diff
+  // surface, so a regression that stops sharing the phase fails CI. Every
+  // executed bitstring job was a miss, so bitstring_jobs is the miss
+  // count, written once.
+  const obs::JsonValue* det = agg.Find("deterministic");
   ASSERT_NE(det, nullptr);
   EXPECT_EQ(det->GetInt("session_cache_hits", -1),
             report->session_cache_hits);
   EXPECT_EQ(det->GetInt("bitstring_jobs", -1), report->bitstring_jobs);
+  EXPECT_EQ(det->GetInt("bitstring_jobs", -1), report->session_cache_misses);
+  EXPECT_EQ(det->Find("session_cache_misses"), nullptr);
   auto findings = obs::AnalyzeLoadJson(os.str());
   ASSERT_TRUE(findings.ok()) << findings.status();
 }

@@ -1,8 +1,6 @@
 #include "src/obs/critical_path.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -11,7 +9,6 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/task_metrics.h"
-#include "src/obs/trace.h"
 #include "tests/serve/session_test_util.h"
 
 namespace skymr::obs {
@@ -238,17 +235,13 @@ TEST(AnalyzeCriticalPathTest, RetriedTaskAttemptsSurfaceOnSteps) {
   EXPECT_EQ(report.steps[0].attempts, 3);
 }
 
-// ---------------------------------------------------------------------
-// Span-DAG reconstruction from traces.
-// ---------------------------------------------------------------------
-
-TEST(SpanDagTest, TracedRunYieldsCommittedSpanDag) {
-  if (!TracingCompiledIn()) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
+TEST(AnalyzeCriticalPathTest, RetriesLeaveTheDeterministicPathUnchanged) {
+  // Only the attempt that wins TryCommit writes its TaskMetrics, so a
+  // failed attempt must never reach the analyzer: a run that retried tasks
+  // has the chaos-free run's DAG shape and record-count path.
   data::GeneratorConfig gen;
-  gen.distribution = data::Distribution::kAntiCorrelated;
-  gen.cardinality = 600;
+  gen.distribution = data::Distribution::kIndependent;
+  gen.cardinality = 800;
   gen.dim = 3;
   gen.seed = 7;
   const Dataset data = std::move(data::Generate(gen)).value();
@@ -256,167 +249,52 @@ TEST(SpanDagTest, TracedRunYieldsCommittedSpanDag) {
   QuerySpec query;
   query.algorithm = Algorithm::kMrGpmrs;
   options.engine.num_map_tasks = 3;
-  options.engine.num_reducers = 2;
+  options.engine.num_reducers = 3;
+  options.engine.max_task_attempts = 4;
   options.ppd.max_candidate = 8;
 
-  StopTracing();
-  ClearTrace();
-  StartTracing();
-  auto result = SubmitOnce(data, options, query);
-  StopTracing();
-  ASSERT_TRUE(result.ok()) << result.status();
-  const std::vector<TraceEventView> events = SnapshotTrace();
-  ClearTrace();
+  auto clean = SubmitOnce(data, options, query);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  const CriticalPathReport expected = AnalyzeCriticalPath(clean->jobs);
+  ASSERT_TRUE(expected.valid);
 
-  const SpanDag dag = BuildSpanDag(events);
-  EXPECT_EQ(dag.dropped_attempts, 0u);  // No chaos: every attempt wins.
-  ASSERT_FALSE(dag.nodes.empty());
-
-  // Ids are unique, sorted, and every parent/link resolves in-DAG.
-  std::set<uint64_t> ids;
-  for (const SpanDagNode& node : dag.nodes) {
-    EXPECT_NE(node.id, 0u);
-    EXPECT_TRUE(ids.insert(node.id).second) << "duplicate id " << node.id;
-  }
-  size_t task_spans = 0;
-  size_t shuffle_links = 0;
-  for (const SpanDagNode& node : dag.nodes) {
-    if (node.parent_id != 0) {
-      EXPECT_TRUE(ids.count(node.parent_id) > 0)
-          << node.name << " has dangling parent " << node.parent_id;
-    }
-    if (node.link_id != 0) {
-      ++shuffle_links;
-      EXPECT_TRUE(ids.count(node.link_id) > 0)
-          << node.name << " has dangling link " << node.link_id;
-    }
-    if (node.name == "map.task" || node.name == "reduce.task") {
-      ++task_spans;
-      EXPECT_NE(node.parent_id, 0u) << "task span without a wave parent";
-    }
-  }
-  EXPECT_EQ(task_spans, 9u);      // (3 maps + 1 red) + (3 maps + 2 red).
-  EXPECT_GE(shuffle_links, 3u);   // Every shuffle.bucket links its maps.
-}
-
-TEST(SpanDagTest, LosingAttemptsNeverEnterTheDag) {
-  if (!TracingCompiledIn()) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
-  data::GeneratorConfig gen;
-  gen.distribution = data::Distribution::kIndependent;
-  gen.cardinality = 800;
-  gen.dim = 3;
-
-  // Shuffle corruption fails a reduce attempt mid-body — after its span
-  // opened — so the trace contains the losing attempt and BuildSpanDag
-  // must drop it. The injection is a seed-keyed hash; sweep seeds until
-  // a run both finishes and saw at least one corrupted attempt.
+  // Crashes fail attempts before the body and corruption fails reduce
+  // attempts mid-body. The injection is a seed-keyed hash; sweep seeds
+  // until a run finishes having retried at least one task.
+  options.engine.chaos.crash_rate = 0.3;
+  options.engine.chaos.corrupt_rate = 0.3;
   bool exercised = false;
   for (uint64_t seed = 1; seed <= 20 && !exercised; ++seed) {
-    gen.seed = seed;
-    const Dataset data = std::move(data::Generate(gen)).value();
-    SessionOptions options;
-    QuerySpec query;
-    query.algorithm = Algorithm::kMrGpmrs;
-    options.engine.num_map_tasks = 3;
-    options.engine.num_reducers = 3;
-    options.ppd.max_candidate = 8;
     options.engine.chaos.seed = seed;
-    options.engine.chaos.corrupt_rate = 0.5;
-
-    StopTracing();
-    ClearTrace();
-    StartTracing();
-    auto result = SubmitOnce(data, options, query);
-    StopTracing();
-    if (!result.ok()) {
-      continue;  // All attempts of some task corrupted; try another seed.
+    auto chaotic = SubmitOnce(data, options, query);
+    if (!chaotic.ok()) {
+      continue;  // Some task failed all four attempts; try another seed.
     }
-    const std::vector<TraceEventView> events = SnapshotTrace();
-    ClearTrace();
-
-    const SpanDag dag = BuildSpanDag(events);
-    if (dag.dropped_attempts == 0) {
-      continue;  // This seed corrupted nothing; try another.
+    int64_t retries = 0;
+    for (const mr::JobMetrics& job : chaotic->jobs) {
+      retries += job.counters.Get("mr.task_retries");
+    }
+    if (retries == 0) {
+      continue;  // This seed failed nothing; try another.
     }
     exercised = true;
-
-    // Independently recompute the committed span ids and check the DAG
-    // kept exactly those task spans.
-    std::set<uint64_t> committed;
-    for (const TraceEventView& e : events) {
-      if (e.phase == 'i' && e.name == "task.commit") {
-        committed.insert(e.parent_id);
-      }
+    EXPECT_EQ(chaotic->SkylineIds(), clean->SkylineIds());
+    const CriticalPathReport report = AnalyzeCriticalPath(chaotic->jobs);
+    ASSERT_TRUE(report.valid);
+    EXPECT_EQ(report.dag_signature, expected.dag_signature)
+        << "chaos seed " << seed;
+    ASSERT_EQ(report.deterministic_phases.size(),
+              expected.deterministic_phases.size());
+    for (size_t i = 0; i < report.deterministic_phases.size(); ++i) {
+      EXPECT_EQ(report.deterministic_phases[i].phase,
+                expected.deterministic_phases[i].phase);
+      EXPECT_EQ(report.deterministic_phases[i].records,
+                expected.deterministic_phases[i].records);
     }
-    for (const SpanDagNode& node : dag.nodes) {
-      if (node.name == "map.task" || node.name == "reduce.task") {
-        EXPECT_TRUE(committed.count(node.id) > 0)
-            << "uncommitted attempt " << node.id << " entered the DAG";
-      }
-    }
-    // And the losing attempts exist in the raw trace but not in the DAG.
-    std::set<uint64_t> dag_ids;
-    for (const SpanDagNode& node : dag.nodes) {
-      dag_ids.insert(node.id);
-    }
-    size_t losing = 0;
-    for (const TraceEventView& e : events) {
-      if (e.phase == 'X' &&
-          (e.name == "map.task" || e.name == "reduce.task") &&
-          committed.count(e.id) == 0) {
-        ++losing;
-        EXPECT_EQ(dag_ids.count(e.id), 0u)
-            << "losing attempt " << e.id << " entered the DAG";
-      }
-    }
-    EXPECT_EQ(losing, dag.dropped_attempts);
   }
   EXPECT_TRUE(exercised)
-      << "no seed in 1..20 produced a finished run with a corrupted "
-         "attempt; loosen the sweep";
-}
-
-TEST(SpanDagTest, SameSeedRunsProduceIdenticalDagShape) {
-  if (!TracingCompiledIn()) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
-  data::GeneratorConfig gen;
-  gen.cardinality = 500;
-  gen.dim = 3;
-  gen.seed = 11;
-  const Dataset data = std::move(data::Generate(gen)).value();
-  SessionOptions options;
-  QuerySpec query;
-  query.algorithm = Algorithm::kMrGpmrs;
-  options.engine.num_map_tasks = 3;
-  options.engine.num_reducers = 2;
-  options.ppd.max_candidate = 8;
-
-  const auto shape = [&]() {
-    StopTracing();
-    ClearTrace();
-    StartTracing();
-    auto result = SubmitOnce(data, options, query);
-    StopTracing();
-    EXPECT_TRUE(result.ok()) << result.status();
-    const SpanDag dag = BuildSpanDag(SnapshotTrace());
-    ClearTrace();
-    // Name plus parent/link names: thread scheduling may reorder span-id
-    // assignment, but the shape (who nests under whom) is seed-stable.
-    std::multiset<std::string> out;
-    std::map<uint64_t, std::string> names;
-    for (const SpanDagNode& node : dag.nodes) {
-      names[node.id] = node.name;
-    }
-    for (const SpanDagNode& node : dag.nodes) {
-      out.insert(node.name + "<" + names[node.parent_id] + "|" +
-                 names[node.link_id]);
-    }
-    return out;
-  };
-  EXPECT_EQ(shape(), shape());
+      << "no chaos seed in 1..20 produced a finished run with a retried "
+         "task; loosen the sweep";
 }
 
 }  // namespace

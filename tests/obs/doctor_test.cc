@@ -454,26 +454,39 @@ TEST(DoctorTest, ShortLivedSamplerNeverTripsOverheadCheck) {
 }
 
 // ---------------------------------------------------------------------
-// Load-artifact findings (skymr-load-v1).
+// Load-artifact findings (the `loadgen` row of a skymr-bench-v1 document).
 // ---------------------------------------------------------------------
 
-/// Minimal skymr-load-v1 document: `queries` measured latencies with the
-/// given p50/p99, a queue-wait p99, and a log-drop counter.
-std::string Load(int64_t queries, double p50_us, double p99_us,
-                 double wait_p99_us, int64_t log_dropped = 0) {
+/// A load artifact whose aggregate `loadgen` row holds `metrics` and
+/// `deterministic` (JSON object bodies), after a `size:tiny` row.
+std::string LoadDoc(int64_t queries, double p50_us,
+                    const std::string& metrics,
+                    const std::string& deterministic) {
   std::ostringstream os;
-  os << R"({"schema": "skymr-load-v1", "bench": "loadgen", "load": {)"
-     << R"("latency": {"count": )" << queries << R"(, "p50_us": )" << p50_us
-     << R"(, "p95_us": )" << p99_us << R"(, "p99_us": )" << p99_us
-     << R"(, "max_us": )" << p99_us << R"(, "mean_us": )" << p50_us << "}, "
-     << R"("queue_wait": {"count": )" << queries
-     << R"(, "p50_us": 1.0, "p95_us": )" << wait_p99_us
-     << R"(, "p99_us": )" << wait_p99_us << R"(, "max_us": )" << wait_p99_us
-     << R"(, "mean_us": 1.0}, )"
-     << R"("counters": {"completed": )" << queries
-     << R"(, "errors": 0, "deadline_missed": 0, "log_dropped": )"
-     << log_dropped << "}}}";
+  os << R"({"schema": "skymr-bench-v1", "bench": "loadgen", "rows": [)"
+     << R"({"name": "size:tiny", "wall": {"reps": 0}, "metrics": {},)"
+     << R"( "deterministic": {"queries": 0}},)"
+     << R"( {"name": "loadgen", "wall": {"reps": )" << queries
+     << R"(, "median_seconds": )" << p50_us / 1e6 << "}, "
+     << R"("metrics": {)" << metrics << "}, "
+     << R"("deterministic": {)" << deterministic << "}}]}";
   return os.str();
+}
+
+/// Minimal load artifact: `queries` measured latencies with the given
+/// p50/p99, a queue-wait p99, a log-drop count, and every query completed
+/// unless `errors` failed.
+std::string Load(int64_t queries, double p50_us, double p99_us,
+                 double wait_p99_us, int64_t log_dropped = 0,
+                 int64_t errors = 0) {
+  std::ostringstream metrics;
+  metrics << R"("latency_p99_us": )" << p99_us
+          << R"(, "queue_wait_p99_us": )" << wait_p99_us
+          << R"(, "log_dropped": )" << log_dropped;
+  std::ostringstream det;
+  det << R"("queries": )" << queries << R"(, "completed": )"
+      << queries - errors << R"(, "errors": )" << errors;
+  return LoadDoc(queries, p50_us, metrics.str(), det.str());
 }
 
 std::vector<Finding> AnalyzeLoadDoc(const std::string& json) {
@@ -484,9 +497,22 @@ std::vector<Finding> AnalyzeLoadDoc(const std::string& json) {
 }
 
 TEST(DoctorTest, LoadRejectsWrongSchema) {
-  EXPECT_FALSE(AnalyzeLoadJson(R"({"schema": "skymr-bench-v1"})").ok());
+  EXPECT_FALSE(AnalyzeLoadJson(R"({"schema": "skymr-report-v2"})").ok());
   EXPECT_FALSE(AnalyzeLoadJson("[]").ok());
   EXPECT_FALSE(AnalyzeLoadJson("nope").ok());
+  // The retired load schema, even with a loadgen row.
+  std::string retired = Load(100, 2000.0, 8000.0, 500.0);
+  retired.replace(retired.find("skymr-bench-v1"), 14, "skymr-load-v1");
+  EXPECT_FALSE(AnalyzeLoadJson(retired).ok());
+  // A bench document with no loadgen row (a figure bench's artifact).
+  EXPECT_FALSE(AnalyzeLoadJson(
+                   R"({"schema": "skymr-bench-v1", "bench": "bench_fig7",)"
+                   R"( "rows": [{"name": "loadgen-ish", "wall": {},)"
+                   R"( "metrics": {}, "deterministic": {}}]})")
+                   .ok());
+  EXPECT_FALSE(
+      AnalyzeLoadJson(R"({"schema": "skymr-bench-v1", "bench": "loadgen"})")
+          .ok());
 }
 
 TEST(DoctorTest, HealthyLoadIsClean) {
@@ -534,24 +560,49 @@ TEST(DoctorTest, FlagsLogDropFromLoadCounters) {
   ASSERT_TRUE(HasCode(findings, "log-drop")) << RenderFindings(findings);
 }
 
+Severity QueryErrorsSeverity(const std::vector<Finding>& findings) {
+  for (const Finding& finding : findings) {
+    if (finding.code == "query-errors") {
+      return finding.severity;
+    }
+  }
+  ADD_FAILURE() << "no query-errors finding: " << RenderFindings(findings);
+  return Severity::kInfo;
+}
+
+TEST(DoctorTest, FlagsFailedQueriesAsWarning) {
+  // 3 of 100 queries failed; the latency tail itself is healthy.
+  const auto findings = AnalyzeLoadDoc(
+      Load(100, 2000.0, 8000.0, 500.0, /*log_dropped=*/0, /*errors=*/3));
+  EXPECT_EQ(QueryErrorsSeverity(findings), Severity::kWarning);
+}
+
+TEST(DoctorTest, NoCompletedQueryEscalatesToCritical) {
+  // Every query failed fast: the latency checks see a quick, quiet run.
+  const auto findings = AnalyzeLoadDoc(
+      Load(24, 300.0, 900.0, 100.0, /*log_dropped=*/0, /*errors=*/24));
+  EXPECT_EQ(QueryErrorsSeverity(findings), Severity::kCritical);
+  EXPECT_EQ(findings[0].code, "query-errors");
+}
+
+TEST(DoctorTest, NoFailedQueryStaysSilent) {
+  const auto findings = AnalyzeLoadDoc(Load(100, 2000.0, 8000.0, 500.0));
+  EXPECT_FALSE(HasCode(findings, "query-errors")) << RenderFindings(findings);
+}
+
 /// A healthy-latency serve-mode document whose session cache resolved
-/// `hits` of `hits + misses` bitstring lookups.
+/// `hits` of `hits + misses` bitstring lookups (every miss ran one
+/// bitstring job).
 std::string ServeLoad(int64_t hits, int64_t misses) {
   const int64_t queries = hits + misses;
-  std::ostringstream os;
-  os << R"({"schema": "skymr-load-v1", "bench": "loadgen", "load": {)"
-     << R"("latency": {"count": )" << queries
-     << R"(, "p50_us": 2000.0, "p95_us": 8000.0, "p99_us": 8000.0)"
-     << R"(, "max_us": 8000.0, "mean_us": 2000.0}, )"
-     << R"("queue_wait": {"count": )" << queries
-     << R"(, "p50_us": 1.0, "p95_us": 500.0, "p99_us": 500.0)"
-     << R"(, "max_us": 500.0, "mean_us": 1.0}, )"
-     << R"("counters": {"completed": )" << queries
-     << R"(, "errors": 0, "deadline_missed": 0, "log_dropped": 0)"
-     << R"(, "session_cache_hits": )" << hits
-     << R"(, "session_cache_misses": )" << misses
-     << R"(, "bitstring_jobs": )" << misses << "}}}";
-  return os.str();
+  std::ostringstream det;
+  det << R"("queries": )" << queries << R"(, "completed": )" << queries
+      << R"(, "errors": 0, "session_cache_hits": )" << hits
+      << R"(, "bitstring_jobs": )" << misses;
+  return LoadDoc(queries, 2000.0,
+                 R"("latency_p99_us": 8000.0, "queue_wait_p99_us": 500.0,)"
+                 R"( "log_dropped": 0, "serve": 1)",
+                 det.str());
 }
 
 TEST(DoctorTest, FlagsColdSessionCache) {

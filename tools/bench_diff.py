@@ -41,13 +41,9 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_diff: FAIL: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(1)
-    # skymr-load-v1 embeds the same rows[] shape (name/wall/metrics/
-    # deterministic) as the bench schema, so load artifacts diff with the
-    # identical row machinery.
-    if doc.get("schema") not in ("skymr-bench-v1", "skymr-load-v1"):
+    if doc.get("schema") != "skymr-bench-v1":
         print(f"bench_diff: FAIL: {path}: schema is {doc.get('schema')!r},"
-              " expected 'skymr-bench-v1' or 'skymr-load-v1'",
-              file=sys.stderr)
+              " expected 'skymr-bench-v1'", file=sys.stderr)
         sys.exit(1)
     return doc
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validates skymr observability artifacts: a Chrome trace (skymr-trace-v1),
 a job report (skymr-report-v2), a bench artifact (skymr-bench-v1), a
-metrics snapshot (skymr-metrics-v1), a load artifact (skymr-load-v1), and/or
-a flight-recorder crash dump (skymr-flight-v1).
+metrics snapshot (skymr-metrics-v1), a load artifact (a skymr-bench-v1
+document from bench "loadgen"), and/or a flight-recorder crash dump
+(skymr-flight-v1).
 
 Usage:
     check_obs_json.py [--trace trace.json] [--report report.json]
@@ -170,8 +171,8 @@ def check_environment(path, doc):
 
 
 def check_rows(path, doc, allow_zero_reps=False):
-    """Validates the bench-v1-shaped rows array shared by skymr-bench-v1
-    and skymr-load-v1; returns the rows keyed by name."""
+    """Validates a skymr-bench-v1 rows array; returns the rows keyed by
+    name."""
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         fail(f"{path}: rows missing or empty")
@@ -221,56 +222,41 @@ def check_bench(path):
     print(f"check_obs_json: {path}: {len(rows)} bench rows OK")
 
 
-def check_sketch_summary(where, s):
-    for key in ("count", "p50_us", "p95_us", "p99_us", "max_us", "mean_us"):
-        if key not in s:
-            fail(f"{where}: lacks {key!r}")
-    if s["count"] > 0:
-        if not s["p50_us"] <= s["p95_us"] <= s["p99_us"]:
-            fail(f"{where}: percentiles out of order: {s}")
-        if s["p99_us"] > s["max_us"] * 1.01 + 1e-9:
-            # The sketch's p99 is a bucket upper bound (1% relative
-            # error), so it may sit a hair above the exact max.
-            fail(f"{where}: p99 above max: {s}")
+# Metrics the load harness's aggregate `loadgen` row must carry: the run's
+# configuration (as numbers; `serve` is 1 for serve mode), its throughput,
+# the latency and queue-wait quantiles the row's wall block does not hold,
+# and the admission and logging counters.
+LOAD_METRICS = (
+    "seed", "target_qps", "admission_slots", "threads", "deadline_ms",
+    "chaos_enabled", "slow_query_index", "slow_query_ms", "serve",
+    "throughput_qps", "wall_seconds", "latency_p95_us", "latency_p99_us",
+    "queue_wait_p50_us", "queue_wait_p95_us", "queue_wait_p99_us",
+    "queue_wait_max_us", "queue_wait_mean_us", "deadline_missed",
+    "max_queue_depth", "max_inflight", "log_dropped")
+
+
+def check_quantiles(where, p50, p95, p99, max_us):
+    # Tolerate round-off from the wall block's seconds-to-microseconds
+    # conversion.
+    if not (p50 <= p95 * (1 + 1e-9) and p95 <= p99 * (1 + 1e-9)):
+        fail(f"{where}: percentiles out of order: {p50}, {p95}, {p99}")
+    if p99 > max_us * 1.01 + 1e-9:
+        # The sketch's p99 is a bucket upper bound (1% relative error),
+        # so it may sit a hair above the exact max.
+        fail(f"{where}: p99 {p99} above max {max_us}")
 
 
 def check_load(path):
+    """A load artifact is a skymr-bench-v1 document from bench "loadgen":
+    an aggregate `loadgen` row whose wall block summarizes every query's
+    latency, plus one `size:<class>` row per size class."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "skymr-load-v1":
+    if doc.get("schema") != "skymr-bench-v1":
         fail(f"{path}: schema is {doc.get('schema')!r}")
     if doc.get("bench") != "loadgen":
         fail(f"{path}: bench is {doc.get('bench')!r}")
     check_environment(path, doc)
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        fail(f"{path}: missing 'config'")
-    for key in ("seed", "target_qps", "queries", "admission_slots",
-                "threads", "deadline_ms", "chaos_enabled",
-                "slow_query_index", "slow_query_ms"):
-        if key not in config:
-            fail(f"{path}: config lacks {key!r}")
-    load = doc.get("load")
-    if not isinstance(load, dict):
-        fail(f"{path}: missing 'load'")
-    for key in ("latency", "queue_wait", "throughput_qps", "wall_seconds",
-                "counters"):
-        if key not in load:
-            fail(f"{path}: load lacks {key!r}")
-    check_sketch_summary(f"{path}: load.latency", load["latency"])
-    check_sketch_summary(f"{path}: load.queue_wait", load["queue_wait"])
-    counters = load["counters"]
-    for key in ("completed", "errors", "deadline_missed", "max_queue_depth",
-                "max_inflight", "log_dropped"):
-        if key not in counters:
-            fail(f"{path}: load.counters lacks {key!r}")
-        if counters[key] < 0:
-            fail(f"{path}: load.counters[{key!r}] is negative")
-    if counters["completed"] + counters["errors"] != config["queries"]:
-        fail(f"{path}: completed + errors != queries: {counters}")
-    if load["latency"]["count"] != config["queries"]:
-        fail(f"{path}: latency count {load['latency']['count']} != "
-             f"queries {config['queries']}")
     rows = check_rows(path, doc, allow_zero_reps=True)
     agg = rows.get("loadgen")
     if agg is None:
@@ -280,16 +266,36 @@ def check_load(path):
                 "completed", "errors", "comparisons"):
         if key not in det:
             fail(f"{path}: loadgen row deterministic lacks {key!r}")
-    if det["queries"] != config["queries"]:
-        fail(f"{path}: loadgen row queries != config.queries")
+    metrics = agg["metrics"]
+    for key in LOAD_METRICS:
+        if key not in metrics:
+            fail(f"{path}: loadgen row metrics lacks {key!r}")
+    for key in ("deadline_missed", "max_queue_depth", "max_inflight",
+                "log_dropped"):
+        if metrics[key] < 0:
+            fail(f"{path}: loadgen row metrics[{key!r}] is negative")
+    if det["completed"] + det["errors"] != det["queries"]:
+        fail(f"{path}: completed + errors != queries: {det}")
+    wall = agg["wall"]
+    if wall["reps"] != det["queries"]:
+        fail(f"{path}: latency count {wall['reps']} != queries "
+             f"{det['queries']}")
+    if wall["reps"] > 0:
+        check_quantiles(f"{path}: latency", wall["median_seconds"] * 1e6,
+                        metrics["latency_p95_us"], metrics["latency_p99_us"],
+                        wall["max_seconds"] * 1e6)
+        check_quantiles(f"{path}: queue wait", metrics["queue_wait_p50_us"],
+                        metrics["queue_wait_p95_us"],
+                        metrics["queue_wait_p99_us"],
+                        metrics["queue_wait_max_us"])
     size_rows = [r for name, r in rows.items() if name.startswith("size:")]
     if not size_rows:
         fail(f"{path}: no per-size rows")
     size_total = sum(r["deterministic"].get("queries", 0)
                      for r in size_rows)
-    if size_total != config["queries"]:
+    if size_total != det["queries"]:
         fail(f"{path}: per-size query counts sum to {size_total}, "
-             f"not {config['queries']}")
+             f"not {det['queries']}")
     print(f"check_obs_json: {path}: load artifact with {len(size_rows)} "
           f"size classes OK")
 

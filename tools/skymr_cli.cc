@@ -20,7 +20,7 @@
 //
 // `generate` writes a synthetic dataset as CSV; `skyline` computes a
 // (possibly constrained) skyline of a CSV dataset and prints metrics;
-// `stats` runs the same pipeline with tracing on and prints per-task skew,
+// `stats` runs the same pipeline and prints per-task skew,
 // retries, sketches, and the cost-model comparison — `--critical-path`
 // appends the obs/critical_path.h phase-attribution table (which paper
 // phase bounds the makespan, with what-if slack per phase) and
@@ -29,7 +29,7 @@
 // algorithms on the same input and prints a table; `serve` keeps the
 // dataset resident behind a serve/session.h Session and drives it with
 // the open-loop loadgen mix (cross-query bitstring cache + two-lane
-// admission), writing the skymr-load-v1 artifact; `doctor` analyzes a
+// admission), writing a skymr-bench-v1 artifact; `doctor` analyzes a
 // previously written skymr-report-v2 document and prints severity-ranked
 // findings (task skew, PPD-selection quality, cost-model deviation,
 // pruning effectiveness, reducer imbalance, retry storms, worker
@@ -323,14 +323,12 @@ int BuildPipeline(const Args& args, const skymr::Dataset& data,
 /// call StopCollecting() right after it, then one of the Write methods.
 class OutputSinks {
  public:
-  /// `always_trace` is the stats contract: collect spans even without
-  /// --trace-out, because the rendered tables read them.
-  OutputSinks(const Args& args, bool always_trace)
+  explicit OutputSinks(const Args& args)
       : trace_out_(args.GetString("trace-out", "")),
         report_out_(args.GetString("report-out", "")),
         metrics_out_(args.GetString("metrics-out", "")),
         bench_out_(args.GetString("bench-out", "")) {
-    if (always_trace || !trace_out_.empty()) {
+    if (!trace_out_.empty()) {
       skymr::obs::StartTracing();
     }
     if (!metrics_out_.empty()) {
@@ -442,7 +440,7 @@ int RunSkyline(const Args& args) {
     options.checkpoint = &checkpoint;
   }
 
-  OutputSinks sinks(args, /*always_trace=*/false);
+  OutputSinks sinks(args);
   options.engine.metrics = sinks.metrics();
   auto session = skymr::Session::Open(*data, options);
   if (!session.ok()) {
@@ -518,10 +516,9 @@ int RunStats(const Args& args) {
     return code;
   }
 
-  // stats always collects spans: the trace doubles as the data source
-  // for --trace-out and costs little at CLI scales. --metrics-out hooks
-  // the sinks' live registry + sampler into the engine.
-  OutputSinks sinks(args, /*always_trace=*/true);
+  // --metrics-out hooks the sinks' live registry + sampler into the
+  // engine.
+  OutputSinks sinks(args);
   options.engine.metrics = sinks.metrics();
   auto session = skymr::Session::Open(*data, options);
   if (!session.ok()) {
@@ -554,7 +551,7 @@ int RunCompare(const Args& args) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  OutputSinks sinks(args, /*always_trace=*/false);
+  OutputSinks sinks(args);
   std::printf("%-10s %10s %12s %12s %10s\n", "algorithm", "skyline",
               "modeled[s]", "shuffle[KB]", "wall[s]");
   // One pool for all six pipelines: threads spawn once, not per algorithm.
@@ -605,7 +602,7 @@ int RunCompare(const Args& args) {
 /// and drive it with the open-loop loadgen traffic mix
 /// (ResidentServeMix: the same tuples asked GPSRS/GPMRS/constrained
 /// questions, so the cross-query bitstring cache carries most of the
-/// load). Writes the skymr-load-v1 artifact to --out for
+/// load). Writes the skymr-bench-v1 load artifact to --out for
 /// tools/bench_diff.py and `doctor --load`. Exit 0 even when individual
 /// queries fail (errors are part of the workload under chaos); nonzero
 /// only for bad flags or harness-level failures.
@@ -641,7 +638,7 @@ int RunServe(const Args& args) {
     config.max_task_attempts = engine.max_task_attempts;
   }
 
-  OutputSinks sinks(args, /*always_trace=*/false);
+  OutputSinks sinks(args);
   auto report_or = skymr::loadgen::RunLoad(config, sinks.metrics(), nullptr);
   sinks.StopCollecting();
   if (!report_or.ok()) {
@@ -673,7 +670,8 @@ int RunServe(const Args& args) {
 
   const std::string out = args.GetString("out", "");
   if (!out.empty()) {
-    if (auto s = skymr::loadgen::WriteLoadArtifactFile(config, report, out);
+    if (auto s =
+            skymr::loadgen::BuildLoadArtifact(config, report).WriteFile(out);
         !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
