@@ -436,14 +436,13 @@ StatusOr<LoadReport> RunLoad(const LoadConfig& config,
   for (const std::unique_ptr<Session>& session : sessions) {
     const SessionStats stats = session->stats();
     report.session_cache_hits += stats.cache_hits;
-    report.session_cache_misses += stats.cache_misses;
+    report.bitstring_jobs += stats.cache_misses;
   }
   // Every bitstring phase that actually executed went through the cache
   // as a miss (this harness runs no external checkpoint), so misses ==
   // bitstring jobs == distinct fingerprints queried. Batch mode's
   // throwaway sessions are not summed: its artifact carries no session
   // counters.
-  report.bitstring_jobs = report.session_cache_misses;
   report.log_dropped = logger != nullptr ? logger->dropped() : 0;
   return report;
 }

@@ -161,12 +161,13 @@ struct LoadReport {
   double wall_seconds = 0.0;
   /// Logger drop count at the end of the run (mr.log_dropped).
   int64_t log_dropped = 0;
-  /// Serve mode: session cache traffic summed over every resident
-  /// session, and the bitstring jobs that actually executed.
-  /// Deterministic for a fixed config: single-flight guarantees exactly
-  /// one miss per distinct fingerprint no matter how queries interleave.
+  /// Serve mode: session cache hits summed over every resident session,
+  /// and the bitstring jobs that actually executed. Every executed job
+  /// was a cache miss (the harness runs no checkpoint store), so
+  /// bitstring_jobs is also the miss count. Deterministic for a fixed
+  /// config: single-flight guarantees exactly one miss per distinct
+  /// fingerprint no matter how queries interleave.
   int64_t session_cache_hits = 0;
-  int64_t session_cache_misses = 0;
   int64_t bitstring_jobs = 0;
 };
 

@@ -208,9 +208,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(report.log_dropped));
   if (config.serve) {
     std::printf(
-        "session cache: %lld hits, %lld misses, %lld bitstring jobs\n",
+        "session cache: %lld hits, %lld bitstring jobs (misses)\n",
         static_cast<long long>(report.session_cache_hits),
-        static_cast<long long>(report.session_cache_misses),
         static_cast<long long>(report.bitstring_jobs));
   }
   if (!out.empty()) {

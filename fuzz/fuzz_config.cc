@@ -42,7 +42,6 @@ skymr::mr::ChaosSchedule ConsumeChaosSchedule(FuzzInput* input) {
   chaos.slow_until_attempt = input->ConsumeRaw<int32_t>();
   chaos.corrupt_rate = input->ConsumeDouble();
   chaos.cache_fail_rate = input->ConsumeDouble();
-  chaos.bad_worker = input->ConsumeRaw<int32_t>();
   chaos.fail_job = input->ConsumeBytes(8);
   return chaos;
 }
@@ -61,12 +60,6 @@ void ConsumeRawConfig(FuzzInput* input, skymr::SessionOptions* options,
   options->engine.max_task_attempts = input->ConsumeRaw<int32_t>();
   options->engine.retry_backoff_base_ms = input->ConsumeDouble();
   options->engine.retry_backoff_max_ms = input->ConsumeDouble();
-  options->engine.num_workers = input->ConsumeRaw<int16_t>();
-  options->engine.worker_blacklist_threshold = input->ConsumeRaw<int32_t>();
-  options->engine.speculative_execution = input->ConsumeBool();
-  options->engine.speculation_wave_fraction = input->ConsumeDouble();
-  options->engine.speculation_slowdown = input->ConsumeDouble();
-  options->engine.speculation_poll_ms = input->ConsumeDouble();
   options->engine.chaos = ConsumeChaosSchedule(input);
   options->ppd.explicit_ppd = input->ConsumeRaw<uint32_t>();
   options->ppd.strategy =

@@ -400,25 +400,18 @@ void AppendChaos(SeedBuilder* b, uint64_t crash_rate_bits) {
   b->Raw<int32_t>(1);                 // slow_until_attempt
   b->Double(0.25);                    // corrupt_rate
   b->Double(0.0);                     // cache_fail_rate
-  b->Raw<int32_t>(-1);                // bad_worker
   b->Text("chaosjob");                // fail_job (8 bytes)
 }
 
 /// Remaining SessionOptions/QuerySpec fields in ConsumeRawConfig order.
-void AppendRawConfig(SeedBuilder* b, uint64_t wave_fraction_bits) {
+void AppendRawConfig(SeedBuilder* b, uint64_t backoff_base_bits) {
   b->Raw<uint8_t>(1);                 // algorithm
   b->Raw<int32_t>(4);                 // num_map_tasks
   b->Raw<int32_t>(2);                 // num_reducers
   b->Raw<int16_t>(1);                 // num_threads
   b->Raw<int32_t>(4);                 // max_task_attempts
-  b->Double(1.0);                     // retry_backoff_base_ms
+  b->DoubleBits(backoff_base_bits);   // retry_backoff_base_ms
   b->Double(32.0);                    // retry_backoff_max_ms
-  b->Raw<int16_t>(4);                 // num_workers
-  b->Raw<int32_t>(3);                 // worker_blacklist_threshold
-  b->Raw<uint8_t>(1);                 // speculative_execution
-  b->DoubleBits(wave_fraction_bits);  // speculation_wave_fraction
-  b->Double(2.0);                     // speculation_slowdown
-  b->Double(2.0);                     // speculation_poll_ms
   AppendChaos(b, 0);                  // engine.chaos (crash_rate 0)
   b->Raw<uint32_t>(4);                // ppd.explicit_ppd
   b->Raw<uint8_t>(1);                 // ppd.strategy
@@ -441,17 +434,17 @@ void ConfigSeeds(const fs::path& root) {
     b.Raw<uint8_t>(0);  // run_pipeline = false
     AppendChaos(&b, kHalfBits);
     b.Raw<int32_t>(4);  // max_attempts
-    AppendRawConfig(&b, kHalfBits);
+    AppendRawConfig(&b, kOneBits);
     WriteSeed(root, "config", "validate_sane", b.bytes());
   }
   {
-    // NaN crash_rate and wave fraction 1.0: the historical holes in the
+    // NaN crash_rate and NaN backoff base: the historical holes in the
     // reject-form range checks.
     SeedBuilder b;
     b.Raw<uint8_t>(0);
     AppendChaos(&b, kQuietNaN);
     b.Raw<int32_t>(4);
-    AppendRawConfig(&b, kOneBits);
+    AppendRawConfig(&b, kQuietNaN);
     WriteSeed(root, "config", "validate_nan_rate", b.bytes());
   }
   {

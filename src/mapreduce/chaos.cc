@@ -155,14 +155,8 @@ double ChaosEngine::UnitHash(uint64_t salt, uint64_t a, uint64_t b,
   return UnitDouble(h);
 }
 
-bool ChaosEngine::ShouldCrash(int kind, int task, int attempt, int worker) {
-  bool hit = fail_job_hit_;
-  if (!hit && attempt <= schedule_.crash_until_attempt) {
-    hit = true;
-  }
-  if (!hit && schedule_.bad_worker >= 0 && worker == schedule_.bad_worker) {
-    hit = true;
-  }
+bool ChaosEngine::ShouldCrash(int kind, int task, int attempt) {
+  bool hit = fail_job_hit_ || attempt <= schedule_.crash_until_attempt;
   if (!hit && schedule_.crash_rate > 0.0) {
     hit = UnitHash(kSaltCrash, static_cast<uint64_t>(kind),
                    static_cast<uint64_t>(task),

@@ -2,20 +2,19 @@
 //
 // The paper's setting is a cluster where tasks crash, straggle, and get
 // re-executed; a ChaosSchedule reproduces those conditions inside the
-// in-process engine so the fault-tolerance machinery (retry/backoff,
-// worker blacklisting, speculative execution, degradation) can be
-// exercised and regression-tested. Every injection decision is a pure
-// hash of (seed, job, task kind, task id, attempt[, extras]) — no shared
-// RNG state — so thread scheduling cannot perturb which attempts fail:
-// the same seed yields the same failures, the same retry counters, and a
-// bit-identical skyline on every run.
+// in-process engine so the fault-tolerance machinery (retry with backoff,
+// the GPMRS -> GPSRS degradation) can be exercised and regression-tested.
+// Every injection decision is a pure hash of (seed, job, task kind, task
+// id, attempt[, extras]) — no shared RNG state — so thread scheduling
+// cannot perturb which attempts fail: the same seed yields the same
+// failures, the same retry counters, and a bit-identical skyline on every
+// run.
 //
 // Injection sites:
 //  * crash     — the scheduler throws TaskFailure at attempt start
-//                (worker died before committing any output);
+//                (the attempt dies before writing any output);
 //  * slow      — the scheduler sleeps slow_ms before running the attempt
-//                (straggler), cooperatively cancellable so a speculative
-//                duplicate's win aborts the sleep;
+//                (straggler); cancelling the job ends the sleep early;
 //  * corrupt   — one serialized shuffle value of a reduce attempt is
 //                truncated in an attempt-local copy of the slice index;
 //                the reducer's Serde read hits the existing
@@ -63,9 +62,6 @@ struct ChaosSchedule {
   /// Probability that a DistributedCache lookup inside a task attempt
   /// misses even though the entry exists.
   double cache_fail_rate = 0.0;
-  /// Simulated bad node: tasks scheduled on this worker id (when >= 0)
-  /// always crash, until blacklisting routes attempts away from it.
-  int bad_worker = -1;
   /// Poisoned job: every task attempt of jobs whose name contains this
   /// substring crashes. Drives the GPMRS -> GPSRS degradation path.
   std::string fail_job;
@@ -74,7 +70,7 @@ struct ChaosSchedule {
   bool enabled() const {
     return crash_rate > 0.0 || crash_until_attempt > 0 || slow_rate > 0.0 ||
            slow_task >= 0 || corrupt_rate > 0.0 || cache_fail_rate > 0.0 ||
-           bad_worker >= 0 || !fail_job.empty();
+           !fail_job.empty();
   }
 };
 
@@ -97,8 +93,8 @@ class ChaosEngine {
 
   const ChaosSchedule& schedule() const { return schedule_; }
 
-  /// True when this (kind, task, attempt, worker) crashes at start.
-  bool ShouldCrash(int kind, int task, int attempt, int worker);
+  /// True when this (kind, task, attempt) crashes at start.
+  bool ShouldCrash(int kind, int task, int attempt);
   /// Injected straggler delay in ms for this attempt; 0 when not slow.
   double SlowDelayMs(int kind, int task, int attempt);
   /// True when this reduce attempt should read one corrupted value.

@@ -7,16 +7,16 @@
 // Semantics reproduced from Hadoop 1.x:
 //  * the input is split into `num_map_tasks` contiguous splits, one mapper
 //    task per split, with Setup/Map/Cleanup lifecycle;
-//  * every emitted (k2, v2) is routed to a reducer by a Partitioner and
-//    *serialized* at the map side — values physically cross the "network"
-//    as bytes, so no shared in-memory state can leak between tasks and the
-//    shuffle byte counts are exact;
+//  * every emitted (k2, v2) is routed to a reducer (by key hash, or by
+//    `key % r` for integral keys) and *serialized* at the map side —
+//    values physically cross the "network" as bytes, so no shared
+//    in-memory state can leak between tasks and the shuffle byte counts
+//    are exact;
 //  * each reducer task receives its bucket grouped by key in sorted key
 //    order, with values ordered by (mapper id, emit order);
 //  * a DistributedCache broadcasts immutable side data to all tasks;
 //  * tasks may fail (throw TaskFailure) and are retried up to
-//    `max_task_attempts` times with exponential backoff, worker
-//    blacklisting, and optional speculative execution — see
+//    `max_task_attempts` times with exponential backoff — see
 //    task_scheduler.h for the scheduling policy and chaos.h for
 //    deterministic fault injection;
 //  * per-task busy times, record counts, byte counts, and Counters are
@@ -42,7 +42,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -63,14 +62,12 @@
 
 namespace skymr::mr {
 
-/// How emitted keys are routed to reducers. The common routings are plain
-/// enum cases so MapContext::Emit dispatches with an inlineable switch
-/// instead of a std::function call per record.
+/// How emitted keys are routed to reducers: plain enum cases, so
+/// MapContext::Emit dispatches with an inlineable switch.
 enum class PartitionerKind {
   kSingleReducer,  ///< One reducer: every record goes to bucket 0.
   kHash,           ///< std::hash(key) % num_reducers (the default).
   kModulo,         ///< key % num_reducers for integral keys.
-  kCustom,         ///< User std::function (validated per record).
 };
 
 /// Streams one key group's values out of the shuffle arena, deserializing
@@ -121,13 +118,11 @@ template <typename K2, typename V2>
 class MapContext {
  public:
   MapContext(int task_id, int num_reducers, const DistributedCache* cache,
-             PartitionerKind partitioner_kind,
-             const std::function<int(const K2&, int)>* custom_partitioner)
+             PartitionerKind partitioner_kind)
       : task_id_(task_id),
         num_reducers_(num_reducers),
         cache_(cache),
         partitioner_kind_(partitioner_kind),
-        custom_partitioner_(custom_partitioner),
         buckets_(static_cast<size_t>(num_reducers)) {}
 
   /// Emits one intermediate record. Key and value are serialized once,
@@ -187,14 +182,6 @@ class MapContext {
         } else {
           return 0;  // Unreachable: UseModuloPartitioner is static_asserted.
         }
-      case PartitionerKind::kCustom: {
-        const int bucket = (*custom_partitioner_)(key, num_reducers_);
-        if (bucket < 0 || bucket >= num_reducers_) {
-          throw TaskFailure("partitioner returned out-of-range bucket " +
-                            std::to_string(bucket));
-        }
-        return bucket;
-      }
     }
     return 0;
   }
@@ -203,7 +190,6 @@ class MapContext {
   int num_reducers_;
   const DistributedCache* cache_;
   PartitionerKind partitioner_kind_;
-  const std::function<int(const K2&, int)>* custom_partitioner_;
   std::vector<Bucket> buckets_;
   uint64_t output_records_ = 0;
   Counters counters_;
@@ -284,12 +270,6 @@ class Job {
       std::function<std::unique_ptr<Mapper<In, K2, V2>>()>;
   using ReducerFactory =
       std::function<std::unique_ptr<Reducer<K2, V2, Out>>()>;
-  /// A Hadoop-style combiner: a reducer run on each map task's output
-  /// before the shuffle, re-emitting (key, value) pairs. Must be
-  /// idempotent with respect to the final reducer's semantics.
-  using Combiner = Reducer<K2, V2, std::pair<K2, V2>>;
-  using CombinerFactory = std::function<std::unique_ptr<Combiner>()>;
-  using Partitioner = std::function<int(const K2&, int)>;
 
   Job(std::string name, MapperFactory mapper_factory,
       ReducerFactory reducer_factory)
@@ -299,26 +279,12 @@ class Job {
 
   const std::string& name() const { return name_; }
 
-  /// Replaces the default hash partitioner with a user function. The
-  /// function's result is range-checked on every record; prefer
-  /// UseModuloPartitioner for plain `key % r` routing.
-  void set_partitioner(Partitioner partitioner) {
-    partitioner_ = std::move(partitioner);
-    partitioner_kind_ = PartitionerKind::kCustom;
-  }
-
   /// Routes integral keys as `key % num_reducers` (treating the key as
-  /// unsigned) without a std::function call per record.
+  /// unsigned) instead of by hash.
   void UseModuloPartitioner() {
     static_assert(std::is_integral_v<K2>,
                   "modulo partitioning requires an integral key type");
     partitioner_kind_ = PartitionerKind::kModulo;
-  }
-
-  /// Installs a combiner, applied to each map task's emitted records
-  /// (grouped by key) before the shuffle.
-  void set_combiner(CombinerFactory combiner_factory) {
-    combiner_factory_ = std::move(combiner_factory);
   }
 
   /// Runs the job over `input` with side data from `cache`.
@@ -373,17 +339,17 @@ class Job {
     const int m = options.num_map_tasks;
     const int r = options.num_reducers;
 
-    // One scheduler per run: worker failure counts and the blacklist
-    // persist from the map wave into the reduce wave.
+    // One scheduler per run: its chaos engine and cancel flag span both
+    // waves.
     TaskScheduler scheduler(options, name_);
     WaveStats wave_stats;
 
     // ---- Map wave ----
-    // Task isolation contract: concurrent attempts touch only their own
-    // task's slot of these per-task vectors, and only after winning the
-    // idempotent output commit (TaskAttempt::TryCommit), so duplicate
-    // attempts never race on a slot. The merge passes below run on the
-    // caller's thread after the wave completes.
+    // Task isolation contract: a task's attempts run one after another on
+    // one runner and touch only their own task's slot of these per-task
+    // vectors, writing it only when the attempt returns normally; a
+    // failing attempt throws before it writes anything. The merge passes
+    // below run on the caller's thread after the wave completes.
     std::vector<MapTaskOutput> map_outputs(static_cast<size_t>(m));
     Status wave_status;
     {
@@ -410,7 +376,7 @@ class Job {
       // bucket per reducer) to the shuffle.
       SKYMR_DCHECK(map_outputs[static_cast<size_t>(task)].context !=
                    nullptr)
-          << "map task " << task << " committed without a shuffle context";
+          << "map task " << task << " succeeded without a shuffle context";
       SKYMR_DCHECK(map_outputs[static_cast<size_t>(task)]
                        .context->buckets_.size() == static_cast<size_t>(r))
           << "map task " << task << " bucket count != reducer count " << r;
@@ -418,10 +384,10 @@ class Job {
 
     // ---- Shuffle + reduce wave ----
     // The shuffle moves arenas out of the map contexts, so it runs exactly
-    // once per reducer, outside the retry/speculation scheduler; every
-    // reduce attempt of a task then reads the same immutable ReducerInput.
-    // That is what makes a retry after a mid-iteration failure safe: the
-    // re-run streams the identical sorted slice index, never re-sorted or
+    // once per reducer, outside the retry scheduler; every reduce attempt
+    // of a task then reads the same immutable ReducerInput. That is what
+    // makes a retry after a mid-iteration failure safe: the re-run
+    // streams the identical sorted slice index, never re-sorted or
     // partially consumed state.
     std::vector<ReducerInput> reducer_inputs(static_cast<size_t>(r));
     std::vector<ReduceTaskOutput> reduce_outputs(static_cast<size_t>(r));
@@ -506,23 +472,13 @@ class Job {
                                 reduce_output_records);
     result.metrics.counters.Add("mr.task_retries", wave_stats.retries);
     // Fault-tolerance counters are added only when their machinery fired
-    // (or was enabled), so chaos-free runs keep the exact counter set the
-    // committed bench baselines were recorded with.
+    // (or, for chaos, was enabled), so chaos-free runs keep the exact
+    // counter set the committed bench baselines were recorded with.
     if (wave_stats.backoff_waits > 0) {
       result.metrics.counters.Add("mr.backoff_waits",
                                   wave_stats.backoff_waits);
       result.metrics.counters.Add("mr.backoff_total_ms",
                                   wave_stats.backoff_total_ms);
-    }
-    if (options.speculative_execution) {
-      result.metrics.counters.Add("mr.speculative_launched",
-                                  wave_stats.speculative_launched);
-      result.metrics.counters.Add("mr.speculative_wins",
-                                  wave_stats.speculative_wins);
-    }
-    if (const int64_t blacklisted = scheduler.blacklisted_workers();
-        blacklisted > 0) {
-      result.metrics.counters.Add("mr.blacklisted_workers", blacklisted);
     }
     if (const ChaosEngine* chaos = scheduler.chaos(); chaos != nullptr) {
       result.metrics.counters.Add("mr.chaos_crashes_injected",
@@ -636,17 +592,16 @@ class Job {
   /// One map task attempt, run under the TaskScheduler. Retry isolation:
   /// every attempt gets a fresh context and a fresh mapper instance, and
   /// `out` (the task's metrics/output slot shared with the job) is written
-  /// only after winning the idempotent commit — a failed or losing attempt
-  /// can never leak partial state into the shuffle or metrics.
+  /// only once the mapper has finished — a failed attempt throws first,
+  /// so it can never leak partial state into the shuffle or metrics.
   Status RunMapAttempt(const TaskAttempt& attempt, std::span<const In> split,
                        int num_reducers, const DistributedCache& cache,
                        MapTaskOutput* out) {
-    PartitionerKind kind = partitioner_kind_;
-    if (kind != PartitionerKind::kCustom && num_reducers == 1) {
-      kind = PartitionerKind::kSingleReducer;
-    }
+    const PartitionerKind kind = num_reducers == 1
+                                     ? PartitionerKind::kSingleReducer
+                                     : partitioner_kind_;
     auto context = std::make_unique<MapContext<K2, V2>>(
-        attempt.task_id, num_reducers, &cache, kind, &partitioner_);
+        attempt.task_id, num_reducers, &cache, kind);
     SKYMR_TRACE_SPAN("map.task", "task", attempt.task_id, "attempt",
                      attempt.attempt);
     Stopwatch clock;
@@ -659,12 +614,6 @@ class Job {
       mapper->Map(split[i], *context);
     }
     mapper->Cleanup(*context);
-    if (combiner_factory_) {
-      ApplyCombiner(attempt.task_id, cache, context.get());
-    }
-    if (!attempt.TryCommit()) {
-      return Status::OK();  // A duplicate committed first; discard.
-    }
     out->metrics.busy_seconds = clock.ElapsedSeconds();
     out->metrics.input_records = split.size();
     out->metrics.output_records = context->output_records_;
@@ -680,58 +629,6 @@ class Job {
     out->metrics.sketches = std::move(context->sketches_);
     out->context = std::move(context);
     return Status::OK();
-  }
-
-  /// Runs the combiner over one map task's emitted records (grouped by
-  /// key within each reducer bucket) and replaces them with the
-  /// combiner's output. Keys never span buckets, so per-bucket grouping
-  /// matches Hadoop's per-spill combining.
-  void ApplyCombiner(int task_id, const DistributedCache& cache,
-                     MapContext<K2, V2>* context) {
-    std::unique_ptr<Combiner> combiner = combiner_factory_();
-    ReduceContext<std::pair<K2, V2>> combine_context(task_id, &cache);
-    combiner->Setup(combine_context);
-    uint64_t input_records = 0;
-    std::vector<Slice> slices;
-    for (auto& bucket : context->buckets_) {
-      auto& records = bucket.records;
-      std::stable_sort(
-          records.begin(), records.end(),
-          [](const auto& a, const auto& b) { return a.key < b.key; });
-      const uint8_t* base = bucket.arena.data();
-      slices.clear();
-      slices.reserve(records.size());
-      for (const auto& record : records) {
-        slices.push_back(Slice{base + record.value_offset,
-                               record.value_bytes});
-      }
-      size_t i = 0;
-      while (i < records.size()) {
-        size_t j = i;
-        while (j < records.size() && !(records[i].key < records[j].key)) {
-          ++j;
-        }
-        ValueIterator<V2> values(slices.data() + i, j - i);
-        combiner->Reduce(records[i].key, values, combine_context);
-        input_records += j - i;
-        i = j;
-      }
-    }
-    combiner->Cleanup(combine_context);
-    for (auto& bucket : context->buckets_) {
-      bucket.arena.Clear();
-      bucket.records.clear();
-    }
-    context->output_records_ = 0;
-    for (const auto& [key, value] : combine_context.outputs_) {
-      context->Emit(key, value);
-    }
-    context->counters_.Add("mr.combine_input_records",
-                           static_cast<int64_t>(input_records));
-    context->counters_.Add(
-        "mr.combine_output_records",
-        static_cast<int64_t>(context->output_records_));
-    context->counters_.Merge(combine_context.counters_);
   }
 
   /// Moves reducer `reducer`'s bucket out of every map context: arenas are
@@ -816,9 +713,6 @@ class Job {
       i = j;
     }
     reducer->Cleanup(context);
-    if (!attempt.TryCommit()) {
-      return Status::OK();  // A duplicate committed first; discard.
-    }
     out->metrics.busy_seconds = clock.ElapsedSeconds();
     out->metrics.input_records = entries.size();
     out->metrics.input_bytes = in.input_bytes;
@@ -834,8 +728,6 @@ class Job {
   std::string name_;
   MapperFactory mapper_factory_;
   ReducerFactory reducer_factory_;
-  CombinerFactory combiner_factory_;
-  Partitioner partitioner_;
   PartitionerKind partitioner_kind_ = PartitionerKind::kHash;
 };
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <thread>
+#include <vector>
 
 #include "src/common/serde.h"
 #include "src/obs/trace.h"
@@ -18,12 +18,6 @@ const char* KindName(TaskKind kind) {
   return kind == TaskKind::kMap ? "map" : "reduce";
 }
 
-int64_t ElapsedUs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               since)
-      .count();
-}
-
 }  // namespace
 
 Status ValidateEngineOptions(const EngineOptions& options) {
@@ -33,12 +27,12 @@ Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.max_task_attempts < 1) {
     return Status::InvalidArgument("engine: max_task_attempts must be >= 1");
   }
-  if (options.num_threads < 0 || options.num_workers < 0) {
+  if (options.num_threads < 0) {
     return Status::InvalidArgument(
-        "engine: thread/worker counts must be >= 0 (0 = default)");
+        "engine: num_threads must be >= 0 (0 = default)");
   }
-  // Accept-form float comparisons throughout: NaN fails every ordering,
-  // so `!(x >= 0.0)`-style checks reject it, where the reject-form
+  // Accept-form float comparisons: NaN fails every ordering, so
+  // `!(x >= 0.0)`-style checks reject it, where the reject-form
   // `x < 0.0` would let a NaN tunable reach the scheduler's arithmetic.
   if (!(options.retry_backoff_base_ms >= 0.0 &&
         options.retry_backoff_max_ms >= 0.0 &&
@@ -51,266 +45,126 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         "engine: retry_backoff_base_ms exceeds retry_backoff_max_ms");
   }
-  if (options.worker_blacklist_threshold < 1) {
-    return Status::InvalidArgument(
-        "engine: worker_blacklist_threshold must be >= 1");
-  }
-  if (!(options.speculation_wave_fraction > 0.0 &&
-        options.speculation_wave_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        "engine: speculation_wave_fraction must be in (0, 1]");
-  }
-  if (!(options.speculation_slowdown >= 1.0 &&
-        std::isfinite(options.speculation_slowdown))) {
-    return Status::InvalidArgument(
-        "engine: speculation_slowdown must be finite and >= 1");
-  }
-  if (!(options.speculation_poll_ms > 0.0 &&
-        std::isfinite(options.speculation_poll_ms))) {
-    return Status::InvalidArgument(
-        "engine: speculation_poll_ms must be finite and > 0");
-  }
   return ValidateChaosSchedule(options.chaos, options.max_task_attempts);
 }
 
-/// Per-task shared state. Attempts of one task (primary + speculative
-/// duplicates) coordinate only through these atomics; the scheduler never
-/// holds a lock while user code runs.
-struct TaskScheduler::TaskState {
-  /// Output-commit gate handed to the attempt body (TaskAttempt::TryCommit).
-  std::atomic<bool> committed{false};
-  /// Set by the winning attempt once its output is published.
-  std::atomic<bool> success{false};
-  /// Set on permanent failure (budget exhausted or non-retryable error).
-  std::atomic<bool> failed{false};
-  /// Cooperative cancellation for the losing duplicate / doomed sleeps.
-  std::atomic<bool> cancel{false};
-  /// Global attempt numbering across all runners of this task; caps the
-  /// combined primary + speculative budget at max_task_attempts.
-  std::atomic<int> attempts_started{0};
-  std::atomic<int> failures{0};
-  /// One speculative duplicate per task at most.
-  std::atomic<bool> speculated{false};
-  /// Attempt number that committed (for TaskMetrics::attempts).
-  std::atomic<int> winner_attempt{0};
-  Clock::time_point start{};
-  std::atomic<int64_t> duration_us{-1};
-};
-
-struct TaskScheduler::WaveContext {
-  TaskKind kind = TaskKind::kMap;
-  int num_tasks = 0;
-  const AttemptBody* body = nullptr;
-  std::vector<std::unique_ptr<TaskState>> states;
-
-  std::atomic<int64_t> retries{0};
-  std::atomic<int64_t> backoff_waits{0};
-  std::atomic<int64_t> backoff_total_ms{0};
-  std::atomic<int64_t> speculative_launched{0};
-  std::atomic<int64_t> speculative_wins{0};
-
-  std::mutex error_mutex;
-  Status first_error;  // Guarded by error_mutex; OK until a task fails.
-
-  // Speculative-path coordination: the caller waits for active_runners to
-  // drain while periodically scanning for stragglers.
-  std::mutex wave_mutex;
-  std::condition_variable wave_cv;
-  int active_runners = 0;  // Guarded by wave_mutex.
+/// What one task's chain of attempts left behind: its final status and
+/// its share of the wave's retry counters.
+struct TaskScheduler::TaskOutcome {
+  Status status;
+  int64_t retries = 0;
+  int64_t backoff_waits = 0;
+  int64_t backoff_total_ms = 0;
 };
 
 TaskScheduler::TaskScheduler(const EngineOptions& options,
                              std::string job_name)
     : options_(options),
       job_name_(std::move(job_name)),
-      num_workers_(options.num_workers > 0 ? options.num_workers : 8),
       chaos_(options.chaos.enabled()
                  ? std::make_unique<ChaosEngine>(options.chaos, job_name_)
-                 : nullptr),
-      worker_failures_(static_cast<size_t>(num_workers_), 0),
-      worker_blacklisted_(static_cast<size_t>(num_workers_), false) {}
+                 : nullptr) {}
 
 TaskScheduler::~TaskScheduler() = default;
 
-int64_t TaskScheduler::blacklisted_workers() const {
-  std::lock_guard<std::mutex> lock(worker_mutex_);
-  return blacklisted_count_;
-}
-
 Status TaskScheduler::RunWave(ThreadPool* pool, TaskKind kind, int num_tasks,
                               const AttemptBody& body, WaveStats* stats) {
-  WaveContext wave;
-  wave.kind = kind;
-  wave.num_tasks = num_tasks;
-  wave.body = &body;
-  wave.states.reserve(static_cast<size_t>(num_tasks));
-  for (int t = 0; t < num_tasks; ++t) {
-    wave.states.push_back(std::make_unique<TaskState>());
-  }
-
-  if (options_.speculative_execution) {
-    RunWaveSpeculative(pool, wave);
-  } else {
-    ParallelFor(pool, num_tasks,
-                [this, &wave](int task) { RunTaskChain(wave, task, false); });
-  }
-
-  if (stats != nullptr) {
-    stats->retries += wave.retries.load(std::memory_order_relaxed);
-    stats->backoff_waits += wave.backoff_waits.load(std::memory_order_relaxed);
-    stats->backoff_total_ms +=
-        wave.backoff_total_ms.load(std::memory_order_relaxed);
-    stats->speculative_launched +=
-        wave.speculative_launched.load(std::memory_order_relaxed);
-    stats->speculative_wins +=
-        wave.speculative_wins.load(std::memory_order_relaxed);
-  }
-
-  for (int t = 0; t < num_tasks; ++t) {
-    if (!wave.states[static_cast<size_t>(t)]->success.load(
-            std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(wave.error_mutex);
-      if (!wave.first_error.ok()) {
-        return wave.first_error;
-      }
-      return Status::Internal("job '" + job_name_ + "' " + KindName(kind) +
-                              " task " + std::to_string(t) +
-                              " never committed");
+  // Each task's chain writes only its own outcome slot.
+  std::vector<TaskOutcome> outcomes(static_cast<size_t>(num_tasks));
+  ParallelFor(pool, num_tasks, [&](int task) {
+    outcomes[static_cast<size_t>(task)] = RunTask(kind, task, body);
+  });
+  Status first_error;
+  for (TaskOutcome& outcome : outcomes) {
+    if (stats != nullptr) {
+      stats->retries += outcome.retries;
+      stats->backoff_waits += outcome.backoff_waits;
+      stats->backoff_total_ms += outcome.backoff_total_ms;
+    }
+    if (first_error.ok()) {
+      first_error = std::move(outcome.status);
     }
   }
-  return Status::OK();
+  return first_error;
 }
 
-/// Attempt number of the winning runner for task metrics; 1 when the task
-/// somehow has no recorded winner (defensive — RunWave fails such tasks).
-int TaskScheduler::WinnerAttempt(const WaveContext& wave, int task) const {
-  const int won =
-      wave.states[static_cast<size_t>(task)]->winner_attempt.load(
-          std::memory_order_relaxed);
-  return won > 0 ? won : 1;
-}
-
-void TaskScheduler::RunTaskChain(WaveContext& wave, int task,
-                                 bool speculative) {
-  TaskState& state = *wave.states[static_cast<size_t>(task)];
-  while (!state.success.load(std::memory_order_acquire) &&
-         !state.failed.load(std::memory_order_acquire)) {
-    const int attempt =
-        state.attempts_started.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (attempt > options_.max_task_attempts) {
-      // The other runner of this task holds the remaining budget.
-      return;
-    }
+TaskScheduler::TaskOutcome TaskScheduler::RunTask(TaskKind kind, int task,
+                                                  const AttemptBody& body) {
+  const int kind_id = static_cast<int>(kind);
+  const auto task_name = [&] {
+    return "job '" + job_name_ + "' " + KindName(kind) + " task " +
+           std::to_string(task);
+  };
+  TaskOutcome outcome;
+  for (int attempt = 1;; ++attempt) {
     if (attempt > 1) {
-      Backoff(wave, state, task, attempt);
-      if (state.success.load(std::memory_order_acquire) ||
-          state.failed.load(std::memory_order_acquire)) {
-        return;
-      }
+      Backoff(kind, task, attempt, &outcome);
     }
-    RunOneAttempt(wave, state, task, attempt, speculative);
-  }
-}
-
-void TaskScheduler::RunOneAttempt(WaveContext& wave, TaskState& state,
-                                  int task, int attempt, bool speculative) {
-  const int worker = PickWorker(task, attempt);
-  TaskAttempt handle;
-  handle.task_id = task;
-  handle.attempt = attempt;
-  handle.worker = worker;
-  handle.speculative = speculative;
-  handle.cancel_flag = &state.cancel;
-  handle.commit_flag = &state.committed;
-
-  try {
-    ChaosTaskScope scope(chaos_.get(), static_cast<int>(wave.kind), task,
-                         attempt);
-    if (chaos_ != nullptr) {
-      if (chaos_->ShouldCrash(static_cast<int>(wave.kind), task, attempt,
-                              worker)) {
-        throw TaskFailure(std::string("chaos: injected crash (") +
-                          KindName(wave.kind) + " task " +
-                          std::to_string(task) + ", attempt " +
-                          std::to_string(attempt) + ", worker " +
-                          std::to_string(worker) + ")");
+    std::string failure;
+    try {
+      if (cancelled()) {
+        throw TaskCancelled();
       }
-      const double delay_ms =
-          chaos_->SlowDelayMs(static_cast<int>(wave.kind), task, attempt);
-      if (delay_ms > 0.0) {
-        SleepCancellable(delay_ms, state);
-        if (state.cancel.load(std::memory_order_relaxed)) {
-          throw TaskCancelled();
+      ChaosTaskScope scope(chaos_.get(), kind_id, task, attempt);
+      if (chaos_ != nullptr) {
+        if (chaos_->ShouldCrash(kind_id, task, attempt)) {
+          throw TaskFailure(std::string("chaos: injected crash (") +
+                            KindName(kind) + " task " +
+                            std::to_string(task) + ", attempt " +
+                            std::to_string(attempt) + ")");
+        }
+        const double delay_ms = chaos_->SlowDelayMs(kind_id, task, attempt);
+        if (delay_ms > 0.0) {
+          SleepCancellable(delay_ms);
+          if (cancelled()) {
+            throw TaskCancelled();
+          }
         }
       }
-    }
-    const Status status = (*wave.body)(handle);
-    if (!status.ok()) {
-      MarkFailed(wave, state, task, status);
-      return;
-    }
-    if (handle.won()) {
-      state.winner_attempt.store(attempt, std::memory_order_relaxed);
-      state.duration_us.store(ElapsedUs(state.start),
-                              std::memory_order_relaxed);
-      state.success.store(true, std::memory_order_release);
-      // Abort the duplicate (it polls cancel in sleeps and long loops).
-      state.cancel.store(true, std::memory_order_relaxed);
-      if (speculative) {
-        wave.speculative_wins.fetch_add(1, std::memory_order_relaxed);
-        SKYMR_TRACE_INSTANT("task.speculative_win", "task", task, "attempt",
-                            attempt);
+      TaskAttempt handle;
+      handle.task_id = task;
+      handle.attempt = attempt;
+      handle.cancel_flag = &cancelled_;
+      outcome.status = body(handle);
+      if (!outcome.status.ok()) {
+        outcome.status = Fail(std::move(outcome.status), task);
       }
+      return outcome;
+    } catch (const TaskCancelled&) {
+      // Not a fault: the task just stops, with no retry budget consumed.
+      outcome.status = Status::Internal(task_name() + " was cancelled");
+      return outcome;
+    } catch (const TaskFailure& e) {
+      failure = e.what();
+    } catch (const SerdeUnderflow& e) {
+      failure = e.what();
+    } catch (const std::exception& e) {
+      // Anything else is a bug in user code, not a cluster fault: fail the
+      // task permanently instead of letting the exception cross the engine
+      // boundary (the public API contract is Status, never throw).
+      outcome.status = Fail(Status::Internal(task_name() +
+                                             " threw unexpected exception: " +
+                                             e.what()),
+                            task);
+      return outcome;
     }
-    // A losing duplicate's output was discarded by the body; the winner
-    // has already marked success, so the chain loop exits.
-  } catch (const TaskCancelled&) {
-    // Benign: a duplicate committed first. No retry budget consumed
-    // beyond the attempt slot already taken.
-  } catch (const TaskFailure& failure) {
-    HandleRetryableFailure(wave, state, task, attempt, worker,
-                           failure.what());
-  } catch (const SerdeUnderflow& failure) {
-    HandleRetryableFailure(wave, state, task, attempt, worker,
-                           failure.what());
-  } catch (const std::exception& e) {
-    // Anything else is a bug in user code, not a cluster fault: fail the
-    // task permanently instead of letting the exception cross the engine
-    // boundary (the public API contract is Status, never throw).
-    MarkFailed(wave, state, task,
-               Status::Internal("job '" + job_name_ + "' " +
-                                KindName(wave.kind) + " task " +
-                                std::to_string(task) +
-                                " threw unexpected exception: " + e.what()));
+    if (attempt >= options_.max_task_attempts) {
+      outcome.status = Fail(Status::Internal(task_name() + " failed after " +
+                                             std::to_string(attempt) +
+                                             " attempts: " + failure),
+                            task);
+      return outcome;
+    }
+    ++outcome.retries;
+    SKYMR_TRACE_INSTANT("task.retry", "task", task, "attempt", attempt);
+    if (options_.log != nullptr) {
+      options_.log->LogQuery(obs::LogSeverity::kWarn, options_.query,
+                             "task.retry", failure, job_name_, task, attempt);
+    }
   }
 }
 
-void TaskScheduler::HandleRetryableFailure(WaveContext& wave,
-                                           TaskState& state, int task,
-                                           int attempt, int worker,
-                                           const std::string& what) {
-  RecordWorkerFailure(worker);
-  const int failures =
-      state.failures.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (failures >= options_.max_task_attempts) {
-    MarkFailed(wave, state, task,
-               Status::Internal("job '" + job_name_ + "' " +
-                                KindName(wave.kind) + " task " +
-                                std::to_string(task) + " failed after " +
-                                std::to_string(failures) +
-                                " attempts: " + what));
-    return;
-  }
-  wave.retries.fetch_add(1, std::memory_order_relaxed);
-  SKYMR_TRACE_INSTANT("task.retry", "task", task, "attempt", attempt);
-  if (options_.log != nullptr) {
-    options_.log->LogQuery(obs::LogSeverity::kWarn, options_.query,
-                           "task.retry", what, job_name_, task, attempt);
-  }
-}
-
-void TaskScheduler::MarkFailed(WaveContext& wave, TaskState& state, int task,
-                               Status status) {
+Status TaskScheduler::Fail(Status status, int task) {
   if (options_.log != nullptr) {
     // The permanent failure is the engine's "fatal chaos fault": record
     // it with the query's id, then trigger the flight-recorder crash
@@ -320,18 +174,11 @@ void TaskScheduler::MarkFailed(WaveContext& wave, TaskState& state, int task,
                            0);
     options_.log->NotifyFatal("task.fatal: job '" + job_name_ + "'");
   }
-  {
-    std::lock_guard<std::mutex> lock(wave.error_mutex);
-    if (wave.first_error.ok()) {
-      wave.first_error = std::move(status);
-    }
-  }
-  state.failed.store(true, std::memory_order_release);
-  state.cancel.store(true, std::memory_order_relaxed);
+  return status;
 }
 
-void TaskScheduler::Backoff(WaveContext& wave, TaskState& state, int task,
-                            int attempt) {
+void TaskScheduler::Backoff(TaskKind kind, int task, int attempt,
+                            TaskOutcome* outcome) {
   if (options_.retry_backoff_base_ms <= 0.0) {
     return;
   }
@@ -343,198 +190,32 @@ void TaskScheduler::Backoff(WaveContext& wave, TaskState& state, int task,
   // Deterministic jitter in [0.5, 1.0]: hashed, not drawn from a shared
   // RNG, so retry timing never depends on thread interleaving.
   uint64_t h = ChaosMix64(options_.chaos.seed ^ 0x626f66665f6a6974ULL);
-  h = ChaosMix64(h ^ static_cast<uint64_t>(wave.kind));
+  h = ChaosMix64(h ^ static_cast<uint64_t>(kind));
   h = ChaosMix64(h ^ static_cast<uint64_t>(task));
   h = ChaosMix64(h ^ static_cast<uint64_t>(attempt));
   const double jitter =
       0.5 + 0.5 * (static_cast<double>(h >> 11) * 0x1.0p-53);
   delay_ms *= jitter;
-  const auto planned_ms = static_cast<int64_t>(std::llround(delay_ms));
-  wave.backoff_waits.fetch_add(1, std::memory_order_relaxed);
+  ++outcome->backoff_waits;
   // Count the planned wait, not the slept wall time: the counter must be
   // identical across runs even when a cancellation cuts the sleep short.
-  wave.backoff_total_ms.fetch_add(planned_ms, std::memory_order_relaxed);
-  SleepCancellable(delay_ms, state);
+  outcome->backoff_total_ms += static_cast<int64_t>(std::llround(delay_ms));
+  SleepCancellable(delay_ms);
 }
 
-void TaskScheduler::SleepCancellable(double delay_ms, TaskState& state) {
+void TaskScheduler::SleepCancellable(double delay_ms) const {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double, std::milli>(delay_ms));
-  while (Clock::now() < deadline) {
-    if (state.cancel.load(std::memory_order_relaxed) ||
-        state.success.load(std::memory_order_acquire) ||
-        state.failed.load(std::memory_order_acquire)) {
+  while (!cancelled()) {
+    const auto remaining = deadline - Clock::now();
+    if (remaining <= Clock::duration::zero()) {
       return;
     }
-    const auto remaining = deadline - Clock::now();
     std::this_thread::sleep_for(
         std::min(remaining, std::chrono::duration_cast<Clock::duration>(
                                 std::chrono::milliseconds(1))));
   }
-}
-
-int TaskScheduler::PickWorker(int task, int attempt) {
-  uint64_t h = ChaosMix64(static_cast<uint64_t>(task) *
-                          0x9e3779b97f4a7c15ULL);
-  h = ChaosMix64(h ^ static_cast<uint64_t>(attempt));
-  const int base = static_cast<int>(h % static_cast<uint64_t>(num_workers_));
-  std::lock_guard<std::mutex> lock(worker_mutex_);
-  for (int probe = 0; probe < num_workers_; ++probe) {
-    const int worker = (base + probe) % num_workers_;
-    if (!worker_blacklisted_[static_cast<size_t>(worker)]) {
-      return worker;
-    }
-  }
-  // Every worker blacklisted: schedule on the base slot anyway (the
-  // simulated cluster never runs out of capacity entirely).
-  return base;
-}
-
-void TaskScheduler::RecordWorkerFailure(int worker) {
-  std::lock_guard<std::mutex> lock(worker_mutex_);
-  const auto slot = static_cast<size_t>(worker);
-  if (++worker_failures_[slot] >= options_.worker_blacklist_threshold &&
-      !worker_blacklisted_[slot]) {
-    worker_blacklisted_[slot] = true;
-    ++blacklisted_count_;
-    SKYMR_TRACE_INSTANT("worker.blacklist", "worker", worker);
-    if (options_.log != nullptr) {
-      options_.log->LogQuery(obs::LogSeverity::kWarn, options_.query,
-                             "worker.blacklist",
-                             "worker " + std::to_string(worker) +
-                                 " blacklisted after " +
-                                 std::to_string(worker_failures_[slot]) +
-                                 " failures",
-                             job_name_);
-    }
-  }
-}
-
-Status TaskScheduler::RunWaveSpeculative(ThreadPool* pool,
-                                         WaveContext& wave) {
-  const int n = wave.num_tasks;
-  const auto wave_start = Clock::now();
-  for (auto& state : wave.states) {
-    state->start = wave_start;
-  }
-
-  auto spawn = [this, pool, &wave](int task, bool speculative) {
-    {
-      std::lock_guard<std::mutex> lock(wave.wave_mutex);
-      ++wave.active_runners;
-    }
-    pool->Submit([this, &wave, task, speculative]() {
-      // RunTaskChain absorbs every task exception; Submit bodies must not
-      // throw.
-      RunTaskChain(wave, task, speculative);
-      // Notify while holding the mutex: the wave owner only destroys the
-      // WaveContext after observing active_runners == 0 under this mutex,
-      // which cannot happen until notify_all has returned and the lock is
-      // released — notifying after unlock would race cv destruction.
-      std::lock_guard<std::mutex> lock(wave.wave_mutex);
-      --wave.active_runners;
-      wave.wave_cv.notify_all();
-    });
-  };
-
-  for (int task = 0; task < n; ++task) {
-    spawn(task, false);
-  }
-
-  const int done_threshold = std::max(
-      1, static_cast<int>(
-             std::ceil(options_.speculation_wave_fraction * n)));
-  const auto poll = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(
-          std::max(0.5, options_.speculation_poll_ms)));
-
-  // The caller work-helps below (so the wave finishes even on pools whose
-  // workers are all busy), which means it can get stuck inside a
-  // long-running task body — exactly the straggler speculation exists to
-  // beat. The straggler scan therefore runs on a dedicated monitor thread
-  // that only reads atomics and submits duplicates, never task bodies.
-  std::atomic<bool> wave_settled{false};
-  std::thread monitor([this, n, done_threshold, poll, &wave, &spawn,
-                       &wave_settled] {
-    std::unique_lock<std::mutex> monitor_lock(wave.wave_mutex);
-    while (!wave_settled.load(std::memory_order_acquire)) {
-      wave.wave_cv.wait_for(monitor_lock, poll);
-      if (wave_settled.load(std::memory_order_acquire)) {
-        break;
-      }
-      monitor_lock.unlock();
-
-      // Straggler scan (atomics only).
-      int done = 0;
-      std::vector<int64_t> durations;
-      for (const auto& state : wave.states) {
-        if (state->success.load(std::memory_order_acquire)) {
-          ++done;
-          durations.push_back(state->duration_us.load(
-              std::memory_order_relaxed));
-        } else if (state->failed.load(std::memory_order_acquire)) {
-          ++done;
-        }
-      }
-      if (done < done_threshold || done == n || durations.empty()) {
-        monitor_lock.lock();
-        continue;
-      }
-      std::nth_element(durations.begin(),
-                       durations.begin() + durations.size() / 2,
-                       durations.end());
-      // 1ms floor: sub-millisecond medians would make every task with any
-      // scheduling delay look like a straggler.
-      const int64_t median_us =
-          std::max<int64_t>(durations[durations.size() / 2], 1000);
-      const auto cutoff_us = static_cast<int64_t>(
-          options_.speculation_slowdown * static_cast<double>(median_us));
-
-      for (int task = 0; task < n; ++task) {
-        TaskState& state = *wave.states[static_cast<size_t>(task)];
-        if (state.success.load(std::memory_order_acquire) ||
-            state.failed.load(std::memory_order_acquire) ||
-            state.speculated.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (ElapsedUs(state.start) > cutoff_us &&
-            !state.speculated.exchange(true, std::memory_order_relaxed)) {
-          wave.speculative_launched.fetch_add(1, std::memory_order_relaxed);
-          SKYMR_TRACE_INSTANT("task.speculate", "task", task);
-          spawn(task, true);
-        }
-      }
-      monitor_lock.lock();
-    }
-  });
-
-  const auto drain = [pool, poll, &wave](std::unique_lock<std::mutex>& lock) {
-    while (wave.active_runners > 0) {
-      lock.unlock();
-      const bool helped = pool->TryRunOneTask();
-      lock.lock();
-      if (wave.active_runners == 0) {
-        break;
-      }
-      if (!helped) {
-        wave.wave_cv.wait_for(lock, poll);
-      }
-    }
-  };
-
-  std::unique_lock<std::mutex> lock(wave.wave_mutex);
-  drain(lock);
-  lock.unlock();
-  wave_settled.store(true, std::memory_order_release);
-  wave.wave_cv.notify_all();
-  monitor.join();
-  // The monitor may have spawned a duplicate in the instant between the
-  // runner count hitting zero and wave_settled being set; drain again so
-  // no runner outlives the wave context.
-  lock.lock();
-  drain(lock);
-  return Status::OK();
 }
 
 }  // namespace skymr::mr

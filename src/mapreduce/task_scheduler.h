@@ -1,25 +1,20 @@
 // TaskScheduler: the fault-tolerant wave executor behind Job::Run.
 //
-// The engine used to retry a failed task immediately, inline, with no
-// notion of where the task ran. This scheduler models a small cluster:
+// Every task of a wave runs as one chain of attempts on a pool worker:
+// each attempt first waits out its retry backoff, then takes the chaos
+// crash or slow fault (when chaos is on), then runs the attempt body,
+// and on a retryable failure the chain retries or, with the budget spent,
+// fails the task:
 //
 //  * retry with exponential backoff + deterministic jitter — a failed
 //    attempt waits base * 2^(k-1) ms (capped), scaled by a jitter factor
 //    hashed from (seed, job, task, attempt), before re-running;
-//  * per-"worker" blacklisting — every attempt is deterministically
-//    assigned to one of `num_workers` simulated slots; a worker that
-//    accumulates `worker_blacklist_threshold` failures stops receiving
-//    attempts (routing probes the next slot), so a "bad node" cannot
-//    eat a task's whole retry budget;
-//  * speculative execution — once >= speculation_wave_fraction of a wave
-//    has finished, outstanding tasks running longer than
-//    speculation_slowdown x the median completed duration get a
-//    duplicate attempt; the first finisher commits (idempotent output
-//    commit via TaskAttempt::TryCommit), the loser is cooperatively
-//    cancelled;
 //  * chaos — when EngineOptions::chaos is enabled, a ChaosEngine decides
 //    per attempt whether to crash it, delay it, or fail its cache reads
 //    (see chaos.h), all deterministically.
+//
+// One runner per task means an attempt that returns normally has
+// published its task's output, and nothing else can write that slot.
 //
 // The scheduler is type-erased (attempt bodies are std::function), so it
 // compiles once in task_scheduler.cc while the templated Job stays
@@ -32,10 +27,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
@@ -55,14 +48,14 @@ class TaskFailure : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown inside an attempt whose duplicate already committed (the
-/// scheduler's cancellation flag is set). Not a failure: the scheduler
-/// discards the attempt without consuming retry budget. User code may
-/// throw it from long loops after polling TaskAttempt::Cancelled().
+/// Thrown inside an attempt of a cancelled job (TaskScheduler::Cancel).
+/// Not a failure: the scheduler stops the task without consuming retry
+/// budget. User code may throw it from long loops after polling
+/// TaskAttempt::Cancelled().
 class TaskCancelled : public std::exception {
  public:
   const char* what() const noexcept override {
-    return "task attempt cancelled (duplicate committed first)";
+    return "task attempt cancelled (the job was cancelled)";
   }
 };
 
@@ -88,20 +81,6 @@ struct EngineOptions {
   double retry_backoff_base_ms = 1.0;
   /// Backoff cap in milliseconds.
   double retry_backoff_max_ms = 32.0;
-  /// Simulated worker slots attempts are scheduled onto; 0 = 8.
-  int num_workers = 0;
-  /// Failures on one worker before it is blacklisted.
-  int worker_blacklist_threshold = 3;
-  /// Launch duplicate attempts of stragglers (off by default: duplicates
-  /// make wall-time-dependent counters nondeterministic).
-  bool speculative_execution = false;
-  /// Fraction of the wave that must have finished before speculating.
-  double speculation_wave_fraction = 0.75;
-  /// An outstanding task is a straggler when it has run longer than this
-  /// multiple of the median completed-task duration.
-  double speculation_slowdown = 2.0;
-  /// Straggler-scan period of the wave coordinator, in milliseconds.
-  double speculation_poll_ms = 2.0;
   /// Fault injection (off by default; see chaos.h).
   ChaosSchedule chaos;
 
@@ -125,42 +104,25 @@ struct EngineOptions {
 };
 
 /// Rejects nonsensical engine configurations: non-positive task counts,
-/// zero attempt budgets, bad backoff/speculation tunables, and chaos
-/// schedules that can never finish (ValidateChaosSchedule).
+/// zero attempt budgets, bad backoff tunables, and chaos schedules that
+/// can never finish (ValidateChaosSchedule).
 Status ValidateEngineOptions(const EngineOptions& options);
 
-/// One scheduled task attempt, handed to the attempt body. The body must
-/// call TryCommit() exactly once after computing its result and write the
-/// task's output slot only when it returns true — that is what makes
-/// output commit idempotent under duplicate attempts.
+/// One scheduled task attempt, handed to the attempt body. The body
+/// publishes the task's output slot by returning normally; a failing
+/// attempt throws before it writes anything, so a retry starts clean.
 struct TaskAttempt {
   int task_id = 0;
-  /// 1-based, unique across a task's primary and speculative runners.
+  /// 1-based attempt number.
   int attempt = 1;
-  /// Simulated worker slot the attempt was scheduled on.
-  int worker = 0;
-  /// True for attempts launched by speculative execution.
-  bool speculative = false;
 
-  /// Cooperative cancellation: set once a duplicate of this task has
-  /// committed. Long-running user loops may poll and throw TaskCancelled.
+  /// Cooperative cancellation: set once the job is cancelled. Long-running
+  /// user loops may poll and throw TaskCancelled.
   bool Cancelled() const {
     return cancel_flag->load(std::memory_order_relaxed);
   }
-  /// First-committer-wins output gate. True exactly once per task.
-  bool TryCommit() const {
-    won_ = !commit_flag->exchange(true, std::memory_order_acq_rel);
-    return won_;
-  }
-  /// True when this attempt's TryCommit won (scheduler bookkeeping).
-  bool won() const { return won_; }
 
   const std::atomic<bool>* cancel_flag = nullptr;
-  std::atomic<bool>* commit_flag = nullptr;
-
- private:
-  friend class TaskScheduler;
-  mutable bool won_ = false;
 };
 
 /// Per-wave scheduling outcome, merged into the job's mr.* counters.
@@ -170,65 +132,49 @@ struct WaveStats {
   /// Backoff sleeps taken and their total (deterministic) duration.
   int64_t backoff_waits = 0;
   int64_t backoff_total_ms = 0;
-  /// Speculative duplicates launched / that beat the original attempt.
-  int64_t speculative_launched = 0;
-  int64_t speculative_wins = 0;
 };
 
-/// Runs waves of tasks for one job. Worker failure counts and the
-/// blacklist persist across the job's waves (a bad node stays bad between
-/// the map and reduce phases); construct one scheduler per Job::Run.
+/// Runs waves of tasks for one job; construct one scheduler per Job::Run.
 class TaskScheduler {
  public:
-  /// Attempt body contract: compute the attempt's result into local
-  /// state, then `if (!attempt.TryCommit()) return OK` (duplicate lost —
-  /// discard), else publish to the task's output slot and return OK.
-  /// Throw TaskFailure / SerdeUnderflow for retryable failures; a non-OK
-  /// Status is a permanent, non-retryable failure.
+  /// Attempt body contract: compute the attempt's result, publish it to
+  /// the task's output slot and return OK. Throw TaskFailure /
+  /// SerdeUnderflow (before writing the slot) for retryable failures; a
+  /// non-OK Status is a permanent, non-retryable failure.
   using AttemptBody = std::function<Status(const TaskAttempt&)>;
 
   TaskScheduler(const EngineOptions& options, std::string job_name);
   ~TaskScheduler();
 
-  /// Runs `num_tasks` tasks to completion on `pool`, retrying and
-  /// speculating per the options. Returns the first permanent task
-  /// failure, or OK when every task committed.
+  /// Runs `num_tasks` tasks to completion on `pool`, retrying per the
+  /// options. Returns the error of the lowest-numbered task that failed
+  /// or was cancelled, or OK when every task succeeded.
   Status RunWave(ThreadPool* pool, TaskKind kind, int num_tasks,
                  const AttemptBody& body, WaveStats* stats);
 
+  /// Cancels the job: running attempts see TaskAttempt::Cancelled(),
+  /// backoff and chaos sleeps end early, no further attempt starts, and
+  /// every wave with an unfinished task fails. Safe from any thread.
+  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
+
   /// The job's fault injector; null when chaos is disabled.
   ChaosEngine* chaos() const { return chaos_.get(); }
-  /// Workers blacklisted so far during this job.
-  int64_t blacklisted_workers() const;
 
  private:
-  struct TaskState;
-  struct WaveContext;
+  struct TaskOutcome;
 
-  void RunTaskChain(WaveContext& wave, int task, bool speculative);
-  void RunOneAttempt(WaveContext& wave, TaskState& state, int task,
-                     int attempt, bool speculative);
-  void HandleRetryableFailure(WaveContext& wave, TaskState& state, int task,
-                              int attempt, int worker,
-                              const std::string& what);
-  void Backoff(WaveContext& wave, TaskState& state, int task, int attempt);
-  static void SleepCancellable(double delay_ms, TaskState& state);
-  int PickWorker(int task, int attempt);
-  void RecordWorkerFailure(int worker);
-  void MarkFailed(WaveContext& wave, TaskState& state, int task,
-                  Status status);
-  Status RunWaveSpeculative(ThreadPool* pool, WaveContext& wave);
-  int WinnerAttempt(const WaveContext& wave, int task) const;
+  TaskOutcome RunTask(TaskKind kind, int task, const AttemptBody& body);
+  /// Logs a task's permanent failure (triggering the flight-recorder
+  /// dump) and returns it.
+  Status Fail(Status status, int task);
+  void Backoff(TaskKind kind, int task, int attempt, TaskOutcome* outcome);
+  void SleepCancellable(double delay_ms) const;
+  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
   const EngineOptions options_;
   const std::string job_name_;
-  const int num_workers_;
   std::unique_ptr<ChaosEngine> chaos_;
-
-  mutable std::mutex worker_mutex_;
-  std::vector<int> worker_failures_;
-  std::vector<bool> worker_blacklisted_;
-  int64_t blacklisted_count_ = 0;
+  std::atomic<bool> cancelled_{false};
 };
 
 }  // namespace skymr::mr

@@ -137,14 +137,11 @@ int BenchRepsFromEnv() {
 
 namespace {
 
-// Counters that are never bit-identical across runs: cache hit/miss split,
-// speculation, and blacklisting depend on thread scheduling, and backoff
-// milliseconds on wall time. Excluded from the gate unconditionally.
+// Counters that are never bit-identical across runs: the cache hit/miss
+// split depends on thread scheduling, and backoff milliseconds on wall
+// time. Excluded from the gate unconditionally.
 bool SchedulingDependentCounter(const std::string& name) {
   return name == "mr.cache_hits" || name == "mr.cache_misses" ||
-         name == "mr.speculative_launched" ||
-         name == "mr.speculative_wins" ||
-         name == "mr.blacklisted_workers" ||
          name == "mr.backoff_total_ms";
 }
 

@@ -19,8 +19,8 @@
 //    shuffle: reducer input records) — bit-identical across same-seed
 //    runs, so CI can assert two runs agree on DAG shape and attribution.
 //
-// Retries: only the attempt that wins TryCommit writes its task's
-// TaskMetrics, so a losing attempt never becomes a node, and a retried
+// Retries: only the attempt that returns normally writes its task's
+// TaskMetrics, so a failed attempt never becomes a node, and a retried
 // task's node differs from a clean run's only in `attempts` and wall time.
 
 #ifndef SKYMR_OBS_CRITICAL_PATH_H_

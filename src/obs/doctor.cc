@@ -148,24 +148,6 @@ void CheckFaultTolerance(const JsonValue& job, const std::string& job_name,
                  static_cast<long long>(tasks), ratio)});
     }
   }
-  const int64_t blacklisted = counter("mr.blacklisted_workers");
-  if (blacklisted > 0) {
-    findings->push_back(Finding{
-        Severity::kWarning, "worker-blacklist",
-        Format("job %s: %lld simulated worker(s) blacklisted after "
-               "repeated task failures — attempts route around them",
-               job_name.c_str(), static_cast<long long>(blacklisted))});
-  }
-  const int64_t spec_launched = counter("mr.speculative_launched");
-  const int64_t spec_wins = counter("mr.speculative_wins");
-  if (spec_launched > 0 || spec_wins > 0) {
-    findings->push_back(Finding{
-        Severity::kInfo, "speculation",
-        Format("job %s: speculative execution launched %lld duplicate "
-               "attempt(s), %lld beat the primary",
-               job_name.c_str(), static_cast<long long>(spec_launched),
-               static_cast<long long>(spec_wins))});
-  }
 }
 
 void CheckDegraded(const JsonValue& report, std::vector<Finding>* findings) {

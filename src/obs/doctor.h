@@ -32,10 +32,6 @@
 //                      workers, aggressive chaos schedule, or a
 //                      systematic task failure burning the retry
 //                      budget);
-//   worker-blacklist   the scheduler blacklisted one or more simulated
-//                      workers during the run;
-//   speculation        speculative execution launched duplicates and/or
-//                      a duplicate beat its primary (informational);
 //   degraded           MR-GPMRS failed and the pipeline fell back to
 //                      the single-reducer MR-GPSRS merge;
 //   critical-path-phase

@@ -345,17 +345,9 @@ std::string RenderStatsText(const SkylineResult& result) {
         static_cast<long long>(job.counters.Get("mr.cache_misses")));
     os << buf;
     const int64_t backoff_waits = job.counters.Get("mr.backoff_waits");
-    const int64_t spec_launched = job.counters.Get("mr.speculative_launched");
-    const int64_t spec_wins = job.counters.Get("mr.speculative_wins");
-    const int64_t blacklisted = job.counters.Get("mr.blacklisted_workers");
-    if (backoff_waits > 0 || spec_launched > 0 || blacklisted > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "  backoff waits: %lld    speculative launched/wins: "
-                    "%lld/%lld    blacklisted workers: %lld\n",
-                    static_cast<long long>(backoff_waits),
-                    static_cast<long long>(spec_launched),
-                    static_cast<long long>(spec_wins),
-                    static_cast<long long>(blacklisted));
+    if (backoff_waits > 0) {
+      std::snprintf(buf, sizeof(buf), "  backoff waits: %lld\n",
+                    static_cast<long long>(backoff_waits));
       os << buf;
     }
     const int64_t chaos_injected =

@@ -14,7 +14,7 @@
 //    int64 args and the span's nesting depth on its thread.
 //  * Spans carry no ids or cross-thread edges: a trace is for viewing.
 //    The critical path is analyzed from the engine's per-task metrics
-//    (critical_path.h), which only committed attempts write.
+//    (critical_path.h), which only successful attempts write.
 //  * When the build is configured with -DSKYMR_TRACING=OFF the macros
 //    compile to nothing (argument expressions are type-checked but never
 //    evaluated), so hot paths carry zero cost.

@@ -393,7 +393,7 @@ TEST(FaultToleranceTest, InvalidConfigurationsReturnStatusNotThrow) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
   options = BaseOptions();
-  options.engine.speculation_wave_fraction = 2.0;
+  options.engine.retry_backoff_base_ms = 64.0;  // > retry_backoff_max_ms.
   result = SubmitOnce(data, options, query);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);

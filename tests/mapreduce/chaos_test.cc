@@ -1,6 +1,7 @@
 #include "src/mapreduce/chaos.h"
 
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,11 +79,7 @@ TEST(ChaosScheduleTest, EngineOptionsValidationCoversChaosAndTunables) {
   EXPECT_FALSE(ValidateEngineOptions(options).ok());
 
   options = EngineOptions{};
-  options.speculation_wave_fraction = 0.0;
-  EXPECT_FALSE(ValidateEngineOptions(options).ok());
-
-  options = EngineOptions{};
-  options.worker_blacklist_threshold = 0;
+  options.retry_backoff_base_ms = std::nan("");
   EXPECT_FALSE(ValidateEngineOptions(options).ok());
 }
 
@@ -261,19 +258,18 @@ TEST(ChaosEngineTest, SlowInjectionDelaysButDoesNotFail) {
   EXPECT_EQ(ToMap(result.outputs), ExpectedModSums(32));
   EXPECT_GT(result.metrics.counters.Get("mr.chaos_slow_injected"), 0);
   EXPECT_EQ(result.metrics.counters.Get("mr.task_retries"), 0);
-}
 
-TEST(ChaosEngineTest, BadWorkerGetsBlacklistedAndRoutedAround) {
-  EngineOptions options = ChaosOptions();
-  options.num_workers = 2;
-  options.worker_blacklist_threshold = 2;
-  options.chaos.bad_worker = 0;  // Every attempt on worker 0 crashes.
-  ModSumJob job = MakeModSumJob();
-  DistributedCache cache;
-  auto result = job.Run(MakeInput(32), options, cache);
+  // The deterministic straggler: task 1 of each wave is slow on its first
+  // attempt, and nothing else is.
+  options.chaos = ChaosSchedule{};
+  options.chaos.slow_task = 1;
+  options.chaos.slow_until_attempt = 1;
+  options.chaos.slow_ms = 1.0;
+  result = job.Run(MakeInput(32), options, cache);
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(ToMap(result.outputs), ExpectedModSums(32));
-  EXPECT_EQ(result.metrics.counters.Get("mr.blacklisted_workers"), 1);
+  EXPECT_EQ(result.metrics.counters.Get("mr.chaos_slow_injected"), 2);
+  EXPECT_EQ(result.metrics.counters.Get("mr.task_retries"), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -332,43 +328,64 @@ TEST(ChaosEngineTest, CacheFaultsNeverFireOutsideTaskScope) {
   EXPECT_FALSE(ChaosInjectCacheFault());
 }
 
-// ---------------------------------------------------------------------
-// Speculative execution.
-// ---------------------------------------------------------------------
-
-TEST(ChaosEngineTest, SpeculativeDuplicateDoesNotDuplicateOutput) {
-  EngineOptions options = ChaosOptions();
-  options.num_map_tasks = 4;
-  options.num_reducers = 1;
-  options.speculative_execution = true;
-  options.speculation_wave_fraction = 0.5;
-  options.speculation_slowdown = 1.5;
-  options.speculation_poll_ms = 1.0;
-  // Task 0 stalls 200ms on its first attempt; the duplicate runs clean.
-  options.chaos.slow_task = 0;
-  options.chaos.slow_until_attempt = 1;
-  options.chaos.slow_ms = 200.0;
-  ModSumJob job = MakeModSumJob();
-  DistributedCache cache;
-  auto result = job.Run(MakeInput(64), options, cache);
-  ASSERT_TRUE(result.ok()) << result.status;
-  EXPECT_EQ(ToMap(result.outputs), ExpectedModSums(64));
-  EXPECT_GE(result.metrics.counters.Get("mr.speculative_launched"), 1);
-}
-
-TEST(ChaosEngineTest, SpeculationOffByDefaultKeepsCounterSetLean) {
+TEST(ChaosEngineTest, ChaosFreeRunKeepsCounterSetLean) {
   ModSumJob job = MakeModSumJob();
   EngineOptions options;
   options.num_map_tasks = 2;
   DistributedCache cache;
   auto result = job.Run(MakeInput(16), options, cache);
   ASSERT_TRUE(result.ok());
-  // Chaos-free, speculation-free runs must not grow new counter keys
-  // (committed bench baselines diff the exact key set).
+  // Chaos-free runs without a retry must not grow fault-tolerance
+  // counter keys (committed bench baselines diff the exact key set).
   const auto& values = result.metrics.counters.values();
-  EXPECT_EQ(values.count("mr.speculative_launched"), 0u);
-  EXPECT_EQ(values.count("mr.chaos_crashes_injected"), 0u);
-  EXPECT_EQ(values.count("mr.blacklisted_workers"), 0u);
+  for (const auto& [name, value] : values) {
+    EXPECT_NE(name.rfind("mr.chaos_", 0), 0u) << name;
+  }
+  EXPECT_EQ(values.count("mr.backoff_waits"), 0u);
+  EXPECT_EQ(values.count("mr.backoff_total_ms"), 0u);
+  EXPECT_EQ(result.metrics.counters.Get("mr.task_retries"), 0);
+}
+
+// ---------------------------------------------------------------------
+// Cancellation.
+// ---------------------------------------------------------------------
+
+TEST(TaskSchedulerTest, CancelStopsTheWaveWithoutRetrying) {
+  EngineOptions options;
+  options.max_task_attempts = 4;
+  TaskScheduler scheduler(options, "cancelled");
+  ThreadPool pool(2);
+  std::atomic<int> bodies{0};
+  WaveStats stats;
+  // The task cancels the job from inside its attempt; the attempt sees
+  // the flag and stops, and no retry follows. A later wave of the
+  // cancelled job runs no attempt body at all.
+  const Status status = scheduler.RunWave(
+      &pool, TaskKind::kMap, 1,
+      [&](const TaskAttempt& attempt) -> Status {
+        bodies.fetch_add(1);
+        scheduler.Cancel();
+        if (attempt.Cancelled()) {
+          throw TaskCancelled();
+        }
+        return Status::OK();
+      },
+      &stats);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("cancelled"), std::string::npos)
+      << status;
+  EXPECT_EQ(bodies.load(), 1);
+  EXPECT_EQ(stats.retries, 0);
+
+  const Status later = scheduler.RunWave(
+      &pool, TaskKind::kReduce, 3,
+      [&](const TaskAttempt&) -> Status {
+        bodies.fetch_add(1);
+        return Status::OK();
+      },
+      &stats);
+  EXPECT_FALSE(later.ok());
+  EXPECT_EQ(bodies.load(), 1);
 }
 
 // ---------------------------------------------------------------------

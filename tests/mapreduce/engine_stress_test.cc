@@ -98,8 +98,7 @@ TEST(EngineStressTest, RandomConfigurationsMatchSequentialOracle) {
         [buckets] { return std::make_unique<ModMapper>(buckets); },
         [] { return std::make_unique<StatReducer>(); });
     if (rng.NextBounded(2) == 0) {
-      job.set_partitioner(
-          [](const int& key, int r) { return (key * 7 + 3) % r; });
+      job.UseModuloPartitioner();
     }
     EngineOptions options;
     options.num_map_tasks = 1 + static_cast<int>(rng.NextBounded(12));

@@ -236,7 +236,7 @@ TEST(AnalyzeCriticalPathTest, RetriedTaskAttemptsSurfaceOnSteps) {
 }
 
 TEST(AnalyzeCriticalPathTest, RetriesLeaveTheDeterministicPathUnchanged) {
-  // Only the attempt that wins TryCommit writes its TaskMetrics, so a
+  // Only the attempt that returns normally writes its TaskMetrics, so a
   // failed attempt must never reach the analyzer: a run that retried tasks
   // has the chaos-free run's DAG shape and record-count path.
   data::GeneratorConfig gen;

@@ -217,25 +217,6 @@ TEST(DoctorTest, RoutineRetriesStaySilent) {
   EXPECT_TRUE(Analyze(json).empty());
 }
 
-TEST(DoctorTest, FlagsBlacklistedWorkers) {
-  const std::string json = Report(
-      R"("jobs": [{"name": "mr-gpsrs",
-           "counters": {"mr.blacklisted_workers": 2}}])");
-  const auto findings = Analyze(json);
-  ASSERT_TRUE(HasCode(findings, "worker-blacklist"));
-  EXPECT_EQ(findings[0].severity, Severity::kWarning);
-}
-
-TEST(DoctorTest, ReportsSpeculationAsInfo) {
-  const std::string json = Report(
-      R"("jobs": [{"name": "mr-gpsrs",
-           "counters": {"mr.speculative_launched": 3,
-                        "mr.speculative_wins": 1}}])");
-  const auto findings = Analyze(json);
-  ASSERT_TRUE(HasCode(findings, "speculation"));
-  EXPECT_EQ(findings[0].severity, Severity::kInfo);
-}
-
 TEST(DoctorTest, FlagsDegradedPipeline) {
   const auto findings = Analyze(Report(R"("degraded": true)"));
   ASSERT_TRUE(HasCode(findings, "degraded"));

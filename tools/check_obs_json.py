@@ -10,10 +10,10 @@ Usage:
                       [--bench bench.json] [--metrics metrics.json]
                       [--load load.json] [--flight flight.jsonl]
 
-Exits non-zero with a diagnostic on the first violation. Used by the CI
-obs-smoke and bench-regression jobs; handy locally after `skymr_cli stats
---trace-out ... --report-out ... --metrics-out ...` or any bench binary
-run.
+Every flag may repeat, and every file given is validated. Exits non-zero
+with a diagnostic on the first violation. Used by the CI obs-smoke and
+bench-regression jobs; handy locally after `skymr_cli stats --trace-out
+... --report-out ... --metrics-out ...` or any bench binary run.
 """
 
 import argparse
@@ -374,29 +374,19 @@ def check_metrics(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trace")
-    parser.add_argument("--report")
-    parser.add_argument("--bench")
-    parser.add_argument("--metrics")
-    parser.add_argument("--load")
-    parser.add_argument("--flight")
+    checkers = {"trace": check_trace, "report": check_report,
+                "bench": check_bench, "metrics": check_metrics,
+                "load": check_load, "flight": check_flight}
+    # Every flag may repeat, and every file given is validated.
+    for kind in checkers:
+        parser.add_argument(f"--{kind}", action="append", default=[])
     args = parser.parse_args()
-    if not args.trace and not args.report and not args.bench \
-            and not args.metrics and not args.load and not args.flight:
+    if not any(getattr(args, kind) for kind in checkers):
         parser.error("pass --trace, --report, --bench, --metrics, --load, "
                      "and/or --flight")
-    if args.trace:
-        check_trace(args.trace)
-    if args.report:
-        check_report(args.report)
-    if args.bench:
-        check_bench(args.bench)
-    if args.metrics:
-        check_metrics(args.metrics)
-    if args.load:
-        check_load(args.load)
-    if args.flight:
-        check_flight(args.flight)
+    for kind, check in checkers.items():
+        for path in getattr(args, kind):
+            check(path)
 
 
 if __name__ == "__main__":

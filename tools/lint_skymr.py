@@ -34,10 +34,11 @@ Rules:
                     kCounter* constant in src/mapreduce/counters.h is
                     registered with kind `slot`, and that the slot count
                     in the registry matches kNumSlots usage. The check is
-                    bidirectional for `sketch` and `metric` kinds:
-                    each such registry row must be used by at least one
-                    C++ string literal, so deleted metrics cannot leave
-                    stale documentation behind.
+                    bidirectional for the `counter`, `event`, `cachekey`,
+                    `sketch` and `metric` kinds: each such registry row
+                    must be used by at least one C++ string literal, so
+                    deleted counters and metrics cannot leave stale
+                    documentation behind.
   dcheck-message    Every SKYMR_CHECK / SKYMR_DCHECK must stream a
                     message (`<< ...`) describing the violated invariant;
                     a bare check's failure report is just an expression.
@@ -258,17 +259,23 @@ def check_counter_literals(relpath, lines, allowed, findings, registry,
                          "typo")
 
 
-def check_registry_coverage(findings, registry, used_literals):
-    """Reverse direction: sketch/metric rows must be used in C++.
+# Registry kinds whose every row must be named by a C++ string literal.
+LITERAL_KINDS = ("counter", "event", "cachekey", "sketch", "metric")
 
-    `slot` rows are covered by check_slot_constants and `counter`/`prefix`
-    rows may name counters that only materialize at runtime, but sketch
-    and metric names are always recorded through a string literal — a
-    registered name no literal mentions is stale documentation.
+
+def check_registry_coverage(findings, registry, used_literals):
+    """Reverse direction: counter/event/cachekey/sketch/metric rows must
+    be used in C++.
+
+    Counters, log events, cache keys, sketches and metrics are always
+    named through a string literal, so a registered name no literal
+    mentions is stale documentation. `slot` rows are covered by
+    check_slot_constants, and `prefix` rows name families whose members
+    only materialize at runtime.
     """
     exact, _ = registry
     for name, kind in sorted(exact.items()):
-        if kind not in ("sketch", "metric"):
+        if kind not in LITERAL_KINDS:
             continue
         if name not in used_literals:
             findings.add("DESIGN.md", 1, "counter-registry",

@@ -7,7 +7,7 @@
 //             [--constraint=lo:hi,lo:hi,...] [--out=skyline.csv] [--verify]
 //             [--trace-out=trace.json] [--report-out=report.json]
 //             [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]
-//             [--speculate] [--checkpoint=FILE] [--bench-out=FILE]
+//             [--checkpoint=FILE] [--bench-out=FILE]
 //   skymr_cli stats    --in=data.csv [same flags as skyline]
 //             [--critical-path] [--metrics-out=metrics.json]
 //   skymr_cli compare  --in=data.csv [--header] [--mappers] [--reducers]
@@ -32,20 +32,20 @@
 // admission), writing a skymr-bench-v1 artifact; `doctor` analyzes a
 // previously written skymr-report-v2 document and prints severity-ranked
 // findings (task skew, PPD-selection quality, cost-model deviation,
-// pruning effectiveness, reducer imbalance, retry storms, worker
-// blacklists, degradation). `--trace-out` writes Chrome trace-event JSON
-// (open in Perfetto / chrome://tracing); `--report-out` writes the
-// skymr-report-v2 JSON document.
+// pruning effectiveness, reducer imbalance, retry storms, degradation).
+// `--trace-out` writes Chrome trace-event JSON (open in Perfetto /
+// chrome://tracing); `--report-out` writes the skymr-report-v2 JSON
+// document.
 //
 // Fault-tolerance flags: `--chaos-profile` picks a named deterministic
 // fault-injection schedule (`--chaos-seed` reseeds it; same seed = same
 // faults = bit-identical skyline), `--attempts` bounds per-task attempts,
-// `--speculate` enables speculative execution, `--checkpoint=FILE` loads
-// a bitstring-phase checkpoint before the run and saves it after, and
-// `--bench-out=FILE` writes a skymr-bench-v1 artifact whose deterministic
-// counters include the fault-injection signal when chaos is enabled (two
-// same-seed runs must produce identical artifacts; tools/bench_diff.py
-// gates on this in CI).
+// `--checkpoint=FILE` loads a bitstring-phase checkpoint before the run
+// and saves it after, and `--bench-out=FILE` writes a skymr-bench-v1
+// artifact whose deterministic counters include the fault-injection
+// signal when chaos is enabled (two same-seed runs must produce identical
+// artifacts, and tools/bench_diff.py gates them against the committed
+// chaos baselines).
 
 #include <cstdio>
 #include <cstdlib>
@@ -121,7 +121,7 @@ int Usage() {
       "            [--constraint=lo:hi,lo:hi,...] [--out=FILE] [--verify]\n"
       "            [--trace-out=FILE] [--report-out=FILE]\n"
       "            [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]\n"
-      "            [--speculate] [--checkpoint=FILE] [--bench-out=FILE]\n"
+      "            [--checkpoint=FILE] [--bench-out=FILE]\n"
       "  skymr_cli stats   --in=FILE [same flags as skyline]\n"
       "            [--critical-path] [--metrics-out=FILE]\n"
       "  skymr_cli compare --in=FILE [--header] [--mappers=M] "
@@ -239,7 +239,7 @@ void PrintResultSummary(const skymr::Dataset& data,
 }
 
 /// Applies the engine fault-tolerance flags (--chaos-profile, --chaos-seed,
-/// --attempts, --speculate) shared by `skyline`, `stats`, and `compare`.
+/// --attempts) shared by `skyline`, `stats`, and `compare`.
 /// Returns 0, or the exit code on a flag error.
 int ApplyEngineFlags(const Args& args, skymr::mr::EngineOptions* engine) {
   if (args.Has("chaos-profile")) {
@@ -260,9 +260,6 @@ int ApplyEngineFlags(const Args& args, skymr::mr::EngineOptions* engine) {
     // A chaos schedule with a single-attempt budget fails the job on the
     // first injected crash; default to the Hadoop attempt budget.
     engine->max_task_attempts = 4;
-  }
-  if (args.Has("speculate")) {
-    engine->speculative_execution = true;
   }
   return 0;
 }
@@ -662,10 +659,8 @@ int RunServe(const Args& args) {
               report.queue_wait_us.Quantile(0.99),
               static_cast<long long>(report.max_queue_depth),
               static_cast<long long>(report.max_inflight));
-  std::printf("session cache: %lld hits, %lld misses, %lld bitstring "
-              "jobs\n",
+  std::printf("session cache: %lld hits, %lld bitstring jobs (misses)\n",
               static_cast<long long>(report.session_cache_hits),
-              static_cast<long long>(report.session_cache_misses),
               static_cast<long long>(report.bitstring_jobs));
 
   const std::string out = args.GetString("out", "");
