@@ -26,44 +26,22 @@
 // the failing query's events.
 //
 // Exit code 0 even when individual queries fail (errors are part of the
-// workload under chaos and appear in the artifact); nonzero only for bad
-// flags or harness-level failures.
+// workload under chaos and appear in the artifact); 2 for an unknown flag
+// or a malformed number (tools/flags.h), 1 for harness-level failures.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/loadgen/loadgen.h"
 #include "src/mapreduce/chaos.h"
 #include "src/obs/metrics.h"
+#include "tools/flags.h"
 
 namespace {
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  bool Has(const std::string& name) const {
-    return flags.find(name) != flags.end();
-  }
-  std::string GetString(const std::string& name,
-                        const std::string& fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& name, long fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtol(it->second.c_str(),
-                                                      nullptr, 10);
-  }
-  double GetDouble(const std::string& name, double fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtod(it->second.c_str(),
-                                                      nullptr);
-  }
-};
 
 int Usage() {
   std::fprintf(
@@ -82,22 +60,35 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected positional argument: %s\n",
-                   token.c_str());
-      return Usage();
-    }
-    token.erase(0, 2);
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      args.flags.insert_or_assign(token, std::string("1"));
-    } else {
-      args.flags.insert_or_assign(token.substr(0, eq), token.substr(eq + 1));
-    }
+  using skymr::tools::FlagKind;
+  auto parsed = skymr::tools::Flags::Parse(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {{"seed", FlagKind::kInt},
+       {"qps", FlagKind::kDouble},
+       {"queries", FlagKind::kInt},
+       {"slots", FlagKind::kInt},
+       {"threads", FlagKind::kInt},
+       {"deadline-ms", FlagKind::kDouble},
+       {"scale", FlagKind::kDouble},
+       {"serve", FlagKind::kSwitch},
+       {"small-reserved", FlagKind::kInt},
+       {"warmup", FlagKind::kSwitch},
+       {"chaos-profile", FlagKind::kString},
+       {"chaos-seed", FlagKind::kInt},
+       {"attempts", FlagKind::kInt},
+       {"slow-query", FlagKind::kInt},
+       {"slow-ms", FlagKind::kDouble},
+       {"out", FlagKind::kString},
+       {"log-out", FlagKind::kString},
+       {"crash-dump", FlagKind::kString},
+       {"log-level", FlagKind::kString},
+       {"help", FlagKind::kSwitch}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "skymr_loadgen: %s\n",
+                 parsed.status().message().c_str());
+    return Usage();
   }
+  const skymr::tools::Flags& args = *parsed;
   if (args.Has("help")) {
     return Usage();
   }

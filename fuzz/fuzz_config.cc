@@ -117,7 +117,6 @@ void ConsumeBoundedConfig(FuzzInput* input, skymr::SessionOptions* options,
   query->merge = static_cast<skymr::core::GroupMergeStrategy>(
       input->ConsumeIntegralInRange(0, 3));
   options->unit_bounds = input->ConsumeBool();
-  query->degrade_to_single_reducer = input->ConsumeBool();
 }
 
 /// Fixed tiny dataset: 8 tuples, 2-d, with ties and duplicates. The

@@ -465,7 +465,6 @@ void ConfigSeeds(const fs::path& root) {
     b.Raw<uint64_t>(1);     // explicit_ppd draw
     b.Raw<uint64_t>(0);     // merge draw
     b.Raw<uint8_t>(1);      // unit_bounds
-    b.Raw<uint8_t>(1);      // degrade_to_single_reducer
     WriteSeed(root, "config", "pipeline_clean", b.bytes());
   }
   {
@@ -484,8 +483,7 @@ void ConfigSeeds(const fs::path& root) {
     b.Raw<uint64_t>(3);
     b.Raw<uint8_t>(0);           // no explicit ppd
     b.Raw<uint64_t>(2);
-    b.Raw<uint8_t>(0);
-    b.Raw<uint8_t>(1);
+    b.Raw<uint8_t>(0);           // data bounds
     WriteSeed(root, "config", "pipeline_chaos", b.bytes());
   }
 }

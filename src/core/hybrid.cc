@@ -29,22 +29,19 @@ double EstimateSkylineFraction(const Dataset& data, size_t sample_size,
              : 0.0;
 }
 
-HybridDecision DecideHybrid(const HybridPolicy& policy, const Dataset& data,
-                            const Grid& grid,
+HybridDecision DecideHybrid(const Dataset& data, const Grid& grid,
                             const BitstringBuildResult& result,
                             const std::optional<Box>& constraint) {
   HybridDecision decision;
   decision.sampled_skyline_fraction =
-      EstimateSkylineFraction(data, policy.sample_size, constraint);
+      EstimateSkylineFraction(data, kHybridSampleSize, constraint);
   decision.num_groups =
       GenerateIndependentGroups(grid, result.bits).size();
-  if (decision.sampled_skyline_fraction >
-          policy.skyline_fraction_threshold &&
+  if (decision.sampled_skyline_fraction > kHybridSkylineFractionThreshold &&
       decision.num_groups > 1) {
     decision.use_multiple_reducers = true;
     decision.num_reducers = static_cast<int>(std::min<uint64_t>(
-        static_cast<uint64_t>(std::max(1, policy.preferred_reducers)),
-        decision.num_groups));
+        static_cast<uint64_t>(kHybridReducers), decision.num_groups));
   } else {
     decision.use_multiple_reducers = false;
     decision.num_reducers = 1;

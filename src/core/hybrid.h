@@ -26,16 +26,13 @@
 
 namespace skymr::core {
 
-/// Tunables for the hybrid switch.
-struct HybridPolicy {
-  /// Use MR-GPMRS when the sampled skyline fraction exceeds this value.
-  double skyline_fraction_threshold = 0.15;
-  /// Sample size for the driver-side skyline-fraction estimate.
-  size_t sample_size = 2048;
-  /// Reducers to request when MR-GPMRS is chosen (before capping by the
-  /// group count).
-  int preferred_reducers = 13;
-};
+/// The hybrid switch's fixed policy. Use MR-GPMRS when the sampled
+/// skyline fraction exceeds kHybridSkylineFractionThreshold; estimate the
+/// fraction from kHybridSampleSize tuples; request kHybridReducers
+/// reducers (the paper's 13 nodes) before capping by the group count.
+inline constexpr double kHybridSkylineFractionThreshold = 0.15;
+inline constexpr size_t kHybridSampleSize = 2048;
+inline constexpr int kHybridReducers = 13;
 
 /// The hybrid decision derived from the sample and bitstring-job result.
 struct HybridDecision {
@@ -57,7 +54,7 @@ double EstimateSkylineFraction(
 /// Decides between MR-GPSRS and MR-GPMRS. `grid` must be the grid of
 /// `result.bits`; `data` is the job's input dataset.
 HybridDecision DecideHybrid(
-    const HybridPolicy& policy, const Dataset& data, const Grid& grid,
+    const Dataset& data, const Grid& grid,
     const BitstringBuildResult& result,
     const std::optional<Box>& constraint = std::nullopt);
 

@@ -38,10 +38,13 @@ struct PpdOptions {
   uint32_t explicit_ppd = 0;
   PpdStrategy strategy = PpdStrategy::kPaperLiteral;
   /// Desired tuples per partition for kTargetTpp.
+  // lint:allow(config-field-set) ROADMAP item 1 rewrites the PPD rule.
   double target_tpp = 512.0;
   /// Largest candidate PPD considered (bounds mapper-side bitstring work).
+  // lint:allow(config-field-set) ROADMAP item 1 rewrites the PPD rule.
   uint32_t max_candidate = 64;
   /// Budget for n^d per candidate grid.
+  // lint:allow(config-field-set) ROADMAP item 1 rewrites the PPD rule.
   uint64_t max_cells = Grid::kDefaultMaxCells;
 };
 

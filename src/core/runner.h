@@ -58,8 +58,8 @@ struct SkylineResult {
   Algorithm algorithm_used = Algorithm::kMrGpsrs;
   /// Hybrid diagnostics (kHybrid only).
   core::HybridDecision hybrid_decision;
-  /// True when a failing GPMRS merge was degraded to the GPSRS
-  /// single-reducer merge (QuerySpec::degrade_to_single_reducer).
+  /// True when a permanently failing GPMRS merge was degraded to the
+  /// GPSRS single-reducer merge.
   bool degraded = false;
   /// True when the bitstring phase was served from the checkpoint store
   /// instead of running (SessionOptions::checkpoint).

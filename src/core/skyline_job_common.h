@@ -80,6 +80,11 @@ inline StatusOr<LocalAlgorithm> ParseLocalAlgorithm(const std::string& name) {
   return Status::InvalidArgument("unknown local algorithm: " + name);
 }
 
+/// The dimensionality from which BBS can beat a window kernel: the
+/// skyline is then a large fraction of a partition. kAuto's crossover
+/// below and the doctor's local-kernel check both read it.
+inline constexpr size_t kBbsMinDim = 5;
+
 /// kAuto's per-partition choice. The crossover is empirical
 /// (bench_kernel_crossover baseline): the tree kernel's per-candidate
 /// descents beat the window scan once the skyline is a large fraction of
@@ -87,8 +92,9 @@ inline StatusOr<LocalAlgorithm> ParseLocalAlgorithm(const std::string& name) {
 /// to amortize the STR build; below that, SFS's sorted scan wins.
 inline LocalAlgorithm ResolveAutoKernel(size_t partition_tuples,
                                         size_t dim) {
-  return (dim >= 5 && partition_tuples >= 512) ? LocalAlgorithm::kBbs
-                                               : LocalAlgorithm::kSfs;
+  return (dim >= kBbsMinDim && partition_tuples >= 512)
+             ? LocalAlgorithm::kBbs
+             : LocalAlgorithm::kSfs;
 }
 
 /// Deterministic BBS counters (DESIGN.md §13.5). The first three total

@@ -222,43 +222,31 @@ bool ChaosEngine::ShouldFailCacheRead(int kind, int task, int attempt,
 
 namespace {
 
-/// The thread's active task attempt. Lookups inside the attempt count up
-/// `sequence` so each Get rolls its own deterministic coin.
-struct TaskScopeState {
-  ChaosEngine* engine;
-  int kind;
-  int task;
-  int attempt;
-  uint64_t sequence;
-  TaskScopeState* previous;
-};
-
-thread_local TaskScopeState* tls_task_scope = nullptr;
+/// The thread's innermost active task attempt scope.
+thread_local ChaosTaskScope* tls_task_scope = nullptr;
 
 }  // namespace
 
 ChaosTaskScope::ChaosTaskScope(ChaosEngine* engine, int kind, int task,
-                               int attempt) {
-  auto* state = new TaskScopeState{engine, kind, task, attempt, 0,
-                                   tls_task_scope};
-  previous_ = tls_task_scope;
-  tls_task_scope = state;
+                               int attempt)
+    : engine_(engine),
+      kind_(kind),
+      task_(task),
+      attempt_(attempt),
+      previous_(tls_task_scope) {
+  tls_task_scope = this;
 }
 
-ChaosTaskScope::~ChaosTaskScope() {
-  TaskScopeState* state = tls_task_scope;
-  tls_task_scope = static_cast<TaskScopeState*>(previous_);
-  delete state;
-}
+ChaosTaskScope::~ChaosTaskScope() { tls_task_scope = previous_; }
 
 bool ChaosInjectCacheFault() {
-  TaskScopeState* scope = tls_task_scope;
-  if (scope == nullptr || scope->engine == nullptr) {
+  ChaosTaskScope* scope = tls_task_scope;
+  if (scope == nullptr || scope->engine_ == nullptr) {
     return false;
   }
-  return scope->engine->ShouldFailCacheRead(scope->kind, scope->task,
-                                            scope->attempt,
-                                            scope->sequence++);
+  return scope->engine_->ShouldFailCacheRead(scope->kind_, scope->task_,
+                                             scope->attempt_,
+                                             scope->sequence_++);
 }
 
 }  // namespace skymr::mr

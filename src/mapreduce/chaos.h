@@ -54,7 +54,9 @@ struct ChaosSchedule {
   double slow_ms = 20.0;
   /// Deterministic straggler: this task id (when >= 0) is delayed by
   /// slow_ms on attempts <= slow_until_attempt.
+  // lint:allow(config-field-set) test-only fault hook (a fixed straggler).
   int slow_task = -1;
+  // lint:allow(config-field-set) test-only fault hook (a fixed straggler).
   int slow_until_attempt = 1;
   /// Probability that a reduce (task, attempt) reads one truncated
   /// shuffle value (SerdeUnderflow on deserialization).
@@ -64,6 +66,7 @@ struct ChaosSchedule {
   double cache_fail_rate = 0.0;
   /// Poisoned job: every task attempt of jobs whose name contains this
   /// substring crashes. Drives the GPMRS -> GPSRS degradation path.
+  // lint:allow(config-field-set) test-only fault hook (a poisoned job).
   std::string fail_job;
 
   /// True when any injection can fire.
@@ -128,7 +131,9 @@ class ChaosEngine {
 /// attempt) under `engine`". While a scope is active, ChaosInjectCacheFault
 /// consults the engine; scopes nest (the inner one wins) and a null
 /// engine disables injection. Installed by the TaskScheduler around every
-/// attempt, including the user code it runs.
+/// attempt, including the user code it runs. The scope holds its own
+/// state, and a thread-local points at the innermost one, so opening a
+/// scope allocates nothing.
 class ChaosTaskScope {
  public:
   ChaosTaskScope(ChaosEngine* engine, int kind, int task, int attempt);
@@ -137,7 +142,15 @@ class ChaosTaskScope {
   ChaosTaskScope& operator=(const ChaosTaskScope&) = delete;
 
  private:
-  void* previous_;
+  friend bool ChaosInjectCacheFault();
+
+  ChaosEngine* const engine_;
+  const int kind_;
+  const int task_;
+  const int attempt_;
+  /// Cache lookups made so far in this scope: each rolls its own coin.
+  uint64_t sequence_ = 0;
+  ChaosTaskScope* const previous_;
 };
 
 /// Called by DistributedCache on every lookup: true means "pretend the

@@ -32,37 +32,35 @@ double ClusterModel::LptMakespan(std::vector<double> task_seconds,
   return makespan;
 }
 
-double ClusterModel::JobMakespan(const JobMetrics& metrics) const {
+double ClusterModel::JobMakespan(const JobMetrics& metrics,
+                                 bool with_startup) {
+  const double task_startup = with_startup ? kTaskStartupSeconds : 0.0;
   std::vector<double> map_times;
   map_times.reserve(metrics.map_tasks.size());
   for (const TaskMetrics& t : metrics.map_tasks) {
-    map_times.push_back(t.busy_seconds + task_startup_seconds);
+    map_times.push_back(t.busy_seconds + task_startup);
   }
   std::vector<double> reduce_times;
   reduce_times.reserve(metrics.reduce_tasks.size());
   double max_reduce_in_bytes = 0.0;
   for (const TaskMetrics& t : metrics.reduce_tasks) {
-    reduce_times.push_back(t.busy_seconds + task_startup_seconds);
+    reduce_times.push_back(t.busy_seconds + task_startup);
     max_reduce_in_bytes =
         std::max(max_reduce_in_bytes, static_cast<double>(t.input_bytes));
   }
   // The shuffle is bottlenecked by the most loaded reducer's inbound link.
-  const double shuffle_seconds =
-      network_bytes_per_second > 0.0
-          ? max_reduce_in_bytes / network_bytes_per_second
-          : 0.0;
-  return job_startup_seconds +
-         LptMakespan(std::move(map_times), num_nodes * map_slots_per_node) +
+  const double shuffle_seconds = max_reduce_in_bytes / kNetworkBytesPerSecond;
+  return (with_startup ? kJobStartupSeconds : 0.0) +
+         LptMakespan(std::move(map_times), kNodes * kMapSlotsPerNode) +
          shuffle_seconds +
-         LptMakespan(std::move(reduce_times),
-                     num_nodes * reduce_slots_per_node);
+         LptMakespan(std::move(reduce_times), kNodes * kReduceSlotsPerNode);
 }
 
-double ClusterModel::PipelineMakespan(
-    const std::vector<JobMetrics>& jobs) const {
+double ClusterModel::PipelineMakespan(const std::vector<JobMetrics>& jobs,
+                                      bool with_startup) {
   double total = 0.0;
   for (const JobMetrics& job : jobs) {
-    total += JobMakespan(job);
+    total += JobMakespan(job, with_startup);
   }
   return total;
 }

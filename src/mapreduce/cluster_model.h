@@ -4,12 +4,13 @@
 // This repository executes the same map/reduce tasks with thread-level
 // parallelism on one machine, so raw wall time serializes tasks that the
 // paper ran concurrently. The ClusterModel restores the paper's notion of
-// runtime: it schedules the measured per-task busy times onto a configurable
-// number of map/reduce slots (LPT greedy, matching Hadoop's wave behavior),
+// runtime: it schedules the measured per-task busy times onto that
+// testbed's map/reduce slots (LPT greedy, matching Hadoop's wave behavior),
 // adds per-task startup and job overheads, and charges shuffle traffic
 // against the network bandwidth. The resulting makespan preserves the
 // *shape* of the paper's figures (who wins, where crossovers fall), which is
-// the quantity this reproduction targets.
+// the quantity this reproduction targets. The testbed is fixed: every
+// figure and ablation models the same cluster.
 
 #ifndef SKYMR_MAPREDUCE_CLUSTER_MODEL_H_
 #define SKYMR_MAPREDUCE_CLUSTER_MODEL_H_
@@ -20,35 +21,37 @@
 
 namespace skymr::mr {
 
-/// A modeled Hadoop 1.x cluster.
+/// The paper's Hadoop 1.x testbed.
 struct ClusterModel {
   /// Worker nodes (the paper uses 13 commodity machines).
-  int num_nodes = 13;
+  static constexpr int kNodes = 13;
   /// Concurrent map tasks per node.
-  int map_slots_per_node = 2;
+  static constexpr int kMapSlotsPerNode = 2;
   /// Concurrent reduce tasks per node. Hadoop allows more reducers than
   /// nodes by multi-slot nodes (Section 7.4 runs 17 reducers on 13 nodes).
-  int reduce_slots_per_node = 2;
+  static constexpr int kReduceSlotsPerNode = 2;
   /// Effective point-to-point bandwidth in bytes/second (100 Mbit/s LAN).
-  double network_bytes_per_second = 100e6 / 8.0;
+  static constexpr double kNetworkBytesPerSecond = 100e6 / 8.0;
   /// Fixed job submission/initialization overhead (JobTracker scheduling,
   /// task distribution). Hadoop 1.x jobs cost tens of seconds at minimum.
-  double job_startup_seconds = 15.0;
+  static constexpr double kJobStartupSeconds = 15.0;
   /// Per-task startup overhead (JVM launch, split localization).
-  double task_startup_seconds = 1.5;
+  static constexpr double kTaskStartupSeconds = 1.5;
 
   /// Longest-processing-time-first makespan of `task_seconds` on `slots`
-  /// parallel slots. Exposed for tests.
+  /// parallel slots.
   static double LptMakespan(std::vector<double> task_seconds, int slots);
 
-  /// Modeled end-to-end runtime of one job:
-  /// job_startup + map wave makespan + shuffle transfer + reduce wave
-  /// makespan, with task_startup added to every task.
-  double JobMakespan(const JobMetrics& metrics) const;
+  /// Modeled end-to-end runtime of one job: job startup + map wave
+  /// makespan + shuffle transfer + reduce wave makespan, with task startup
+  /// added to every task. `with_startup` false drops both startup
+  /// overheads, leaving the part of the runtime that scales with the data.
+  static double JobMakespan(const JobMetrics& metrics, bool with_startup);
 
   /// Modeled runtime of a chain of jobs executed back to back (e.g. the
   /// bitstring-generation job followed by the skyline job).
-  double PipelineMakespan(const std::vector<JobMetrics>& jobs) const;
+  static double PipelineMakespan(const std::vector<JobMetrics>& jobs,
+                                 bool with_startup);
 };
 
 }  // namespace skymr::mr

@@ -78,8 +78,10 @@ struct EngineOptions {
   // -- Fault tolerance --
   /// First-retry backoff in milliseconds; doubles per failure. 0 turns
   /// backoff off (failed attempts re-run immediately, as before).
+  // lint:allow(config-field-set) tests and fuzzers switch backoff off.
   double retry_backoff_base_ms = 1.0;
   /// Backoff cap in milliseconds.
+  // lint:allow(config-field-set) tests and fuzzers switch backoff off.
   double retry_backoff_max_ms = 32.0;
   /// Fault injection (off by default; see chaos.h).
   ChaosSchedule chaos;

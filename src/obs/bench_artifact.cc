@@ -138,20 +138,21 @@ int BenchRepsFromEnv() {
 namespace {
 
 // Counters that are never bit-identical across runs: the cache hit/miss
-// split depends on thread scheduling, and backoff milliseconds on wall
-// time. Excluded from the gate unconditionally.
+// split depends on thread scheduling. Excluded from the gate
+// unconditionally.
 bool SchedulingDependentCounter(const std::string& name) {
-  return name == "mr.cache_hits" || name == "mr.cache_misses" ||
-         name == "mr.backoff_total_ms";
+  return name == "mr.cache_hits" || name == "mr.cache_misses";
 }
 
 // Counters that are deterministic ONLY for a fixed ChaosSchedule seed:
-// retry counts, injected-fault totals, and backoff waits. Included when the
-// caller opts in (the chaos-smoke gate diffs two same-seed runs), excluded
-// otherwise so a chaos-free baseline never grows fault-injection keys.
+// retry counts, injected-fault totals, and backoff waits with their
+// planned milliseconds (a seed-hashed delay per retried attempt, counted
+// before the sleep, so never wall time). Included when the caller opts in
+// (the chaos-smoke gate diffs two same-seed runs), excluded otherwise so
+// a chaos-free baseline never grows fault-injection keys.
 bool FaultInjectionCounter(const std::string& name) {
   return name == "mr.task_retries" || name == "mr.backoff_waits" ||
-         name == "mr.degraded_to_gpsrs" ||
+         name == "mr.backoff_total_ms" || name == "mr.degraded_to_gpsrs" ||
          name.rfind("mr.chaos_", 0) == 0;
 }
 

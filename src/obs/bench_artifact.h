@@ -112,11 +112,11 @@ int BenchRepsFromEnv();
 /// for a fixed dataset, SessionOptions and QuerySpec.
 ///
 /// `include_fault_injection` adds the seeded-chaos signal — mr.task_retries,
-/// the mr.chaos_*_injected totals, and mr.backoff_waits — which is
-/// bit-identical for a fixed ChaosSchedule seed; the CI chaos-smoke gate
-/// diffs two same-seed runs with this on, and against its committed
-/// baselines. Timing-dependent counters (cache hits/misses, backoff
-/// milliseconds) are always excluded.
+/// the mr.chaos_*_injected totals, mr.backoff_waits and the planned
+/// mr.backoff_total_ms — which is bit-identical for a fixed ChaosSchedule
+/// seed; the CI chaos-smoke gate diffs two same-seed runs with this on,
+/// and against its committed baselines. The scheduling-dependent cache
+/// hit/miss counters are always excluded.
 std::map<std::string, int64_t> DeterministicCounters(
     const SkylineResult& result, uint64_t input_tuples,
     bool include_fault_injection = false);

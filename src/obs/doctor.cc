@@ -7,12 +7,109 @@
 #include <sstream>
 #include <vector>
 
+#include "src/core/skyline_job_common.h"
 #include "src/obs/bench_artifact.h"
 #include "src/obs/job_report.h"
 #include "src/obs/metrics.h"
 
 namespace skymr::obs {
 namespace {
+
+/// task-skew: flag when max busy > ratio * median busy, escalating to
+/// critical beyond the second ratio, and only when the slowest task is
+/// slow enough to matter.
+constexpr double kSkewRatio = 4.0;
+constexpr double kSkewCriticalRatio = 16.0;
+constexpr double kMinBusySeconds = 0.05;
+
+/// ppd-skew: observed tuples-per-partition vs the uniform prediction.
+constexpr double kPpdSkewRatio = 4.0;
+/// ppd-coarse: absolute tuples-per-partition beyond which a grid that
+/// could have been finer is flagged.
+constexpr double kCoarseTpp = 32.0;
+/// Minimum input size for either grid heuristic to speak.
+constexpr int64_t kMinTuplesForPpd = 1000;
+
+/// cost-model: observed max comparisons > ratio * predicted, and only
+/// when the observed count is non-trivial.
+constexpr double kCostModelRatio = 4.0;
+constexpr int64_t kMinObservedComparisons = 10000;
+
+/// pruning: flag when pruned/nonempty falls below this fraction on a
+/// grid with at least this many non-empty partitions.
+constexpr double kPruneMinFraction = 0.02;
+constexpr int64_t kMinPartitionsForPrune = 256;
+
+/// reduce-imbalance: max reducer input records > ratio * median, and the
+/// largest reducer saw at least this many records.
+constexpr double kReduceImbalanceRatio = 4.0;
+constexpr int64_t kMinReducerRecords = 1000;
+
+/// local-kernel: a window kernel (no skymr.bbs.* counters) spending more
+/// than this many comparisons per input tuple at core::kBbsMinDim or more
+/// dimensions is flagged; a run that did pay the BBS tree build but
+/// measured fewer comparisons per tuple than the second value gets an
+/// informational note; either direction stays silent below the input
+/// size.
+constexpr double kWrongKernelCmpPerTuple = 128.0;
+constexpr double kBbsOverkillCmpPerTuple = 8.0;
+constexpr int64_t kMinTuplesForKernel = 4096;
+
+/// retry-storm: flag when a job's retries exceed ratio * task count,
+/// escalating to critical beyond the second ratio, and only when the job
+/// retried at least this many times.
+constexpr double kRetryStormRatio = 0.5;
+constexpr double kRetryStormCriticalRatio = 2.0;
+constexpr int64_t kMinRetries = 3;
+
+/// critical-path-phase: flag when one phase owns more than this fraction
+/// of the critical path, and only when the makespan is long enough to
+/// matter.
+constexpr double kCriticalPhaseFraction = 0.85;
+constexpr double kMinMakespanSeconds = 0.05;
+
+/// straggler-on-critical-path: flag a path step slower than this multiple
+/// of its wave median when the step itself is slow enough to matter, or
+/// (independently of timing) when the step's task needed at least this
+/// many attempts to commit.
+constexpr double kCriticalStragglerRatio = 4.0;
+constexpr double kCriticalMinStepSeconds = 0.02;
+constexpr int64_t kCriticalRetryAttempts = 2;
+
+/// sampler-overhead: flag when the sampler's summed per-sample cost
+/// exceeds this fraction of the registry uptime, measured over at least
+/// this much uptime.
+constexpr double kSamplerOverheadFraction = 0.02;
+constexpr double kMinSamplerUptimeSeconds = 0.5;
+
+/// queueing-delay (load artifacts): flag when the arrival->dispatch queue
+/// wait p99 exceeds this fraction of the end-to-end latency p99 (the tail
+/// is spent waiting for an admission slot, not computing), escalating to
+/// critical beyond the second fraction, and only when the queue-wait p99
+/// itself is non-trivial.
+constexpr double kQueueingDelayFraction = 0.5;
+constexpr double kQueueingDelayCriticalFraction = 0.9;
+constexpr double kMinQueueWaitP99Us = 5000.0;
+
+/// tail-amplification (load artifacts): flag when latency p99 exceeds
+/// this multiple of p50 (one slow query inflated everyone behind it), and
+/// only when the p99 is slow enough to matter.
+constexpr double kTailAmplificationRatio = 25.0;
+constexpr double kMinTailP99Us = 10000.0;
+
+/// Both load heuristics stay silent below this many measured queries
+/// (percentiles of a handful of queries are noise).
+constexpr int64_t kMinQueriesForLoad = 20;
+
+/// log-drop (load artifacts and metrics snapshots): flagged once at least
+/// this many structured log records were dropped.
+constexpr int64_t kMinLogDropped = 1;
+
+/// session-cache-cold (serve-mode load artifacts): flag when fewer than
+/// this fraction of the session's bitstring lookups hit the cross-query
+/// cache — the resident session is rebuilding the phase it exists to
+/// share (fingerprint churn, or a mix with no repeats).
+constexpr double kMinSessionCacheHitFraction = 0.5;
 
 std::string Format(const char* fmt, ...) {
   char buf[512];
@@ -38,7 +135,6 @@ double UniformExpectedNonempty(double cells, double tuples) {
 }
 
 void CheckTaskSkew(const JsonValue& job, const std::string& job_name,
-                   const DoctorOptions& options,
                    std::vector<Finding>* findings) {
   const JsonValue* skew = job.Find("skew");
   if (skew == nullptr || !skew->is_object()) {
@@ -56,15 +152,15 @@ void CheckTaskSkew(const JsonValue& job, const std::string& job_name,
   for (const Wave& wave : waves) {
     const double max = skew->GetDouble(wave.max_key, 0.0);
     const double median = skew->GetDouble(wave.median_key, 0.0);
-    if (max < options.min_busy_seconds || median <= 0.0) {
+    if (max < kMinBusySeconds || median <= 0.0) {
       continue;
     }
     const double ratio = max / median;
-    if (ratio <= options.skew_ratio) {
+    if (ratio <= kSkewRatio) {
       continue;
     }
     findings->push_back(Finding{
-        ratio > options.skew_critical_ratio ? Severity::kCritical
+        ratio > kSkewCriticalRatio ? Severity::kCritical
                                             : Severity::kWarning,
         "task-skew",
         Format("job %s: slowest %s task busy %.3fs vs %.3fs median "
@@ -75,7 +171,6 @@ void CheckTaskSkew(const JsonValue& job, const std::string& job_name,
 }
 
 void CheckReduceImbalance(const JsonValue& job, const std::string& job_name,
-                          const DoctorOptions& options,
                           std::vector<Finding>* findings) {
   const JsonValue* tasks = job.Find("reduce_tasks");
   if (tasks == nullptr || !tasks->is_array() || tasks->AsArray().size() < 2) {
@@ -92,12 +187,12 @@ void CheckReduceImbalance(const JsonValue& job, const std::string& job_name,
                             ? records[n / 2]
                             : 0.5 * (records[n / 2 - 1] + records[n / 2]);
   const double max = records.back();
-  if (max < static_cast<double>(options.min_reducer_records) ||
+  if (max < static_cast<double>(kMinReducerRecords) ||
       median <= 0.0) {
     return;
   }
   const double ratio = max / median;
-  if (ratio <= options.reduce_imbalance_ratio) {
+  if (ratio <= kReduceImbalanceRatio) {
     return;
   }
   findings->push_back(Finding{
@@ -112,7 +207,6 @@ void CheckReduceImbalance(const JsonValue& job, const std::string& job_name,
 }
 
 void CheckFaultTolerance(const JsonValue& job, const std::string& job_name,
-                         const DoctorOptions& options,
                          std::vector<Finding>* findings) {
   const JsonValue* counters = job.Find("counters");
   const auto counter = [counters](std::string_view name) -> int64_t {
@@ -132,12 +226,12 @@ void CheckFaultTolerance(const JsonValue& job, const std::string& job_name,
                job.Find("reduce_tasks")->is_array()
            ? static_cast<int64_t>(job.Find("reduce_tasks")->AsArray().size())
            : 0);
-  if (retries >= options.min_retries && tasks > 0) {
+  if (retries >= kMinRetries && tasks > 0) {
     const double ratio =
         static_cast<double>(retries) / static_cast<double>(tasks);
-    if (ratio > options.retry_storm_ratio) {
+    if (ratio > kRetryStormRatio) {
       findings->push_back(Finding{
-          ratio > options.retry_storm_critical_ratio ? Severity::kCritical
+          ratio > kRetryStormCriticalRatio ? Severity::kCritical
                                                      : Severity::kWarning,
           "retry-storm",
           Format("job %s: %lld task retries across %lld tasks (%.1f "
@@ -162,14 +256,14 @@ void CheckDegraded(const JsonValue& report, std::vector<Finding>* findings) {
       "without reducer parallelism"});
 }
 
-void CheckPpd(const JsonValue& report, const DoctorOptions& options,
+void CheckPpd(const JsonValue& report,
               std::vector<Finding>* findings) {
   const int64_t ppd = report.GetInt("ppd", 0);
   const int64_t nonempty = report.GetInt("nonempty_partitions", 0);
   const int64_t tuples = report.GetInt("input_tuples", 0);
   const int64_t dim = report.GetInt("dim", 0);
   if (ppd <= 0 || nonempty <= 0 || dim <= 0 ||
-      tuples < options.min_tuples_for_ppd) {
+      tuples < kMinTuplesForPpd) {
     return;
   }
   const double n = static_cast<double>(tuples);
@@ -177,7 +271,7 @@ void CheckPpd(const JsonValue& report, const DoctorOptions& options,
   const double cells = std::pow(static_cast<double>(ppd),
                                 static_cast<double>(dim));
   const double predicted_tpp = n / UniformExpectedNonempty(cells, n);
-  if (observed_tpp > options.ppd_skew_ratio * predicted_tpp) {
+  if (observed_tpp > kPpdSkewRatio * predicted_tpp) {
     findings->push_back(Finding{
         Severity::kWarning, "ppd-skew",
         Format("grid ppd=%lld holds %.1f tuples per non-empty partition "
@@ -192,7 +286,7 @@ void CheckPpd(const JsonValue& report, const DoctorOptions& options,
   // was forced or capped too coarse.
   const double candidate_max = std::floor(std::pow(n, 1.0 / static_cast<double>(dim)));
   if (static_cast<double>(ppd) < candidate_max &&
-      observed_tpp > options.coarse_tpp) {
+      observed_tpp > kCoarseTpp) {
     findings->push_back(Finding{
         Severity::kWarning, "ppd-coarse",
         Format("grid ppd=%lld is far below the Section 3.3 candidate "
@@ -203,7 +297,7 @@ void CheckPpd(const JsonValue& report, const DoctorOptions& options,
   }
 }
 
-void CheckCostModel(const JsonValue& report, const DoctorOptions& options,
+void CheckCostModel(const JsonValue& report,
                     std::vector<Finding>* findings) {
   const JsonValue* cm = report.Find("cost_model");
   if (cm == nullptr || !cm->is_object()) {
@@ -223,11 +317,11 @@ void CheckCostModel(const JsonValue& report, const DoctorOptions& options,
   for (const Side& side : sides) {
     const double predicted = cm->GetDouble(side.predicted_key, 0.0);
     const int64_t observed = cm->GetInt(side.observed_key, 0);
-    if (predicted <= 0.0 || observed < options.min_observed_comparisons) {
+    if (predicted <= 0.0 || observed < kMinObservedComparisons) {
       continue;
     }
     const double ratio = static_cast<double>(observed) / predicted;
-    if (ratio <= options.cost_model_ratio) {
+    if (ratio <= kCostModelRatio) {
       continue;
     }
     findings->push_back(Finding{
@@ -240,17 +334,17 @@ void CheckCostModel(const JsonValue& report, const DoctorOptions& options,
   }
 }
 
-void CheckPruning(const JsonValue& report, const DoctorOptions& options,
+void CheckPruning(const JsonValue& report,
                   std::vector<Finding>* findings) {
   const int64_t ppd = report.GetInt("ppd", 0);
   const int64_t nonempty = report.GetInt("nonempty_partitions", 0);
   const int64_t pruned = report.GetInt("pruned_partitions", 0);
-  if (ppd <= 0 || nonempty < options.min_partitions_for_prune) {
+  if (ppd <= 0 || nonempty < kMinPartitionsForPrune) {
     return;
   }
   const double fraction =
       static_cast<double>(pruned) / static_cast<double>(nonempty);
-  if (fraction >= options.prune_min_fraction) {
+  if (fraction >= kPruneMinFraction) {
     return;
   }
   findings->push_back(Finding{
@@ -262,11 +356,11 @@ void CheckPruning(const JsonValue& report, const DoctorOptions& options,
              static_cast<long long>(nonempty), 100.0 * fraction)});
 }
 
-void CheckLocalKernel(const JsonValue& report, const DoctorOptions& options,
+void CheckLocalKernel(const JsonValue& report,
                       std::vector<Finding>* findings) {
   const int64_t dim = report.GetInt("dim", 0);
   const int64_t tuples = report.GetInt("input_tuples", 0);
-  if (dim <= 0 || tuples < options.min_tuples_for_kernel) {
+  if (dim <= 0 || tuples < kMinTuplesForKernel) {
     return;
   }
   // Dominance work and the BBS fingerprint, summed across the pipeline's
@@ -294,8 +388,8 @@ void CheckLocalKernel(const JsonValue& report, const DoctorOptions& options,
     // Window kernel ran. At high dimensionality the skyline is large and
     // window scans go quadratic; past the measured crossover the
     // output-sensitive BBS does strictly less dominance work.
-    if (dim >= options.min_dim_for_bbs &&
-        cmp_per_tuple > options.wrong_kernel_cmp_per_tuple) {
+    if (dim >= static_cast<int64_t>(core::kBbsMinDim) &&
+        cmp_per_tuple > kWrongKernelCmpPerTuple) {
       findings->push_back(Finding{
           Severity::kWarning, "local-kernel",
           Format("local window kernel spent %.1f dominance comparisons "
@@ -303,7 +397,7 @@ void CheckLocalKernel(const JsonValue& report, const DoctorOptions& options,
                  "rerun with --local-algorithm=bbs (or auto)",
                  cmp_per_tuple, static_cast<long long>(dim))});
     }
-  } else if (cmp_per_tuple < options.bbs_overkill_cmp_per_tuple) {
+  } else if (cmp_per_tuple < kBbsOverkillCmpPerTuple) {
     findings->push_back(Finding{
         Severity::kInfo, "local-kernel",
         Format("BBS kernel ran but the workload needed only %.1f "
@@ -314,7 +408,7 @@ void CheckLocalKernel(const JsonValue& report, const DoctorOptions& options,
   }
 }
 
-void CheckCriticalPath(const JsonValue& report, const DoctorOptions& options,
+void CheckCriticalPath(const JsonValue& report,
                        std::vector<Finding>* findings) {
   const JsonValue* cp = report.Find("critical_path");
   if (cp == nullptr || !cp->is_object()) {
@@ -325,11 +419,11 @@ void CheckCriticalPath(const JsonValue& report, const DoctorOptions& options,
   // critical-path-phase: one phase owning (nearly) the whole path means
   // the run is bound by that phase — everything else is free to tune.
   const JsonValue* phases = cp->Find("phases");
-  if (makespan >= options.min_makespan_seconds && phases != nullptr &&
+  if (makespan >= kMinMakespanSeconds && phases != nullptr &&
       phases->is_array() && phases->AsArray().size() > 1) {
     for (const JsonValue& phase : phases->AsArray()) {
       const double fraction = phase.GetDouble("percent", 0.0) / 100.0;
-      if (fraction <= options.critical_phase_fraction) {
+      if (fraction <= kCriticalPhaseFraction) {
         continue;
       }
       const std::string name = phase.GetString("phase", "?");
@@ -355,10 +449,10 @@ void CheckCriticalPath(const JsonValue& report, const DoctorOptions& options,
       const double seconds = step.GetDouble("seconds", 0.0);
       const double median = step.GetDouble("wave_median_seconds", 0.0);
       const int64_t attempts = step.GetInt("attempts", 1);
-      const bool slow = seconds >= options.critical_min_step_seconds &&
+      const bool slow = seconds >= kCriticalMinStepSeconds &&
                         median > 0.0 &&
-                        seconds > options.critical_straggler_ratio * median;
-      const bool retried = attempts >= options.critical_retry_attempts;
+                        seconds > kCriticalStragglerRatio * median;
+      const bool retried = attempts >= kCriticalRetryAttempts;
       if (!slow && !retried) {
         continue;
       }
@@ -400,8 +494,7 @@ const char* SeverityName(Severity severity) {
   return "UNKNOWN";
 }
 
-StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report,
-                                             const DoctorOptions& options) {
+StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report) {
   if (!report.is_object()) {
     return Status::InvalidArgument("doctor: report is not a JSON object");
   }
@@ -416,17 +509,17 @@ StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report,
   if (jobs != nullptr && jobs->is_array()) {
     for (const JsonValue& job : jobs->AsArray()) {
       const std::string job_name = job.GetString("name", "?");
-      CheckTaskSkew(job, job_name, options, &findings);
-      CheckReduceImbalance(job, job_name, options, &findings);
-      CheckFaultTolerance(job, job_name, options, &findings);
+      CheckTaskSkew(job, job_name, &findings);
+      CheckReduceImbalance(job, job_name, &findings);
+      CheckFaultTolerance(job, job_name, &findings);
     }
   }
   CheckDegraded(report, &findings);
-  CheckPpd(report, options, &findings);
-  CheckCostModel(report, options, &findings);
-  CheckPruning(report, options, &findings);
-  CheckLocalKernel(report, options, &findings);
-  CheckCriticalPath(report, options, &findings);
+  CheckPpd(report, &findings);
+  CheckCostModel(report, &findings);
+  CheckPruning(report, &findings);
+  CheckLocalKernel(report, &findings);
+  CheckCriticalPath(report, &findings);
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
                      return static_cast<int>(a.severity) >
@@ -435,26 +528,7 @@ StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report,
   return findings;
 }
 
-StatusOr<std::vector<Finding>> AnalyzeReportJson(
-    std::string_view json, const DoctorOptions& options) {
-  auto doc = ParseJson(json);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeReport(doc.value(), options);
-}
-
-StatusOr<std::vector<Finding>> AnalyzeReportFile(
-    const std::string& path, const DoctorOptions& options) {
-  auto doc = ParseJsonFile(path);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeReport(doc.value(), options);
-}
-
-StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics,
-                                              const DoctorOptions& options) {
+StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics) {
   if (!metrics.is_object()) {
     return Status::InvalidArgument("doctor: metrics is not a JSON object");
   }
@@ -474,10 +548,10 @@ StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics,
                               ? sketches->Find("mr.sampler_sample_us")
                               : nullptr;
   if (cost != nullptr && cost->is_object() &&
-      uptime >= options.min_sampler_uptime_seconds) {
+      uptime >= kMinSamplerUptimeSeconds) {
     const double spent_seconds = cost->GetDouble("sum", 0.0) / 1e6;
     const double fraction = spent_seconds / uptime;
-    if (fraction > options.sampler_overhead_fraction) {
+    if (fraction > kSamplerOverheadFraction) {
       findings.push_back(Finding{
           Severity::kWarning, "sampler-overhead",
           Format("metrics sampler spent %.3fs of %.3fs uptime (%.1f%%) "
@@ -493,7 +567,7 @@ StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics,
                                  : nullptr;
   if (dropped != nullptr && dropped->is_object()) {
     const int64_t count = static_cast<int64_t>(dropped->GetInt("value", 0));
-    if (count >= options.min_log_dropped) {
+    if (count >= kMinLogDropped) {
       findings.push_back(Finding{
           Severity::kWarning, "log-drop",
           Format("%lld structured log records were dropped — the flight "
@@ -506,17 +580,7 @@ StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics,
   return findings;
 }
 
-StatusOr<std::vector<Finding>> AnalyzeMetricsJson(
-    std::string_view json, const DoctorOptions& options) {
-  auto doc = ParseJson(json);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeMetrics(doc.value(), options);
-}
-
-StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
-                                           const DoctorOptions& options) {
+StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load) {
   if (!load.is_object()) {
     return Status::InvalidArgument("doctor: load is not a JSON object");
   }
@@ -570,17 +634,17 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
   // The row's wall block summarizes every query's latency: reps is the
   // query count and the median is p50.
   const int64_t queries = wall.GetInt("reps", 0);
-  if (queries >= options.min_queries_for_load) {
+  if (queries >= kMinQueriesForLoad) {
     const double latency_p50 = wall.GetDouble("median_seconds", 0.0) * 1e6;
     const double latency_p99 = metrics.GetDouble("latency_p99_us", 0.0);
     const double wait_p99 = metrics.GetDouble("queue_wait_p99_us", 0.0);
 
     // queueing-delay: the tail is waiting for admission, not computing.
-    if (wait_p99 >= options.min_queue_wait_p99_us && latency_p99 > 0.0) {
+    if (wait_p99 >= kMinQueueWaitP99Us && latency_p99 > 0.0) {
       const double fraction = wait_p99 / latency_p99;
-      if (fraction > options.queueing_delay_fraction) {
+      if (fraction > kQueueingDelayFraction) {
         const bool critical =
-            fraction > options.queueing_delay_critical_fraction;
+            fraction > kQueueingDelayCriticalFraction;
         findings.push_back(Finding{
             critical ? Severity::kCritical : Severity::kWarning,
             "queueing-delay",
@@ -595,9 +659,9 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
 
     // tail-amplification: the open-loop coordinated-omission signature —
     // a stalled query inflates every arrival scheduled behind it.
-    if (latency_p99 >= options.min_tail_p99_us && latency_p50 > 0.0) {
+    if (latency_p99 >= kMinTailP99Us && latency_p50 > 0.0) {
       const double ratio = latency_p99 / latency_p50;
-      if (ratio > options.tail_amplification_ratio) {
+      if (ratio > kTailAmplificationRatio) {
         findings.push_back(Finding{
             Severity::kWarning, "tail-amplification",
             Format("latency p99 %.0fus is %.0fx the p50 %.0fus over %lld "
@@ -614,7 +678,7 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
   // log-drop: a hole in the very stream that post-mortems depend on.
   const int64_t dropped =
       static_cast<int64_t>(metrics.GetDouble("log_dropped", 0.0));
-  if (dropped >= options.min_log_dropped) {
+  if (dropped >= kMinLogDropped) {
     findings.push_back(Finding{
         Severity::kWarning, "log-drop",
         Format("%lld structured log records were dropped during the run "
@@ -631,10 +695,10 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
   const int64_t cache_misses = deterministic.GetInt("bitstring_jobs", -1);
   const int64_t lookups = cache_hits + cache_misses;
   if (cache_hits >= 0 && cache_misses >= 0 &&
-      lookups >= options.min_queries_for_load) {
+      lookups >= kMinQueriesForLoad) {
     const double hit_fraction =
         static_cast<double>(cache_hits) / static_cast<double>(lookups);
-    if (hit_fraction < options.min_session_cache_hit_fraction) {
+    if (hit_fraction < kMinSessionCacheHitFraction) {
       findings.push_back(Finding{
           Severity::kWarning, "session-cache-cold",
           Format("the resident session's bitstring cache hit only %lld "
@@ -654,33 +718,6 @@ StatusOr<std::vector<Finding>> AnalyzeLoad(const JsonValue& load,
                             static_cast<int>(b.severity);
                    });
   return findings;
-}
-
-StatusOr<std::vector<Finding>> AnalyzeLoadJson(
-    std::string_view json, const DoctorOptions& options) {
-  auto doc = ParseJson(json);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeLoad(doc.value(), options);
-}
-
-StatusOr<std::vector<Finding>> AnalyzeLoadFile(
-    const std::string& path, const DoctorOptions& options) {
-  auto doc = ParseJsonFile(path);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeLoad(doc.value(), options);
-}
-
-StatusOr<std::vector<Finding>> AnalyzeMetricsFile(
-    const std::string& path, const DoctorOptions& options) {
-  auto doc = ParseJsonFile(path);
-  if (!doc.ok()) {
-    return doc.status();
-  }
-  return AnalyzeMetrics(doc.value(), options);
 }
 
 std::string RenderFindings(const std::vector<Finding>& findings) {

@@ -16,6 +16,7 @@
 #include "src/core/gpmrs.h"
 #include "src/core/gpsrs.h"
 #include "src/mapreduce/chaos.h"
+#include "src/mapreduce/cluster_model.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -39,9 +40,6 @@ Status QuerySpec::Validate() const {
       break;
     default:
       return Status::InvalidArgument("algorithm out of range");
-  }
-  if (algorithm == Algorithm::kMrAngle && angle_partitions < 1) {
-    return Status::InvalidArgument("mr-angle: angle_partitions must be >= 1");
   }
   switch (merge) {
     case core::GroupMergeStrategy::kRoundRobin:
@@ -171,15 +169,15 @@ std::shared_ptr<const Dataset> Unowned(const Dataset& data) {
   return {&data, [](const Dataset*) {}};
 }
 
+/// MR-Angle's approximate number of angular partitions.
+constexpr uint32_t kAnglePartitions = 64;
+
 /// Fills both makespan flavours from the per-job metrics.
-void FillModeledTimes(const mr::ClusterModel& cluster,
-                      SkylineResult* result) {
-  result->modeled_seconds = cluster.PipelineMakespan(result->jobs);
-  mr::ClusterModel no_overhead = cluster;
-  no_overhead.job_startup_seconds = 0.0;
-  no_overhead.task_startup_seconds = 0.0;
-  result->modeled_compute_seconds =
-      no_overhead.PipelineMakespan(result->jobs);
+void FillModeledTimes(SkylineResult* result) {
+  result->modeled_seconds =
+      mr::ClusterModel::PipelineMakespan(result->jobs, /*with_startup=*/true);
+  result->modeled_compute_seconds = mr::ClusterModel::PipelineMakespan(
+      result->jobs, /*with_startup=*/false);
 }
 
 /// The session-scoped prefix of the bitstring fingerprint: dataset shape
@@ -416,11 +414,11 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
             ? baselines::RunMrBnlJob(shared, bounds, engine_in, &pool,
                                      spec.constraint)
         : spec.algorithm == Algorithm::kMrAngle
-            ? baselines::RunMrAngleJob(shared, bounds,
-                                       spec.angle_partitions,
+            ? baselines::RunMrAngleJob(shared, bounds, kAnglePartitions,
                                        engine_in, &pool,
                                        spec.constraint)
-            : baselines::RunSkyMrJob(shared, bounds, spec.skymr,
+            : baselines::RunSkyMrJob(shared, bounds,
+                                     baselines::SkyQuadtree::Options{},
                                      engine_in, &pool,
                                      spec.constraint);
     if (!run_or.ok()) {
@@ -430,7 +428,7 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
     result.jobs.push_back(std::move(run_or->metrics));
     result.algorithm_used = spec.algorithm;
     result.wall_seconds = total_clock.ElapsedSeconds();
-    FillModeledTimes(options_.cluster, &result);
+    FillModeledTimes(&result);
     return result;
   }
 
@@ -454,8 +452,8 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
   Algorithm algorithm = spec.algorithm;
   mr::EngineOptions engine = engine_in;
   if (algorithm == Algorithm::kHybrid) {
-    result.hybrid_decision = core::DecideHybrid(
-        spec.hybrid, data, grid, phase, spec.constraint);
+    result.hybrid_decision =
+        core::DecideHybrid(data, grid, phase, spec.constraint);
     algorithm = result.hybrid_decision.use_multiple_reducers
                     ? Algorithm::kMrGpmrs
                     : Algorithm::kMrGpsrs;
@@ -472,12 +470,12 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
                               &pool, spec.constraint,
                               spec.local_algorithm);
   if (!run_or.ok() && algorithm == Algorithm::kMrGpmrs &&
-      spec.degrade_to_single_reducer &&
       run_or.status().code() == StatusCode::kInternal) {
     // Degradation ladder: GPMRS's reducer-group merge keeps failing
     // (every retry exhausted), so fall back to the GPSRS single-reducer
     // merge over the same grid and bitstring — slower, but the skyline is
-    // identical by Section 4/5 equivalence.
+    // identical by Section 4/5 equivalence. The result is flagged
+    // `degraded` and counted under mr.degraded_to_gpsrs.
     SKYMR_TRACE_INSTANT("degrade.gpsrs");
     result.degraded = true;
     result.algorithm_used = Algorithm::kMrGpsrs;
@@ -493,7 +491,7 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
     result.jobs.back().counters.Add("mr.degraded_to_gpsrs", 1);
   }
   result.wall_seconds = total_clock.ElapsedSeconds();
-  FillModeledTimes(options_.cluster, &result);
+  FillModeledTimes(&result);
   return result;
 }
 

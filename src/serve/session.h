@@ -47,7 +47,6 @@
 #include "src/common/thread_pool.h"
 #include "src/core/bitstring_job.h"
 #include "src/core/runner.h"
-#include "src/mapreduce/cluster_model.h"
 #include "src/serve/query_spec.h"
 
 namespace skymr {
@@ -100,8 +99,6 @@ struct SessionOptions {
   core::PpdOptions ppd;
   /// How Equation 2 pruning is computed.
   core::PruneMode prune_mode = core::PruneMode::kPrefix;
-  /// Modeled cluster for makespan accounting.
-  mr::ClusterModel cluster;
   /// Unit hypercube vs tight data bounds as the grid domain.
   bool unit_bounds = true;
   /// Worker pool shared by every query. When null the session owns a
@@ -124,6 +121,7 @@ struct SessionOptions {
   int small_reserved_slots = 0;
   /// Lane split: queries over a dataset of at most this many tuples ride
   /// the small lane.
+  // lint:allow(config-field-set) ROADMAP item 4's benchmark PR deletes it.
   size_t small_query_max_tuples = 1000;
 
   /// The lane rule: whether queries over a dataset of `tuples` tuples

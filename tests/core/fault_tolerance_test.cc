@@ -181,15 +181,15 @@ TEST(FaultToleranceTest, PoisonedGpmrsDegradesToEquivalentGpsrs) {
   EXPECT_EQ(degraded->SkylineIds(), reference->SkylineIds());
 }
 
-TEST(FaultToleranceTest, DegradationCanBeDisabled) {
+TEST(FaultToleranceTest, FailingDegradedMergeSurfacesInternal) {
+  // "mr-gp" poisons both the GPMRS job and its GPSRS fallback: the ladder
+  // has one rung, so the fallback's failure is the query's error.
   const Dataset data = TestData();
   SessionOptions options = BaseOptions();
   options.engine.max_task_attempts = 2;
-  options.engine.chaos.fail_job = "mr-gpmrs";
-  QuerySpec query = Query(Algorithm::kMrGpmrs);
-  query.degrade_to_single_reducer = false;
+  options.engine.chaos.fail_job = "mr-gp";
 
-  auto result = SubmitOnce(data, options, query);
+  auto result = SubmitOnce(data, options, Query(Algorithm::kMrGpmrs));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }

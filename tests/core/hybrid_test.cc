@@ -55,7 +55,7 @@ TEST(HybridTest, IndependentLowDimPicksSingleReducer) {
   const Grid grid = MakeGrid(3, 4);
   const BitstringBuildResult bitstring = BuildFor(data, grid);
   const HybridDecision decision =
-      DecideHybrid(HybridPolicy{}, data, grid, bitstring);
+      DecideHybrid(data, grid, bitstring);
   EXPECT_FALSE(decision.use_multiple_reducers);
   EXPECT_EQ(decision.num_reducers, 1);
 }
@@ -67,7 +67,7 @@ TEST(HybridTest, AntiCorrelatedPicksMultipleReducers) {
   const Grid grid = MakeGrid(4, 3);
   const BitstringBuildResult bitstring = BuildFor(data, grid);
   const HybridDecision decision =
-      DecideHybrid(HybridPolicy{}, data, grid, bitstring);
+      DecideHybrid(data, grid, bitstring);
   EXPECT_TRUE(decision.use_multiple_reducers);
   EXPECT_GT(decision.num_reducers, 1);
   EXPECT_GT(decision.sampled_skyline_fraction, 0.15);
@@ -79,11 +79,10 @@ TEST(HybridTest, ReducersCappedByGroupCount) {
   data.Append({0.9, 0.1});  // Two incomparable cells -> two groups.
   const Grid grid = MakeGrid(2, 4);
   const BitstringBuildResult bitstring = BuildFor(data, grid);
-  HybridPolicy policy;
-  policy.preferred_reducers = 50;
-  policy.skyline_fraction_threshold = 0.0;  // Force the GPMRS branch.
-  const HybridDecision decision =
-      DecideHybrid(policy, data, grid, bitstring);
+  // Both tuples are skyline tuples: a fraction of 1 takes the GPMRS
+  // branch, and its 13 reducers are capped at the 2 groups.
+  const HybridDecision decision = DecideHybrid(data, grid, bitstring);
+  EXPECT_DOUBLE_EQ(decision.sampled_skyline_fraction, 1.0);
   EXPECT_TRUE(decision.use_multiple_reducers);
   EXPECT_EQ(decision.num_groups, 2u);
   EXPECT_EQ(decision.num_reducers, 2);
@@ -94,10 +93,10 @@ TEST(HybridTest, SingleGroupForcesSingleReducer) {
   data.Append({0.1, 0.1});  // One cell, one group.
   const Grid grid = MakeGrid(2, 4);
   const BitstringBuildResult bitstring = BuildFor(data, grid);
-  HybridPolicy policy;
-  policy.skyline_fraction_threshold = 0.0;
-  const HybridDecision decision =
-      DecideHybrid(policy, data, grid, bitstring);
+  // A skyline fraction of 1 would take the GPMRS branch, but one group
+  // leaves nothing for a second reducer.
+  const HybridDecision decision = DecideHybrid(data, grid, bitstring);
+  EXPECT_DOUBLE_EQ(decision.sampled_skyline_fraction, 1.0);
   EXPECT_FALSE(decision.use_multiple_reducers);
   EXPECT_EQ(decision.num_reducers, 1);
 }
@@ -110,7 +109,7 @@ TEST(HybridTest, EmptyDatasetSafe) {
   bitstring.bits = DynamicBitset(9);
   bitstring.nonempty = 0;
   const HybridDecision decision =
-      DecideHybrid(HybridPolicy{}, data, grid, bitstring);
+      DecideHybrid(data, grid, bitstring);
   EXPECT_FALSE(decision.use_multiple_reducers);
   EXPECT_EQ(decision.num_reducers, 1);
   EXPECT_DOUBLE_EQ(decision.sampled_skyline_fraction, 0.0);

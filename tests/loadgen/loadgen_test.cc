@@ -230,7 +230,7 @@ TEST(LoadArtifactTest, WritesValidSchemaWithDeterministicRows) {
   }
   EXPECT_EQ(total, config.queries);
   // The doctor accepts the artifact.
-  auto findings = obs::AnalyzeLoadJson(os.str());
+  auto findings = obs::AnalyzeLoad(*doc);
   ASSERT_TRUE(findings.ok()) << findings.status();
 }
 
@@ -367,7 +367,7 @@ TEST(LoadArtifactTest, ServeArtifactCarriesSessionCounters) {
             report->session_cache_hits);
   EXPECT_EQ(det->GetInt("bitstring_jobs", -1), report->bitstring_jobs);
   EXPECT_EQ(det->Find("session_cache_misses"), nullptr);
-  auto findings = obs::AnalyzeLoadJson(os.str());
+  auto findings = obs::AnalyzeLoad(*doc);
   ASSERT_TRUE(findings.ok()) << findings.status();
 }
 

@@ -1,5 +1,6 @@
 #include "src/mapreduce/chaos.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -326,6 +327,44 @@ TEST(ChaosEngineTest, CacheFaultsNeverFireOutsideTaskScope) {
   // No ChaosTaskScope is active on the test thread, so injection is off
   // regardless of any schedule used elsewhere.
   EXPECT_FALSE(ChaosInjectCacheFault());
+}
+
+TEST(ChaosEngineTest, NullInnerScopeSuppressesOuterThenOuterResumes) {
+  ChaosSchedule schedule;
+  schedule.seed = 11;
+  schedule.cache_fail_rate = 0.5;
+  // The outer scope's coins for its first eight lookups, drawn directly.
+  ChaosEngine reference(schedule, "job");
+  std::vector<bool> expected;
+  for (uint64_t sequence = 0; sequence < 8; ++sequence) {
+    expected.push_back(reference.ShouldFailCacheRead(0, 1, 1, sequence));
+  }
+  ASSERT_NE(std::count(expected.begin(), expected.end(), true), 0);
+  ASSERT_NE(std::count(expected.begin(), expected.end(), false), 0);
+
+  ChaosEngine engine(schedule, "job");
+  std::vector<bool> seen;
+  {
+    ChaosTaskScope outer(&engine, 0, 1, 1);
+    for (int i = 0; i < 4; ++i) {
+      seen.push_back(ChaosInjectCacheFault());
+    }
+    {
+      // A null engine turns injection off for the inner scope's lookups
+      // and leaves the outer scope's sequence untouched.
+      ChaosTaskScope inner(nullptr, 0, 2, 1);
+      for (int i = 0; i < 16; ++i) {
+        EXPECT_FALSE(ChaosInjectCacheFault());
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      seen.push_back(ChaosInjectCacheFault());
+    }
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(engine.cache_faults_injected(),
+            std::count(expected.begin(), expected.end(), true));
+  EXPECT_FALSE(ChaosInjectCacheFault());  // Every scope has closed.
 }
 
 TEST(ChaosEngineTest, ChaosFreeRunKeepsCounterSetLean) {

@@ -55,61 +55,47 @@ JobMetrics MakeJob(std::vector<double> map_secs,
 }
 
 TEST(ClusterModelTest, JobMakespanComposition) {
-  ClusterModel model;
-  model.num_nodes = 2;
-  model.map_slots_per_node = 1;
-  model.reduce_slots_per_node = 1;
-  model.job_startup_seconds = 10.0;
-  model.task_startup_seconds = 1.0;
-  model.network_bytes_per_second = 100.0;
-
-  // 2 map tasks of 3s on 2 slots -> 4s with startup; 1 reduce of 5s -> 6s;
-  // shuffle: 200 bytes / 100 Bps = 2s. Total = 10 + 4 + 2 + 6 = 22.
+  // 2 map tasks of 3s on 26 slots -> 3s + 1.5s startup; 1 reduce of 5s
+  // -> 6.5s; shuffle: 200 bytes over 100 Mbit/s; plus 15s job startup.
   const JobMetrics metrics = MakeJob({3.0, 3.0}, {5.0}, 200);
-  EXPECT_DOUBLE_EQ(model.JobMakespan(metrics), 22.0);
+  EXPECT_DOUBLE_EQ(ClusterModel::JobMakespan(metrics, /*with_startup=*/true),
+                   15.0 + 4.5 + 200.0 / (100e6 / 8.0) + 6.5);
 }
 
-TEST(ClusterModelTest, MoreReduceSlotsShortenReduceWave) {
-  ClusterModel model;
-  model.num_nodes = 1;
-  model.reduce_slots_per_node = 1;
-  model.job_startup_seconds = 0.0;
-  model.task_startup_seconds = 0.0;
-  model.network_bytes_per_second = 0.0;  // Disable shuffle accounting.
-  const JobMetrics metrics = MakeJob({}, {4.0, 4.0, 4.0, 4.0}, 0);
-  const double serial = model.JobMakespan(metrics);
-  model.reduce_slots_per_node = 4;
-  const double parallel = model.JobMakespan(metrics);
-  EXPECT_DOUBLE_EQ(serial, 16.0);
-  EXPECT_DOUBLE_EQ(parallel, 4.0);
+TEST(ClusterModelTest, WithoutStartupDropsBothOverheads) {
+  const JobMetrics metrics = MakeJob({3.0, 3.0}, {5.0}, 0);
+  EXPECT_DOUBLE_EQ(
+      ClusterModel::JobMakespan(metrics, /*with_startup=*/false), 8.0);
+}
+
+TEST(ClusterModelTest, ReduceWaveRunsOnTwentySixSlots) {
+  // 13 nodes x 2 reduce slots: 26 equal reducers run in one wave, the
+  // 27th starts a second one.
+  const JobMetrics one_wave = MakeJob({}, std::vector<double>(26, 4.0), 0);
+  const JobMetrics two_waves = MakeJob({}, std::vector<double>(27, 4.0), 0);
+  EXPECT_DOUBLE_EQ(ClusterModel::JobMakespan(one_wave, false), 4.0);
+  EXPECT_DOUBLE_EQ(ClusterModel::JobMakespan(two_waves, false), 8.0);
 }
 
 TEST(ClusterModelTest, ShuffleBottleneckIsMaxReducerInbound) {
-  ClusterModel model;
-  model.num_nodes = 4;
-  model.job_startup_seconds = 0.0;
-  model.task_startup_seconds = 0.0;
-  model.network_bytes_per_second = 1000.0;
   JobMetrics metrics = MakeJob({}, {0.0, 0.0}, 0);
   metrics.reduce_tasks[0].input_bytes = 5000;
   metrics.reduce_tasks[1].input_bytes = 1000;
-  EXPECT_DOUBLE_EQ(model.JobMakespan(metrics), 5.0);
+  EXPECT_DOUBLE_EQ(ClusterModel::JobMakespan(metrics, false),
+                   5000.0 / ClusterModel::kNetworkBytesPerSecond);
 }
 
 TEST(ClusterModelTest, PipelineSumsJobs) {
-  ClusterModel model;
-  model.job_startup_seconds = 7.0;
-  model.task_startup_seconds = 0.0;
-  model.network_bytes_per_second = 0.0;
   const JobMetrics a = MakeJob({1.0}, {}, 0);
   const JobMetrics b = MakeJob({2.0}, {}, 0);
-  EXPECT_DOUBLE_EQ(model.PipelineMakespan({a, b}), 7.0 + 1.0 + 7.0 + 2.0);
+  EXPECT_DOUBLE_EQ(ClusterModel::PipelineMakespan({a, b}, true),
+                   (15.0 + 1.0 + 1.5) + (15.0 + 2.0 + 1.5));
+  EXPECT_DOUBLE_EQ(ClusterModel::PipelineMakespan({a, b}, false), 3.0);
 }
 
-TEST(ClusterModelTest, DefaultsMatchPaperCluster) {
-  const ClusterModel model;
-  EXPECT_EQ(model.num_nodes, 13);
-  EXPECT_DOUBLE_EQ(model.network_bytes_per_second, 100e6 / 8.0);
+TEST(ClusterModelTest, ConstantsMatchPaperCluster) {
+  EXPECT_EQ(ClusterModel::kNodes, 13);
+  EXPECT_DOUBLE_EQ(ClusterModel::kNetworkBytesPerSecond, 100e6 / 8.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "src/core/runner.h"
 #include "src/data/generator.h"
+#include "src/mapreduce/chaos.h"
 #include "src/obs/json_parse.h"
 #include "tests/serve/session_test_util.h"
 
@@ -50,7 +51,7 @@ TEST(WallStatsTest, SingleAndEmptySamples) {
   EXPECT_DOUBLE_EQ(none.median_seconds, 0.0);
 }
 
-SkylineResult SmallRun() {
+SkylineResult SmallRun(const mr::ChaosSchedule& chaos = {}) {
   data::GeneratorConfig gen;
   gen.distribution = data::Distribution::kAntiCorrelated;
   gen.cardinality = 600;
@@ -63,6 +64,8 @@ SkylineResult SmallRun() {
   options.engine.num_map_tasks = 3;
   options.engine.num_reducers = 2;
   options.ppd.max_candidate = 8;
+  options.engine.chaos = chaos;
+  options.engine.max_task_attempts = chaos.enabled() ? 4 : 1;
   auto result = SubmitOnce(data, options, query);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).value();
@@ -91,6 +94,24 @@ TEST(DeterministicCountersTest, BitIdenticalAcrossRuns) {
   const auto a = DeterministicCounters(SmallRun(), 600);
   const auto b = DeterministicCounters(SmallRun(), 600);
   EXPECT_EQ(a, b);
+}
+
+TEST(DeterministicCountersTest, PlannedBackoffIsPartOfTheChaosSignal) {
+  // The scheduler counts each retry's planned, seed-hashed wait, so two
+  // same-seed runs agree on the backoff milliseconds too.
+  mr::ChaosSchedule chaos;
+  chaos.seed = 20260805;
+  chaos.crash_rate = 0.2;
+  const SkylineResult first = SmallRun(chaos);
+  const auto det = DeterministicCounters(first, 600,
+                                         /*include_fault_injection=*/true);
+  ASSERT_GT(det.at("mr.backoff_waits"), 0);
+  EXPECT_GT(det.at("mr.backoff_total_ms"), 0);
+  EXPECT_EQ(det, DeterministicCounters(SmallRun(chaos), 600, true));
+  // Without the opt-in neither backoff counter enters the gate.
+  const auto chaos_free = DeterministicCounters(first, 600);
+  EXPECT_EQ(chaos_free.count("mr.backoff_waits"), 0u);
+  EXPECT_EQ(chaos_free.count("mr.backoff_total_ms"), 0u);
 }
 
 TEST(BenchArtifactTest, WritesParsableSchemaDocument) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,8 +29,16 @@ std::string Report(const std::string& extra) {
   return doc;
 }
 
+/// Parses `json`, which every caller writes well-formed: the doctor reads
+/// parsed documents, and malformed text is ParseJson's to reject.
+JsonValue Parse(std::string_view json) {
+  auto doc = ParseJson(json);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  return doc.ok() ? std::move(doc).value() : JsonValue();
+}
+
 std::vector<Finding> Analyze(const std::string& json) {
-  auto findings = AnalyzeReportJson(json);
+  auto findings = AnalyzeReport(Parse(json));
   EXPECT_TRUE(findings.ok()) << findings.status();
   return findings.ok() ? std::move(findings).value()
                        : std::vector<Finding>{};
@@ -45,11 +54,11 @@ bool HasCode(const std::vector<Finding>& findings, const std::string& code) {
 }
 
 TEST(DoctorTest, RejectsWrongSchema) {
-  EXPECT_FALSE(AnalyzeReportJson(R"({"schema": "other-v9"})").ok());
+  EXPECT_FALSE(AnalyzeReport(Parse(R"({"schema": "other-v9"})")).ok());
   // A v1 report carried log2 histograms; the doctor reads v2 only.
-  EXPECT_FALSE(AnalyzeReportJson(R"({"schema": "skymr-report-v1"})").ok());
-  EXPECT_FALSE(AnalyzeReportJson("[1, 2]").ok());
-  EXPECT_FALSE(AnalyzeReportJson("not json").ok());
+  EXPECT_FALSE(
+      AnalyzeReport(Parse(R"({"schema": "skymr-report-v1"})")).ok());
+  EXPECT_FALSE(AnalyzeReport(Parse("[1, 2]")).ok());
 }
 
 TEST(DoctorTest, MinimalReportIsClean) {
@@ -406,14 +415,14 @@ std::string Metrics(double uptime, double cost_us, int64_t count = 100) {
 }
 
 TEST(DoctorTest, MetricsRejectsWrongSchema) {
-  EXPECT_FALSE(AnalyzeMetricsJson(R"({"schema": "skymr-report-v2"})").ok());
-  EXPECT_FALSE(AnalyzeMetricsJson("[]").ok());
-  EXPECT_FALSE(AnalyzeMetricsJson("nope").ok());
+  EXPECT_FALSE(
+      AnalyzeMetrics(Parse(R"({"schema": "skymr-report-v2"})")).ok());
+  EXPECT_FALSE(AnalyzeMetrics(Parse("[]")).ok());
 }
 
 TEST(DoctorTest, FlagsSamplerOverhead) {
   // 50ms of sampling cost in 1s of uptime = 5% > the 2% budget.
-  auto findings = AnalyzeMetricsJson(Metrics(1.0, 50000.0));
+  auto findings = AnalyzeMetrics(Parse(Metrics(1.0, 50000.0)));
   ASSERT_TRUE(findings.ok()) << findings.status();
   ASSERT_TRUE(HasCode(*findings, "sampler-overhead"))
       << RenderFindings(*findings);
@@ -422,14 +431,14 @@ TEST(DoctorTest, FlagsSamplerOverhead) {
 
 TEST(DoctorTest, CheapSamplerStaysSilent) {
   // 5ms over 1s = 0.5%: well inside budget.
-  auto findings = AnalyzeMetricsJson(Metrics(1.0, 5000.0));
+  auto findings = AnalyzeMetrics(Parse(Metrics(1.0, 5000.0)));
   ASSERT_TRUE(findings.ok()) << findings.status();
   EXPECT_TRUE(findings->empty()) << RenderFindings(*findings);
 }
 
 TEST(DoctorTest, ShortLivedSamplerNeverTripsOverheadCheck) {
   // 50% overhead but only 0.1s of uptime: startup cost, not a trend.
-  auto findings = AnalyzeMetricsJson(Metrics(0.1, 50000.0));
+  auto findings = AnalyzeMetrics(Parse(Metrics(0.1, 50000.0)));
   ASSERT_TRUE(findings.ok()) << findings.status();
   EXPECT_TRUE(findings->empty()) << RenderFindings(*findings);
 }
@@ -471,29 +480,28 @@ std::string Load(int64_t queries, double p50_us, double p99_us,
 }
 
 std::vector<Finding> AnalyzeLoadDoc(const std::string& json) {
-  auto findings = AnalyzeLoadJson(json);
+  auto findings = AnalyzeLoad(Parse(json));
   EXPECT_TRUE(findings.ok()) << findings.status();
   return findings.ok() ? std::move(findings).value()
                        : std::vector<Finding>{};
 }
 
 TEST(DoctorTest, LoadRejectsWrongSchema) {
-  EXPECT_FALSE(AnalyzeLoadJson(R"({"schema": "skymr-report-v2"})").ok());
-  EXPECT_FALSE(AnalyzeLoadJson("[]").ok());
-  EXPECT_FALSE(AnalyzeLoadJson("nope").ok());
+  EXPECT_FALSE(AnalyzeLoad(Parse(R"({"schema": "skymr-report-v2"})")).ok());
+  EXPECT_FALSE(AnalyzeLoad(Parse("[]")).ok());
   // The retired load schema, even with a loadgen row.
   std::string retired = Load(100, 2000.0, 8000.0, 500.0);
   retired.replace(retired.find("skymr-bench-v1"), 14, "skymr-load-v1");
-  EXPECT_FALSE(AnalyzeLoadJson(retired).ok());
+  EXPECT_FALSE(AnalyzeLoad(Parse(retired)).ok());
   // A bench document with no loadgen row (a figure bench's artifact).
-  EXPECT_FALSE(AnalyzeLoadJson(
+  EXPECT_FALSE(AnalyzeLoad(Parse(
                    R"({"schema": "skymr-bench-v1", "bench": "bench_fig7",)"
                    R"( "rows": [{"name": "loadgen-ish", "wall": {},)"
-                   R"( "metrics": {}, "deterministic": {}}]})")
+                   R"( "metrics": {}, "deterministic": {}}]})"))
                    .ok());
-  EXPECT_FALSE(
-      AnalyzeLoadJson(R"({"schema": "skymr-bench-v1", "bench": "loadgen"})")
-          .ok());
+  EXPECT_FALSE(AnalyzeLoad(Parse(
+                   R"({"schema": "skymr-bench-v1", "bench": "loadgen"})"))
+                   .ok());
 }
 
 TEST(DoctorTest, HealthyLoadIsClean) {
@@ -624,7 +632,7 @@ TEST(DoctorTest, FlagsLogDropFromMetricsSnapshot) {
       R"({"schema": "skymr-metrics-v1", "uptime_seconds": 1.0,)"
       R"( "gauges": {}, "sketches": {},)"
       R"( "counters": {"mr.log_dropped": {"value": 3, "rate_per_s": 3.0}}})";
-  auto findings = AnalyzeMetricsJson(json);
+  auto findings = AnalyzeMetrics(Parse(json));
   ASSERT_TRUE(findings.ok()) << findings.status();
   EXPECT_TRUE(HasCode(*findings, "log-drop")) << RenderFindings(*findings);
 }

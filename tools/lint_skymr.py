@@ -42,6 +42,18 @@ Rules:
   dcheck-message    Every SKYMR_CHECK / SKYMR_DCHECK must stream a
                     message (`<< ...`) describing the violated invariant;
                     a bare check's failure report is just an expression.
+  config-field-set  Every field of the public configuration
+                    (SessionOptions, QuerySpec and the structs they nest:
+                    EngineOptions, ChaosSchedule, PpdOptions,
+                    QueryContext) must be assigned (`.field =` or
+                    `->field =`) somewhere outside tests and fuzzers:
+                    in src/, tools/, bench/, examples/ or querybench/
+                    (which the rule only reads). Assigning a member of a
+                    nested struct (`options.engine.num_threads =`) sets
+                    every field on the chain. A knob no caller sets is
+                    a constant that widens the space every differential
+                    test must cover. Fields are matched by name, so a
+                    same-named member of another struct also counts.
 
 Suppressions: append `// lint:allow(<rule>) <reason>` to the offending
 line, or put it on the line directly above. The reason is mandatory —
@@ -55,6 +67,16 @@ import sys
 
 CPP_DIRS = ["src", "fuzz", "tools", "tests", "bench", "examples"]
 CPP_EXTS = (".h", ".cc")
+# Fixture trees for the rules' own tests; they are inputs, not code.
+FIXTURE_DIR = "testdata"
+
+# config-field-set: the public configuration structs, and the directories
+# whose assignments count as a caller setting a field. querybench/ is the
+# benchmark's own tree: read, never linted.
+CONFIG_STRUCTS = ["SessionOptions", "QuerySpec", "EngineOptions",
+                  "ChaosSchedule", "PpdOptions", "QueryContext"]
+CALLER_DIRS = ["src", "tools", "bench", "examples", "querybench"]
+NON_CALLER_PARTS = {"tests", "fuzz", FIXTURE_DIR}
 
 # Exceptions library code is allowed to throw (throw-discipline).
 ALLOWED_THROWS = ("TaskFailure", "TaskCancelled", "SerdeUnderflow")
@@ -79,10 +101,11 @@ class Findings:
         self.items.append((path, line, rule, message))
 
 
-def iter_cpp_files(root, dirs=CPP_DIRS):
+def iter_cpp_files(root, dirs=CPP_DIRS, skip_parts=(FIXTURE_DIR,)):
     for d in dirs:
         base = os.path.join(root, d)
-        for dirpath, _, names in sorted(os.walk(base)):
+        for dirpath, dirnames, names in os.walk(base):
+            dirnames[:] = sorted(n for n in dirnames if n not in skip_parts)
             for name in sorted(names):
                 if name.endswith(CPP_EXTS):
                     yield os.path.join(dirpath, name)
@@ -334,8 +357,90 @@ def check_dcheck_message(relpath, lines, allowed, findings):
                          '`<< "what invariant broke"`')
 
 
+def strip_comments_keep_layout(text):
+    """Blanks // and /* */ comments, keeping every offset and newline."""
+    def blank(m):
+        return re.sub(r"[^\n]", " ", m.group(0))
+    return re.sub(r"//[^\n]*|/\*.*?\*/", blank, text, flags=re.DOTALL)
+
+
+def config_fields(text):
+    """Yields (struct, field, offset) for the CONFIG_STRUCTS in `text`.
+
+    A field is a body statement at brace depth 1 whose declarator (the
+    part before any `=`) has no parenthesis; methods, their bodies and
+    static members are skipped.
+    """
+    code = strip_comments_keep_layout(text)
+    for m in re.finditer(r"\bstruct\s+(\w+)\s*\{", code):
+        struct = m.group(1)
+        if struct not in CONFIG_STRUCTS:
+            continue
+        depth, start, i = 1, m.end(), m.end()
+        while i < len(code) and depth > 0:
+            c = code[i]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 1 and "(" in code[start:i]:
+                    start = i + 1  # A method body ends its statement.
+            elif c == ";" and depth == 1:
+                statement = code[start:i]
+                declarator = statement.split("=", 1)[0]
+                names = re.findall(r"\b[A-Za-z_]\w*\b", declarator)
+                if ("(" not in declarator and len(names) >= 2 and
+                        "static" not in names and "using" not in names and
+                        "friend" not in names):
+                    name = names[-1]
+                    yield struct, name, start + declarator.rindex(name)
+                start = i + 1
+            i += 1
+
+
+def check_config_fields(root, findings):
+    fields = []  # (relpath, line, struct, field, allowed)
+    found_structs = set()
+    for path in iter_cpp_files(root, ["src"]):
+        if not path.endswith(".h"):
+            continue
+        relpath = os.path.relpath(path, root).replace(os.sep, "/")
+        text = open(path, encoding="utf-8", errors="replace").read()
+        # The main walk already reports suppressions without a reason.
+        allowed = suppressions(text.splitlines(), Findings(), relpath)
+        for struct, name, offset in config_fields(text):
+            found_structs.add(struct)
+            line = text.count("\n", 0, offset) + 1
+            fields.append((relpath, line, struct, name,
+                           is_suppressed(allowed, line, "config-field-set")))
+    for struct in CONFIG_STRUCTS:
+        if struct not in found_structs:
+            findings.add("src", 1, "config-field-set",
+                         f"configuration struct {struct} not found under "
+                         "src/; update CONFIG_STRUCTS")
+
+    # Every member on an assigned chain counts as set: assigning
+    # `options.engine.num_threads` sets a part of `engine`.
+    assigned = set()
+    assign_re = re.compile(r"((?:(?:\.|->)\s*\w+\s*)+)(?:[-+|]?=)(?!=)")
+    for path in iter_cpp_files(root, CALLER_DIRS,
+                               skip_parts=NON_CALLER_PARTS):
+        text = strip_comments_keep_layout(
+            open(path, encoding="utf-8", errors="replace").read())
+        for chain in assign_re.findall(text):
+            assigned.update(re.findall(r"\w+", chain))
+
+    for relpath, line, struct, name, allowed in fields:
+        if name in assigned or allowed:
+            continue
+        findings.add(relpath, line, "config-field-set",
+                     f"{struct}::{name} is set by no caller outside tests "
+                     "and fuzzers; make it a named constant, or add "
+                     "`// lint:allow(config-field-set) <reason>`")
+
+
 RULES = ["facade-hygiene", "include-guard", "throw-discipline",
-         "counter-registry", "dcheck-message"]
+         "counter-registry", "dcheck-message", "config-field-set"]
 
 
 def main():
@@ -382,6 +487,8 @@ def main():
 
     if "counter-registry" in active:
         check_registry_coverage(findings, registry, used_literals)
+    if "config-field-set" in active:
+        check_config_fields(root, findings)
 
     for path, line, rule, message in findings.items:
         print(f"{path}:{line}: {rule}: {message}")

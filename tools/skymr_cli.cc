@@ -3,20 +3,26 @@
 //   skymr_cli generate --dist=anti-correlated --card=100000 --dim=4
 //             --seed=7 --out=data.csv
 //   skymr_cli skyline  --in=data.csv [--header] [--algorithm=mr-gpmrs]
-//             [--mappers=13] [--reducers=13] [--ppd=0] [--data-bounds]
-//             [--constraint=lo:hi,lo:hi,...] [--out=skyline.csv] [--verify]
-//             [--trace-out=trace.json] [--report-out=report.json]
+//             [--local-algorithm=bnl] [--mappers=13] [--reducers=13]
+//             [--ppd=0] [--data-bounds] [--constraint=lo:hi,lo:hi,...]
+//             [--out=skyline.csv] [--verify] [--checkpoint=FILE]
 //             [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]
-//             [--checkpoint=FILE] [--bench-out=FILE]
-//   skymr_cli stats    --in=data.csv [same flags as skyline]
-//             [--critical-path] [--metrics-out=metrics.json]
+//             [--trace-out=trace.json] [--metrics-out=metrics.json]
+//             [--report-out=report.json] [--bench-out=FILE]
+//   skymr_cli stats    --in=data.csv [skyline's flags except --out,
+//             --verify and --checkpoint] [--critical-path]
 //   skymr_cli compare  --in=data.csv [--header] [--mappers] [--reducers]
 //             [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]
+//             [--trace-out=FILE] [--metrics-out=FILE]
 //   skymr_cli serve    --in=data.csv [--qps=40] [--queries=48] [--slots=3]
-//             [--small-reserved=1] [--warmup] [--out=load.json]
+//             [--small-reserved=1] [--warmup] [--out=load.json] ...
 //   skymr_cli doctor   [--report=report.json] [--metrics=metrics.json]
 //                      [--load=load.json]
 //             [--fail-on=warning|critical]
+//
+// Each command accepts only the flags it reads (Commands() below): an
+// unknown flag, a switch given a value, or a malformed number prints
+// usage and exits 2, so a misspelt flag never runs a default.
 //
 // `generate` writes a synthetic dataset as CSV; `skyline` computes a
 // (possibly constrained) skyline of a CSV dataset and prints metrics;
@@ -30,9 +36,11 @@
 // dataset resident behind a serve/session.h Session and drives it with
 // the open-loop loadgen mix (cross-query bitstring cache + two-lane
 // admission), writing a skymr-bench-v1 artifact; `doctor` analyzes a
-// previously written skymr-report-v2 document and prints severity-ranked
-// findings (task skew, PPD-selection quality, cost-model deviation,
-// pruning effectiveness, reducer imbalance, retry storms, degradation).
+// previously written skymr-report-v2 document, skymr-metrics-v1 snapshot
+// or load artifact and prints severity-ranked findings (task skew,
+// PPD-selection quality, cost-model deviation, pruning effectiveness,
+// reducer imbalance, retry storms, degradation, load-tail and cache
+// signals).
 // `--trace-out` writes Chrome trace-event JSON (open in Perfetto /
 // chrome://tracing); `--report-out` writes the skymr-report-v2 JSON
 // document.
@@ -48,65 +56,22 @@
 // chaos baselines).
 
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/loadgen/loadgen.h"
 #include "src/obs/bench_artifact.h"
 #include "src/skymr.h"
+#include "tools/flags.h"
 
 namespace {
 
-/// Parsed --name=value flags plus positional arguments.
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  bool Has(const std::string& name) const {
-    return flags.find(name) != flags.end();
-  }
-  std::string GetString(const std::string& name,
-                        const std::string& fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& name, long fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtol(it->second.c_str(),
-                                                      nullptr, 10);
-  }
-  double GetDouble(const std::string& name, double fallback) const {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtod(it->second.c_str(),
-                                                      nullptr);
-  }
-};
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) {
-    args.command = argv[1];
-  }
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected positional argument: %s\n",
-                   token.c_str());
-      std::exit(2);
-    }
-    token.erase(0, 2);
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      args.flags.insert_or_assign(token, std::string("1"));
-    } else {
-      args.flags.insert_or_assign(token.substr(0, eq), token.substr(eq + 1));
-    }
-  }
-  return args;
-}
+using skymr::tools::FlagKind;
+using skymr::tools::Flags;
+using skymr::tools::FlagSpec;
 
 int Usage() {
   std::fprintf(
@@ -119,14 +84,16 @@ int Usage() {
       "            [--local-algorithm=bnl|sfs|bbs|auto]\n"
       "            [--mappers=M] [--reducers=R] [--ppd=N] [--data-bounds]\n"
       "            [--constraint=lo:hi,lo:hi,...] [--out=FILE] [--verify]\n"
-      "            [--trace-out=FILE] [--report-out=FILE]\n"
+      "            [--checkpoint=FILE]\n"
       "            [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]\n"
-      "            [--checkpoint=FILE] [--bench-out=FILE]\n"
-      "  skymr_cli stats   --in=FILE [same flags as skyline]\n"
-      "            [--critical-path] [--metrics-out=FILE]\n"
+      "            [--trace-out=FILE] [--metrics-out=FILE]\n"
+      "            [--report-out=FILE] [--bench-out=FILE]\n"
+      "  skymr_cli stats   --in=FILE [skyline's flags except --out,\n"
+      "            --verify and --checkpoint] [--critical-path]\n"
       "  skymr_cli compare --in=FILE [--header] [--mappers=M] "
       "[--reducers=R]\n"
       "            [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]\n"
+      "            [--trace-out=FILE] [--metrics-out=FILE]\n"
       "  skymr_cli serve   --in=FILE [--header] [--seed=S] [--qps=Q]\n"
       "            [--queries=N] [--slots=K] [--small-reserved=K]\n"
       "            [--threads=T] [--deadline-ms=D] [--warmup]\n"
@@ -135,6 +102,7 @@ int Usage() {
       "            [--trace-out=FILE] [--metrics-out=FILE]\n"
       "  skymr_cli doctor  [--report=FILE] [--metrics=FILE] [--load=FILE]\n"
       "            [--fail-on=warning|critical]\n"
+      "an unknown flag or a malformed number exits 2\n"
       "algorithms: mr-gpsrs mr-gpmrs mr-bnl mr-angle hybrid sky-mr\n"
       "local algorithms (mapper kernel): bnl sfs bbs auto\n"
       "chaos profiles: %s\n",
@@ -165,8 +133,14 @@ bool ParseConstraint(const std::string& text, size_t dim, skymr::Box* box) {
     if (colon == std::string::npos) {
       return false;
     }
-    box->lo.push_back(std::strtod(part.substr(0, colon).c_str(), nullptr));
-    box->hi.push_back(std::strtod(part.substr(colon + 1).c_str(), nullptr));
+    double lo = 0.0;
+    double hi = 0.0;
+    if (!skymr::tools::ParseFiniteDouble(part.substr(0, colon), &lo) ||
+        !skymr::tools::ParseFiniteDouble(part.substr(colon + 1), &hi)) {
+      return false;
+    }
+    box->lo.push_back(lo);
+    box->hi.push_back(hi);
     if (comma == std::string::npos) {
       break;
     }
@@ -175,7 +149,7 @@ bool ParseConstraint(const std::string& text, size_t dim, skymr::Box* box) {
   return box->lo.size() == dim;
 }
 
-int RunGenerate(const Args& args) {
+int RunGenerate(const Flags& args) {
   auto dist = skymr::data::ParseDistribution(
       args.GetString("dist", "independent"));
   if (!dist.ok()) {
@@ -207,7 +181,7 @@ int RunGenerate(const Args& args) {
   return 0;
 }
 
-skymr::StatusOr<skymr::Dataset> LoadInput(const Args& args) {
+skymr::StatusOr<skymr::Dataset> LoadInput(const Flags& args) {
   const std::string in = args.GetString("in", "");
   if (in.empty()) {
     return skymr::Status::InvalidArgument("missing --in=FILE");
@@ -241,7 +215,7 @@ void PrintResultSummary(const skymr::Dataset& data,
 /// Applies the engine fault-tolerance flags (--chaos-profile, --chaos-seed,
 /// --attempts) shared by `skyline`, `stats`, and `compare`.
 /// Returns 0, or the exit code on a flag error.
-int ApplyEngineFlags(const Args& args, skymr::mr::EngineOptions* engine) {
+int ApplyEngineFlags(const Flags& args, skymr::mr::EngineOptions* engine) {
   if (args.Has("chaos-profile")) {
     auto schedule =
         skymr::mr::ChaosProfile(args.GetString("chaos-profile", "none"));
@@ -266,7 +240,7 @@ int ApplyEngineFlags(const Args& args, skymr::mr::EngineOptions* engine) {
 
 /// Builds the session options and query shared by `skyline` and
 /// `stats` from flags. Returns 0, or the exit code on a flag error.
-int BuildPipeline(const Args& args, const skymr::Dataset& data,
+int BuildPipeline(const Flags& args, const skymr::Dataset& data,
                   skymr::SessionOptions* options, skymr::QuerySpec* query) {
   auto algorithm =
       skymr::ParseAlgorithm(args.GetString("algorithm", "mr-gpmrs"));
@@ -320,7 +294,7 @@ int BuildPipeline(const Args& args, const skymr::Dataset& data,
 /// call StopCollecting() right after it, then one of the Write methods.
 class OutputSinks {
  public:
-  explicit OutputSinks(const Args& args)
+  explicit OutputSinks(const Flags& args)
       : trace_out_(args.GetString("trace-out", "")),
         report_out_(args.GetString("report-out", "")),
         metrics_out_(args.GetString("metrics-out", "")),
@@ -411,7 +385,7 @@ class OutputSinks {
   std::unique_ptr<skymr::obs::MetricsSampler> sampler_;
 };
 
-int RunSkyline(const Args& args) {
+int RunSkyline(const Flags& args) {
   auto data = LoadInput(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -500,7 +474,7 @@ int RunSkyline(const Args& args) {
   return 0;
 }
 
-int RunStats(const Args& args) {
+int RunStats(const Flags& args) {
   auto data = LoadInput(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -542,7 +516,7 @@ int RunStats(const Args& args) {
       "skymr_cli_stats");
 }
 
-int RunCompare(const Args& args) {
+int RunCompare(const Flags& args) {
   auto data = LoadInput(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -603,7 +577,7 @@ int RunCompare(const Args& args) {
 /// tools/bench_diff.py and `doctor --load`. Exit 0 even when individual
 /// queries fail (errors are part of the workload under chaos); nonzero
 /// only for bad flags or harness-level failures.
-int RunServe(const Args& args) {
+int RunServe(const Flags& args) {
   auto data = LoadInput(args);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
@@ -677,7 +651,7 @@ int RunServe(const Args& args) {
   return sinks.WriteRunSinks();
 }
 
-int RunDoctor(const Args& args) {
+int RunDoctor(const Flags& args) {
   const std::string report = args.GetString("report", "");
   const std::string metrics = args.GetString("metrics", "");
   const std::string load = args.GetString("load", "");
@@ -693,31 +667,28 @@ int RunDoctor(const Args& args) {
     return 2;
   }
   std::vector<skymr::obs::Finding> all;
-  if (!report.empty()) {
-    auto report_findings = skymr::obs::AnalyzeReportFile(report);
-    if (!report_findings.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   report_findings.status().ToString().c_str());
+  using Analyzer = skymr::StatusOr<std::vector<skymr::obs::Finding>> (*)(
+      const skymr::obs::JsonValue&);
+  const std::pair<std::string, Analyzer> inputs[] = {
+      {report, skymr::obs::AnalyzeReport},
+      {metrics, skymr::obs::AnalyzeMetrics},
+      {load, skymr::obs::AnalyzeLoad},
+  };
+  for (const auto& [path, analyze] : inputs) {
+    if (path.empty()) {
+      continue;
+    }
+    auto doc = skymr::obs::ParseJsonFile(path);
+    if (!doc.ok()) {
+      std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
       return 1;
     }
-    all.insert(all.end(), report_findings->begin(), report_findings->end());
-  }
-  if (!metrics.empty()) {
-    auto metrics_findings = skymr::obs::AnalyzeMetricsFile(metrics);
-    if (!metrics_findings.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   metrics_findings.status().ToString().c_str());
+    auto findings = analyze(*doc);
+    if (!findings.ok()) {
+      std::fprintf(stderr, "%s\n", findings.status().ToString().c_str());
       return 1;
     }
-    all.insert(all.end(), metrics_findings->begin(), metrics_findings->end());
-  }
-  if (!load.empty()) {
-    auto load_findings = skymr::obs::AnalyzeLoadFile(load);
-    if (!load_findings.ok()) {
-      std::fprintf(stderr, "%s\n", load_findings.status().ToString().c_str());
-      return 1;
-    }
-    all.insert(all.end(), load_findings->begin(), load_findings->end());
+    all.insert(all.end(), findings->begin(), findings->end());
   }
   std::fputs(skymr::obs::RenderFindings(all).c_str(), stdout);
   if (fail_on.empty()) {
@@ -734,27 +705,97 @@ int RunDoctor(const Args& args) {
   return 0;
 }
 
+/// One subcommand: its name, the flags it reads, and its body.
+struct Command {
+  const char* name;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Flags& args);
+};
+
+std::vector<FlagSpec> Join(std::initializer_list<std::vector<FlagSpec>> parts) {
+  std::vector<FlagSpec> joined;
+  for (const std::vector<FlagSpec>& part : parts) {
+    joined.insert(joined.end(), part.begin(), part.end());
+  }
+  return joined;
+}
+
+std::vector<Command> Commands() {
+  // Flag groups, by the helper that reads them.
+  const std::vector<FlagSpec> input = {{"in", FlagKind::kString},
+                                       {"header", FlagKind::kSwitch}};
+  const std::vector<FlagSpec> engine = {{"chaos-profile", FlagKind::kString},
+                                        {"chaos-seed", FlagKind::kInt},
+                                        {"attempts", FlagKind::kInt}};
+  const std::vector<FlagSpec> tasks = {{"mappers", FlagKind::kInt},
+                                       {"reducers", FlagKind::kInt}};
+  const std::vector<FlagSpec> pipeline = {
+      {"algorithm", FlagKind::kString}, {"local-algorithm", FlagKind::kString},
+      {"ppd", FlagKind::kInt},          {"data-bounds", FlagKind::kSwitch},
+      {"constraint", FlagKind::kString}};
+  const std::vector<FlagSpec> run_sinks = {{"trace-out", FlagKind::kString},
+                                           {"metrics-out", FlagKind::kString}};
+  const std::vector<FlagSpec> result_sinks = {
+      {"report-out", FlagKind::kString}, {"bench-out", FlagKind::kString}};
+  return {
+      {"generate",
+       {{"dist", FlagKind::kString},
+        {"card", FlagKind::kInt},
+        {"dim", FlagKind::kInt},
+        {"seed", FlagKind::kInt},
+        {"out", FlagKind::kString}},
+       RunGenerate},
+      {"skyline",
+       Join({input, tasks, pipeline, engine, run_sinks, result_sinks,
+             {{"out", FlagKind::kString},
+              {"verify", FlagKind::kSwitch},
+              {"checkpoint", FlagKind::kString}}}),
+       RunSkyline},
+      {"stats",
+       Join({input, tasks, pipeline, engine, run_sinks, result_sinks,
+             {{"critical-path", FlagKind::kSwitch}}}),
+       RunStats},
+      {"compare", Join({input, tasks, engine, run_sinks}), RunCompare},
+      {"serve",
+       Join({input, tasks, engine, run_sinks,
+             {{"seed", FlagKind::kInt},
+              {"qps", FlagKind::kDouble},
+              {"queries", FlagKind::kInt},
+              {"slots", FlagKind::kInt},
+              {"small-reserved", FlagKind::kInt},
+              {"threads", FlagKind::kInt},
+              {"deadline-ms", FlagKind::kDouble},
+              {"warmup", FlagKind::kSwitch},
+              {"out", FlagKind::kString}}}),
+       RunServe},
+      {"doctor",
+       {{"report", FlagKind::kString},
+        {"metrics", FlagKind::kString},
+        {"load", FlagKind::kString},
+        {"fail-on", FlagKind::kString}},
+       RunDoctor},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
-  if (args.command == "generate") {
-    return RunGenerate(args);
+  if (argc < 2) {
+    return Usage();
   }
-  if (args.command == "skyline") {
-    return RunSkyline(args);
-  }
-  if (args.command == "stats") {
-    return RunStats(args);
-  }
-  if (args.command == "compare") {
-    return RunCompare(args);
-  }
-  if (args.command == "serve") {
-    return RunServe(args);
-  }
-  if (args.command == "doctor") {
-    return RunDoctor(args);
+  const std::string name = argv[1];
+  for (const Command& command : Commands()) {
+    if (name != command.name) {
+      continue;
+    }
+    auto args = Flags::Parse(std::vector<std::string>(argv + 2, argv + argc),
+                             command.flags);
+    if (!args.ok()) {
+      std::fprintf(stderr, "skymr_cli %s: %s\n", command.name,
+                   args.status().message().c_str());
+      return Usage();
+    }
+    return command.run(*args);
   }
   return Usage();
 }
