@@ -6,7 +6,7 @@
 //
 //   SKYMR_SCALE       multiplier on the per-figure default cardinality
 //                     scale (default 1.0; e.g. SKYMR_SCALE=5 runs 5x more
-//                     data)
+//                     data); anything but a finite number > 0 exits 2
 //   SKYMR_FULL        when set to 1, uses the paper's full cardinalities
 //                     (several hours per figure on one machine)
 //   SKYMR_BENCH_REPS  pipeline repetitions per reported row (default 1);
@@ -15,8 +15,9 @@
 //   SKYMR_BENCH_OUT   path of the skymr-bench-v1 artifact (default
 //                     BENCH_<bench>.json in the working directory)
 //   SKYMR_BENCH_CACHE_MB
-//                     dataset-cache budget in MiB (default 1024); a sweep
-//                     evicts least-recently-used datasets beyond it
+//                     dataset-cache budget in MiB (default 1024, a finite
+//                     number > 0); a sweep evicts least-recently-used
+//                     datasets beyond it
 //
 // Each benchmark runs `SKYMR_BENCH_REPS` pipeline executions per reported
 // row and exposes the paper's y-axes as counters:
@@ -50,24 +51,16 @@
 #include "src/common/stopwatch.h"
 #include "src/obs/bench_artifact.h"
 #include "src/skymr.h"
+#include "tools/flags.h"
 
 namespace skymr::bench {
 
 /// Effective cardinality for a paper cardinality under the figure's
 /// default scale and the SKYMR_SCALE / SKYMR_FULL environment overrides.
+/// Never below 500 tuples.
 inline size_t ScaledCardinality(size_t paper_cardinality,
                                 double figure_scale) {
-  const char* full = std::getenv("SKYMR_FULL");
-  if (full != nullptr && std::string(full) == "1") {
-    return paper_cardinality;
-  }
-  double scale = figure_scale;
-  if (const char* env = std::getenv("SKYMR_SCALE"); env != nullptr) {
-    scale *= std::strtod(env, nullptr);
-  }
-  auto scaled = static_cast<size_t>(static_cast<double>(paper_cardinality) *
-                                    scale);
-  return scaled < 500 ? 500 : scaled;
+  return tools::BenchScaledCount(paper_cardinality, figure_scale, 500);
 }
 
 /// Memoized dataset generation: figures sweep algorithms over the same
@@ -89,13 +82,11 @@ inline const Dataset& CachedDataset(data::Distribution distribution,
   static uint64_t tick = 0;
   static uint64_t cached_bytes = 0;
 
-  uint64_t budget_bytes = 1024ull << 20;
-  if (const char* env = std::getenv("SKYMR_BENCH_CACHE_MB");
-      env != nullptr) {
-    const double mb = std::strtod(env, nullptr);
-    budget_bytes = mb < 1.0 ? 1ull << 20
-                            : static_cast<uint64_t>(mb * (1ull << 20));
-  }
+  const double budget_mb =
+      tools::PositiveEnvDouble("SKYMR_BENCH_CACHE_MB", 1024.0);
+  const uint64_t budget_bytes =
+      budget_mb < 1.0 ? 1ull << 20
+                      : static_cast<uint64_t>(budget_mb * (1ull << 20));
 
   ++tick;
   const Key key{static_cast<int>(distribution), cardinality, dim};

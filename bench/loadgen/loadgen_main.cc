@@ -30,7 +30,6 @@
 // or a malformed number (tools/flags.h), 1 for harness-level failures.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -110,18 +109,8 @@ int main(int argc, char** argv) {
   // Cardinalities honor SKYMR_SCALE / SKYMR_FULL like every bench; an
   // explicit --scale multiplies on top of that (DefaultMix floors each
   // class at 200 tuples).
-  double env_scale = 1.0;
-  const char* full = std::getenv("SKYMR_FULL");
-  if (full == nullptr || std::string(full) != "1") {
-    if (const char* env = std::getenv("SKYMR_SCALE"); env != nullptr) {
-      const double s = std::strtod(env, nullptr);
-      if (s > 0.0) {
-        env_scale = s;
-      }
-    }
-  }
-  config.mix =
-      skymr::loadgen::DefaultMix(env_scale * args.GetDouble("scale", 1.0));
+  config.mix = skymr::loadgen::DefaultMix(skymr::tools::BenchEnvScale() *
+                                          args.GetDouble("scale", 1.0));
   if (args.Has("chaos-profile")) {
     auto schedule =
         skymr::mr::ChaosProfile(args.GetString("chaos-profile", "none"));

@@ -70,6 +70,7 @@
 #include "src/obs/metrics.h"
 #include "src/relation/dominance.h"
 #include "src/relation/dominance_kernel.h"
+#include "tools/flags.h"
 
 namespace skymr {
 namespace {
@@ -77,23 +78,12 @@ namespace {
 /// Keeps a computed value alive without letting the optimizer see it.
 volatile uint64_t g_sink = 0;
 
-/// Applies the SKYMR_SCALE / SKYMR_FULL environment overrides on top of
-/// the --scale flag, the way the figure benches scale their
-/// cardinalities (bench/bench_common.h): SKYMR_FULL=1 restores the full
-/// workload, SKYMR_SCALE multiplies into the scale. Keeps the heaviest
-/// row (window_insert: ~10.7 s at full scale, ~75 s for its scalar
-/// reference) shrinkable without flag plumbing.
+/// Tuples for a row of `full_tuples` at full scale: --scale times
+/// SKYMR_SCALE, SKYMR_FULL=1 for the full workload, never below 1000.
+/// Keeps the heaviest row (window_insert: ~10.7 s at full scale, ~75 s
+/// for its scalar reference) shrinkable without flag plumbing.
 size_t EnvScaledTuples(size_t full_tuples, double scale) {
-  if (const char* env = std::getenv("SKYMR_FULL");
-      env != nullptr && std::strcmp(env, "1") == 0) {
-    return full_tuples;
-  }
-  if (const char* env = std::getenv("SKYMR_SCALE"); env != nullptr) {
-    scale *= std::strtod(env, nullptr);
-  }
-  const auto scaled =
-      static_cast<size_t>(static_cast<double>(full_tuples) * scale);
-  return scaled < 1000 ? 1000 : scaled;
+  return tools::BenchScaledCount(full_tuples, scale, 1000);
 }
 
 double Now() {
@@ -926,28 +916,26 @@ CsvLoadResult BenchCsvLoad(double scale, int reps) {
 }
 
 int Run(int argc, char** argv) {
-  std::string out_path = "BENCH_hotpath.json";
-  double scale = 1.0;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_hotpath [--out=FILE] [--scale=F] "
-                   "[--reps=N]\n");
-      return 2;
-    }
+  const auto args = tools::Flags::Parse(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {{"out", tools::FlagKind::kString},
+       {"scale", tools::FlagKind::kDouble},
+       {"reps", tools::FlagKind::kInt}});
+  if (!args.ok()) {
+    std::fprintf(stderr,
+                 "%s\nusage: bench_hotpath [--out=FILE] [--scale=F] "
+                 "[--reps=N]\n",
+                 args.status().ToString().c_str());
+    return 2;
   }
-  if (scale <= 0.0 || reps < 1) {
+  const std::string out_path = args->GetString("out", "BENCH_hotpath.json");
+  const double scale = args->GetDouble("scale", 1.0);
+  const int64_t reps64 = args->GetInt("reps", 3);
+  if (scale <= 0.0 || reps64 < 1 || reps64 > INT32_MAX) {
     std::fprintf(stderr, "bad --scale or --reps\n");
     return 2;
   }
+  const int reps = static_cast<int>(reps64);
 
   std::fprintf(stderr, "backend: %s\n", DominanceKernelBackend());
   std::fprintf(stderr, "dominance_kernel...\n");

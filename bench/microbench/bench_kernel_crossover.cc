@@ -17,8 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,6 +28,7 @@
 #include "src/local/skyline_window.h"
 #include "src/obs/bench_artifact.h"
 #include "src/relation/dominance_kernel.h"
+#include "tools/flags.h"
 
 namespace skymr {
 namespace {
@@ -60,20 +59,6 @@ double BestOf(const std::vector<double>& samples) {
     best = s < best ? s : best;
   }
   return best;
-}
-
-/// SKYMR_SCALE / SKYMR_FULL on top of --scale, like the figure benches.
-size_t ScaledTuples(size_t full_tuples, double scale) {
-  if (const char* env = std::getenv("SKYMR_FULL");
-      env != nullptr && std::strcmp(env, "1") == 0) {
-    return full_tuples;
-  }
-  if (const char* env = std::getenv("SKYMR_SCALE"); env != nullptr) {
-    scale *= std::strtod(env, nullptr);
-  }
-  const auto scaled =
-      static_cast<size_t>(static_cast<double>(full_tuples) * scale);
-  return scaled < 500 ? 500 : scaled;
 }
 
 std::vector<TupleId> SortedIds(const SkylineWindow& window) {
@@ -120,28 +105,27 @@ KernelRun Measure(int reps, Fn&& run) {
 }
 
 int Run(int argc, char** argv) {
-  std::string out_path = "BENCH_kernel_crossover.json";
-  double scale = 1.0;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_kernel_crossover [--out=FILE] [--scale=F] "
-                   "[--reps=N]\n");
-      return 2;
-    }
+  const auto args = tools::Flags::Parse(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {{"out", tools::FlagKind::kString},
+       {"scale", tools::FlagKind::kDouble},
+       {"reps", tools::FlagKind::kInt}});
+  if (!args.ok()) {
+    std::fprintf(stderr,
+                 "%s\nusage: bench_kernel_crossover [--out=FILE] "
+                 "[--scale=F] [--reps=N]\n",
+                 args.status().ToString().c_str());
+    return 2;
   }
-  if (scale <= 0.0 || reps < 1) {
+  const std::string out_path =
+      args->GetString("out", "BENCH_kernel_crossover.json");
+  const double scale = args->GetDouble("scale", 1.0);
+  const int64_t reps64 = args->GetInt("reps", 3);
+  if (scale <= 0.0 || reps64 < 1 || reps64 > INT32_MAX) {
     std::fprintf(stderr, "bad --scale or --reps\n");
     return 2;
   }
+  const int reps = static_cast<int>(reps64);
   std::fprintf(stderr, "backend: %s\n", DominanceKernelBackend());
 
   obs::BenchArtifact artifact("bench_kernel_crossover");
@@ -159,7 +143,9 @@ int Run(int argc, char** argv) {
   for (const data::Distribution dist : distributions) {
     for (const size_t dim : dims) {
       for (const size_t base_n : cardinalities) {
-        const size_t n = ScaledTuples(base_n, scale);
+        // SKYMR_SCALE / SKYMR_FULL on top of --scale, like the figure
+        // benches.
+        const size_t n = tools::BenchScaledCount(base_n, scale, 500);
         data::GeneratorConfig config;
         config.distribution = dist;
         config.cardinality = n;

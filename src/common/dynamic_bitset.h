@@ -40,15 +40,6 @@ class DynamicBitset {
     words_[index >> 6] &= ~(uint64_t{1} << (index & 63));
   }
 
-  /// Sets bit `index` to `value`.
-  void Assign(size_t index, bool value) {
-    if (value) {
-      Set(index);
-    } else {
-      Reset(index);
-    }
-  }
-
   /// Clears all bits.
   void Clear();
 

@@ -9,6 +9,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relation/dominance_kernel.h"
 
@@ -26,15 +27,6 @@
 
 namespace skymr::obs {
 namespace {
-
-double MedianOfSorted(const std::vector<double>& sorted) {
-  const size_t n = sorted.size();
-  if (n == 0) {
-    return 0.0;
-  }
-  return n % 2 == 1 ? sorted[n / 2]
-                    : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
 
 std::string EnvOrEmpty(const char* name) {
   const char* value = std::getenv(name);
@@ -89,7 +81,7 @@ WallStats WallStats::FromSamples(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   out.min_seconds = samples.front();
   out.max_seconds = samples.back();
-  out.median_seconds = MedianOfSorted(samples);
+  out.median_seconds = Median(samples);
   double sum = 0.0;
   for (const double s : samples) {
     sum += s;
@@ -103,8 +95,7 @@ WallStats WallStats::FromSamples(std::vector<double> samples) {
     variance += (s - out.mean_seconds) * (s - out.mean_seconds);
   }
   variance /= static_cast<double>(samples.size());
-  std::sort(deviations.begin(), deviations.end());
-  out.mad_seconds = MedianOfSorted(deviations);
+  out.mad_seconds = Median(std::move(deviations));
   out.cv = out.mean_seconds > 0.0 ? std::sqrt(variance) / out.mean_seconds
                                   : 0.0;
   return out;

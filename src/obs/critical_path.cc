@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
-#include "src/common/logging.h"
+#include "src/obs/metrics.h"
 
 namespace skymr::obs {
 namespace {
 
 /// The engine job name whose waves realize PPD selection + bitstring
 /// pruning (core/bitstring_job.cc); every other job is a skyline job.
-constexpr const char* kBitstringJobName = "bitstring-generation";
+constexpr std::string_view kBitstringJobName = "bitstring-generation";
+
+/// "No step": the start of a chain, or an empty wave's longest step.
+constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
 std::string Format(const char* fmt, double value) {
   char buf[64];
@@ -20,343 +24,213 @@ std::string Format(const char* fmt, double value) {
   return std::string(buf);
 }
 
-double Median(std::vector<double> values) {
-  if (values.empty()) {
-    return 0.0;
+enum Kind { kMap, kShuffle, kReduce };
+constexpr const char* kKindNames[] = {"map", "shuffle", "reduce"};
+/// Step names in the signature: "j1.map3", "j1.shf0", "j1.red0".
+constexpr const char* kKindTags[] = {"map", "shf", "red"};
+
+std::string_view PhaseOf(const mr::JobMetrics& job, Kind kind) {
+  if (kind == kShuffle) {
+    return "shuffle";
   }
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  if (n % 2 == 1) {
-    return values[n / 2];
+  const bool bitstring = job.name == kBitstringJobName;
+  if (kind == kMap) {
+    return bitstring ? "ppd.select" : "local-skyline";
   }
-  return 0.5 * (values[n / 2 - 1] + values[n / 2]);
+  return bitstring ? "bitstring.prune" : "merge";
 }
 
-StatusOr<DagPath> LongestPathImpl(const std::vector<DagNode>& nodes,
-                                  std::string_view free_phase,
-                                  bool has_free_phase) {
-  const size_t n = nodes.size();
-  std::map<uint64_t, size_t> index;
-  for (size_t i = 0; i < n; ++i) {
-    if (nodes[i].id == 0) {
-      return Status::InvalidArgument("DAG node id must be nonzero: " +
-                                     nodes[i].name);
-    }
-    if (!index.emplace(nodes[i].id, i).second) {
-      return Status::InvalidArgument("duplicate DAG node id in: " +
-                                     nodes[i].name);
-    }
-  }
-  std::vector<std::vector<size_t>> children(n);
-  std::vector<size_t> indegree(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    SKYMR_DCHECK(nodes[i].weight >= 0.0)
-        << "DAG node weights must be non-negative";
-    for (uint64_t dep : nodes[i].deps) {
-      auto it = index.find(dep);
-      if (it == index.end()) {
-        return Status::InvalidArgument("unknown DAG dependency id from: " +
-                                       nodes[i].name);
-      }
-      children[it->second].push_back(i);
-      ++indegree[i];
-    }
-  }
-
-  const auto weight_of = [&](size_t i) {
-    return (has_free_phase && nodes[i].phase == free_phase)
-               ? 0.0
-               : nodes[i].weight;
-  };
-
-  // Kahn's algorithm. Processing order does not affect the result: a
-  // node's distance is fixed by its dependencies' distances, and both
-  // tie-breaks below look only at deterministic orders (dependency-list
-  // order for predecessors, input order for the path end).
-  std::vector<double> dist(n, 0.0);
-  std::vector<size_t> pred(n, n);  // n = no predecessor.
-  std::vector<size_t> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
-      ready.push_back(i);
-    }
-  }
-  size_t processed = 0;
-  while (!ready.empty()) {
-    const size_t u = ready.back();
-    ready.pop_back();
-    ++processed;
-    double best = 0.0;
-    size_t best_pred = n;
-    for (uint64_t dep : nodes[u].deps) {
-      const size_t d = index.find(dep)->second;
-      if (best_pred == n || dist[d] > best) {
-        best = dist[d];
-        best_pred = d;
-      }
-    }
-    dist[u] = best + weight_of(u);
-    pred[u] = best_pred;
-    for (size_t child : children[u]) {
-      if (--indegree[child] == 0) {
-        ready.push_back(child);
-      }
-    }
-  }
-  if (processed != n) {
-    return Status::InvalidArgument("DAG contains a cycle");
-  }
-
-  DagPath path;
-  if (n == 0) {
-    return path;
-  }
-  size_t end = 0;
-  for (size_t i = 1; i < n; ++i) {
-    if (dist[i] > dist[end]) {
-      end = i;
-    }
-  }
-  path.length = dist[end];
-  for (size_t at = end; at != n; at = pred[at]) {
-    path.nodes.push_back(nodes[at].id);
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  return path;
+/// The wave a step belongs to; a shuffle step belongs to its reducer's.
+const std::vector<mr::TaskMetrics>& WaveOf(const mr::JobMetrics& job,
+                                           Kind kind) {
+  return kind == kMap ? job.map_tasks : job.reduce_tasks;
 }
 
-/// The analyzer's internal view of one DAG node: both weightings plus
-/// everything a CpStep needs, so the wall and deterministic DAGs share
-/// one structure.
-struct Entry {
-  uint64_t id = 0;
-  std::string name;
-  std::string phase;
-  std::string job;
-  std::string kind;
-  int task = 0;
-  int attempts = 1;
-  double wall = 0.0;
-  uint64_t records = 0;
-  double wave_median = 0.0;
-  std::vector<uint64_t> deps;
+using Cost = double mr::TaskMetrics::*;
+
+/// A step's wall cost: busy seconds, or for a shuffle the time to build
+/// its reducer's input.
+Cost WallCost(Kind kind) {
+  return kind == kShuffle ? &mr::TaskMetrics::shuffle_seconds
+                          : &mr::TaskMetrics::busy_seconds;
+}
+
+/// A step's deterministic cost: records in plus out, or for a shuffle the
+/// records it carries.
+uint64_t RecordCost(const mr::TaskMetrics& t, Kind kind) {
+  return kind == kShuffle ? t.input_records
+                          : t.input_records + t.output_records;
+}
+
+/// A step of the wave model: map task `task`, the shuffle feeding reducer
+/// `task`, or reduce task `task` of job `job`.
+struct Step {
+  size_t job = 0;
+  Kind kind = kMap;
+  size_t task = 0;
+  /// Length of the longest chain ending with this step.
+  double length = 0.0;
+  /// The step before this one on that chain; kNone at the chain's start.
+  size_t pred = kNone;
 };
 
-std::vector<DagNode> ToDag(const std::vector<Entry>& entries, bool wall) {
-  std::vector<DagNode> nodes;
-  nodes.reserve(entries.size());
-  for (const Entry& e : entries) {
-    DagNode node;
-    node.id = e.id;
-    node.name = e.name;
-    node.phase = e.phase;
-    node.weight = wall ? e.wall : static_cast<double>(e.records);
-    node.deps = e.deps;
-    nodes.push_back(std::move(node));
+/// The longest chain through the waves, as the steps it visits in order.
+struct Chain {
+  double length = 0.0;
+  std::vector<Step> steps;
+};
+
+/// The wave formula. Each job's map tasks continue the previous job's
+/// longest chain (the wave barrier), each reducer's shuffle continues the
+/// job's longest map task (the all-to-all barrier), and each reduce task
+/// continues its own shuffle; a job without map tasks shuffles straight
+/// after the barrier. Ties keep the first maximum in task order, and the
+/// chain ends at the earliest step of greatest length. Steps of
+/// `free_phase` cost nothing (the what-if pass); `records` selects the
+/// deterministic weighting.
+Chain LongestChain(const std::vector<mr::JobMetrics>& jobs, bool records,
+                   std::string_view free_phase) {
+  std::vector<Step> steps;
+  const auto add = [&](size_t j, Kind kind, size_t task, size_t pred) {
+    const mr::TaskMetrics& t = WaveOf(jobs[j], kind)[task];
+    const double weight =
+        PhaseOf(jobs[j], kind) == free_phase ? 0.0
+        : records ? static_cast<double>(RecordCost(t, kind))
+                  : t.*WallCost(kind);
+    const double start = pred == kNone ? 0.0 : steps[pred].length;
+    steps.push_back(Step{j, kind, task, start + weight, pred});
+    return steps.size() - 1;
+  };
+  const auto longer = [&](size_t candidate, size_t best) {
+    return best == kNone || steps[candidate].length > steps[best].length
+               ? candidate
+               : best;
+  };
+  size_t barrier = kNone;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    size_t longest_map = kNone;
+    for (size_t t = 0; t < jobs[j].map_tasks.size(); ++t) {
+      longest_map = longer(add(j, kMap, t, barrier), longest_map);
+    }
+    const size_t shuffle_start = longest_map != kNone ? longest_map : barrier;
+    size_t longest_reduce = kNone;
+    for (size_t r = 0; r < jobs[j].reduce_tasks.size(); ++r) {
+      const size_t shuffle = add(j, kShuffle, r, shuffle_start);
+      longest_reduce = longer(add(j, kReduce, r, shuffle), longest_reduce);
+    }
+    if (longest_reduce != kNone) {
+      barrier = longest_reduce;
+    } else if (longest_map != kNone) {
+      barrier = longest_map;
+    }
   }
-  return nodes;
+  size_t end = kNone;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    end = longer(i, end);
+  }
+  Chain chain;
+  for (size_t at = end; at != kNone; at = steps[at].pred) {
+    chain.steps.push_back(steps[at]);
+  }
+  std::reverse(chain.steps.begin(), chain.steps.end());
+  if (end != kNone) {
+    chain.length = steps[end].length;
+  }
+  return chain;
+}
+
+/// The entry for `phase` in `phases`, appended if absent, so the list
+/// keeps first-appearance order.
+template <typename Phase>
+Phase& PhaseEntry(std::vector<Phase>* phases, std::string_view phase) {
+  for (Phase& p : *phases) {
+    if (p.phase == phase) {
+      return p;
+    }
+  }
+  Phase entry;
+  entry.phase = std::string(phase);
+  phases->push_back(std::move(entry));
+  return phases->back();
 }
 
 }  // namespace
 
-StatusOr<DagPath> LongestPath(const std::vector<DagNode>& nodes) {
-  return LongestPathImpl(nodes, {}, /*has_free_phase=*/false);
-}
-
-StatusOr<DagPath> LongestPathWithPhaseFree(const std::vector<DagNode>& nodes,
-                                           std::string_view free_phase) {
-  return LongestPathImpl(nodes, free_phase, /*has_free_phase=*/true);
+WaveStats SummarizeWave(const std::vector<mr::TaskMetrics>& tasks,
+                        double mr::TaskMetrics::*cost) {
+  WaveStats stats;
+  std::vector<double> working;
+  for (const mr::TaskMetrics& t : tasks) {
+    stats.max = std::max(stats.max, t.*cost);
+    if (t.input_records > 0) {
+      working.push_back(t.*cost);
+    }
+  }
+  stats.median = Median(std::move(working));
+  return stats;
 }
 
 CriticalPathReport AnalyzeCriticalPath(
     const std::vector<mr::JobMetrics>& jobs) {
   CriticalPathReport report;
-  std::vector<Entry> entries;
-  uint64_t next_id = 1;
-  // Ids of the previous job's terminal wave: the next job's map tasks
-  // depend on all of them (a job cannot start before its input exists).
-  std::vector<uint64_t> prev_terminal;
-
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    const mr::JobMetrics& job = jobs[j];
-    if (job.map_tasks.empty() && job.reduce_tasks.empty()) {
-      continue;
-    }
-    const bool bitstring = job.name == kBitstringJobName;
-    const std::string map_phase = bitstring ? "ppd.select" : "local-skyline";
-    const std::string reduce_phase = bitstring ? "bitstring.prune" : "merge";
-    const std::string jtag = "j" + std::to_string(j);
-
-    std::vector<double> map_busy;
-    map_busy.reserve(job.map_tasks.size());
-    for (const mr::TaskMetrics& t : job.map_tasks) {
-      map_busy.push_back(t.busy_seconds);
-    }
-    std::vector<double> shuffle_cost;
-    std::vector<double> reduce_busy;
-    shuffle_cost.reserve(job.reduce_tasks.size());
-    reduce_busy.reserve(job.reduce_tasks.size());
-    for (const mr::TaskMetrics& t : job.reduce_tasks) {
-      shuffle_cost.push_back(t.shuffle_seconds);
-      reduce_busy.push_back(t.busy_seconds);
-    }
-    const double map_median = Median(map_busy);
-    const double shuffle_median = Median(shuffle_cost);
-    const double reduce_median = Median(reduce_busy);
-
-    std::vector<uint64_t> map_ids;
-    map_ids.reserve(job.map_tasks.size());
-    for (size_t t = 0; t < job.map_tasks.size(); ++t) {
-      const mr::TaskMetrics& task = job.map_tasks[t];
-      Entry e;
-      e.id = next_id++;
-      e.name = jtag + ".map" + std::to_string(t);
-      e.phase = map_phase;
-      e.job = job.name;
-      e.kind = "map";
-      e.task = static_cast<int>(t);
-      e.attempts = task.attempts;
-      e.wall = task.busy_seconds;
-      e.records = task.input_records + task.output_records;
-      e.wave_median = map_median;
-      e.deps = prev_terminal;
-      map_ids.push_back(e.id);
-      entries.push_back(std::move(e));
-    }
-
-    std::vector<uint64_t> reduce_ids;
-    reduce_ids.reserve(job.reduce_tasks.size());
-    for (size_t r = 0; r < job.reduce_tasks.size(); ++r) {
-      const mr::TaskMetrics& task = job.reduce_tasks[r];
-      // The shuffle edge feeding reducer r: starts after every map task
-      // (the all-to-all barrier), costs the time to build this reducer's
-      // input. Deterministic weight = the records it carries.
-      Entry shuffle;
-      shuffle.id = next_id++;
-      shuffle.name = jtag + ".shf" + std::to_string(r);
-      shuffle.phase = "shuffle";
-      shuffle.job = job.name;
-      shuffle.kind = "shuffle";
-      shuffle.task = static_cast<int>(r);
-      shuffle.wall = task.shuffle_seconds;
-      shuffle.records = task.input_records;
-      shuffle.wave_median = shuffle_median;
-      shuffle.deps = map_ids.empty() ? prev_terminal : map_ids;
-      const uint64_t shuffle_id = shuffle.id;
-      entries.push_back(std::move(shuffle));
-
-      Entry reduce;
-      reduce.id = next_id++;
-      reduce.name = jtag + ".red" + std::to_string(r);
-      reduce.phase = reduce_phase;
-      reduce.job = job.name;
-      reduce.kind = "reduce";
-      reduce.task = static_cast<int>(r);
-      reduce.attempts = task.attempts;
-      reduce.wall = task.busy_seconds;
-      reduce.records = task.input_records + task.output_records;
-      reduce.wave_median = reduce_median;
-      reduce.deps = {shuffle_id};
-      reduce_ids.push_back(reduce.id);
-      entries.push_back(std::move(reduce));
-    }
-
-    prev_terminal = reduce_ids.empty() ? map_ids : reduce_ids;
-  }
-
-  if (entries.empty()) {
+  const Chain wall = LongestChain(jobs, /*records=*/false, {});
+  if (wall.steps.empty()) {
     return report;
   }
+  report.makespan_seconds = wall.length;
 
-  std::map<uint64_t, const Entry*> by_id;
-  for (const Entry& e : entries) {
-    by_id.emplace(e.id, &e);
-  }
-
-  const std::vector<DagNode> wall_dag = ToDag(entries, /*wall=*/true);
-  StatusOr<DagPath> wall_path = LongestPath(wall_dag);
-  SKYMR_DCHECK(wall_path.ok()) << "analyzer-built DAG must be acyclic";
-  if (!wall_path.ok()) {
-    return report;
-  }
-  report.makespan_seconds = wall_path->length;
-
-  // Walk the path: steps, plus phase attribution in first-appearance
-  // order. The path's nodes partition the makespan, so phase seconds sum
-  // to exactly the path length.
-  std::vector<std::string> phase_order;
-  std::map<std::string, double> phase_seconds;
-  for (uint64_t id : wall_path->nodes) {
-    const Entry& e = *by_id.find(id)->second;
+  // Steps, plus phase attribution in first-appearance order. The path's
+  // steps partition the makespan, so phase seconds sum to exactly the
+  // path length.
+  for (const Step& s : wall.steps) {
+    const mr::JobMetrics& job = jobs[s.job];
+    const mr::TaskMetrics& task = WaveOf(job, s.kind)[s.task];
     CpStep step;
-    step.job = e.job;
-    step.kind = e.kind;
-    step.phase = e.phase;
-    step.task = e.task;
-    step.attempts = e.attempts;
-    step.seconds = e.wall;
-    step.wave_median_seconds = e.wave_median;
+    step.job = job.name;
+    step.kind = kKindNames[s.kind];
+    step.phase = PhaseOf(job, s.kind);
+    step.task = static_cast<int>(s.task);
+    step.attempts = s.kind == kShuffle ? 1 : task.attempts;
+    step.seconds = task.*WallCost(s.kind);
+    step.wave_median_seconds =
+        SummarizeWave(WaveOf(job, s.kind), WallCost(s.kind)).median;
+    PhaseEntry(&report.phases, step.phase).seconds += step.seconds;
     report.steps.push_back(std::move(step));
-    if (phase_seconds.emplace(e.phase, 0.0).second) {
-      phase_order.push_back(e.phase);
-    }
-    phase_seconds[e.phase] += e.wall;
   }
-  for (const std::string& phase : phase_order) {
-    CpPhase p;
-    p.phase = phase;
-    p.seconds = phase_seconds[phase];
-    if (report.makespan_seconds > 0.0) {
+  if (report.makespan_seconds > 0.0) {
+    for (CpPhase& p : report.phases) {
       p.percent = 100.0 * p.seconds / report.makespan_seconds;
-      StatusOr<DagPath> freed = LongestPathWithPhaseFree(wall_dag, phase);
-      SKYMR_DCHECK(freed.ok()) << "phase-free pass reuses the acyclic DAG";
-      if (freed.ok()) {
-        p.what_if_free_percent =
-            100.0 * (report.makespan_seconds - freed->length) /
-            report.makespan_seconds;
-      }
+      const double freed =
+          LongestChain(jobs, /*records=*/false, p.phase).length;
+      p.what_if_free_percent = 100.0 *
+                               (report.makespan_seconds - freed) /
+                               report.makespan_seconds;
     }
-    report.phases.push_back(std::move(p));
   }
 
   // Deterministic pass: record-count weights, seed-stable by design.
-  const std::vector<DagNode> det_dag = ToDag(entries, /*wall=*/false);
-  StatusOr<DagPath> det_path = LongestPath(det_dag);
-  SKYMR_DCHECK(det_path.ok()) << "deterministic DAG shares the wall structure";
   std::ostringstream sig;
   sig << "jobs=" << jobs.size();
   for (size_t j = 0; j < jobs.size(); ++j) {
     sig << ";j" << j << "=" << jobs[j].name << ":m"
         << jobs[j].map_tasks.size() << ":r" << jobs[j].reduce_tasks.size();
   }
-  if (det_path.ok()) {
-    std::vector<std::string> det_order;
-    std::map<std::string, uint64_t> det_records;
-    uint64_t det_total = 0;
-    sig << ";det=";
-    bool first = true;
-    for (uint64_t id : det_path->nodes) {
-      const Entry& e = *by_id.find(id)->second;
-      if (!first) {
-        sig << ">";
-      }
-      first = false;
-      sig << e.name;
-      if (det_records.emplace(e.phase, 0).second) {
-        det_order.push_back(e.phase);
-      }
-      det_records[e.phase] += e.records;
-      det_total += e.records;
-    }
-    for (const std::string& phase : det_order) {
-      CpDeterministicPhase p;
-      p.phase = phase;
-      p.records = det_records[phase];
-      if (det_total > 0) {
-        p.percent = 100.0 * static_cast<double>(p.records) /
-                    static_cast<double>(det_total);
-      }
-      report.deterministic_phases.push_back(std::move(p));
+  sig << ";det=";
+  uint64_t det_total = 0;
+  const char* separator = "";
+  for (const Step& s : LongestChain(jobs, /*records=*/true, {}).steps) {
+    sig << separator << "j" << s.job << "." << kKindTags[s.kind] << s.task;
+    separator = ">";
+    const uint64_t records =
+        RecordCost(WaveOf(jobs[s.job], s.kind)[s.task], s.kind);
+    PhaseEntry(&report.deterministic_phases, PhaseOf(jobs[s.job], s.kind))
+        .records += records;
+    det_total += records;
+  }
+  if (det_total > 0) {
+    for (CpDeterministicPhase& p : report.deterministic_phases) {
+      p.percent = 100.0 * static_cast<double>(p.records) /
+                  static_cast<double>(det_total);
     }
   }
   report.dag_signature = sig.str();

@@ -1,77 +1,58 @@
 // Critical-path analysis: which phase actually bounds the makespan?
 //
 // The paper's Figure-11 cost model predicts a makespan; this analyzer
-// explains an observed one. It models a finished pipeline as a
-// node-weighted DAG — map tasks, one shuffle edge per reducer, reduce
-// tasks, with job k's map wave depending on job k-1's reduce wave — and
-// computes the longest (critical) path through it. Every second of the
-// makespan lies on that path, so attributing path nodes to the paper's
+// explains an observed one. A finished pipeline runs as barrier waves:
+// every map task of job k starts once job k-1's last wave is done, every
+// reducer's shuffle (the time to build its input) starts once the job's
+// slowest map task is done, and each reduce task starts after its
+// shuffle. The longest (critical) chain through those waves is therefore
+// a closed formula: per job, the longest map task plus the longest
+// shuffle-plus-reduce, summed over chained jobs. Every second of the
+// makespan lies on that chain, so attributing its steps to the paper's
 // phases (ppd.select, bitstring.prune, local-skyline, shuffle, merge)
 // yields a table that sums to 100% of the makespan. A what-if pass
-// re-runs the longest path with one phase's weights zeroed ("shuffle
-// free ⇒ makespan −X%"), which is the slack argument arXiv 2411.14968
-// uses to drive partitioner and reducer-count choices.
+// re-evaluates the formula with one phase's costs zeroed ("shuffle free
+// ⇒ makespan −X%"), which is the slack argument arXiv 2411.14968 uses
+// to drive partitioner and reducer-count choices.
 //
-// Two weightings over the same DAG:
+// Ties are broken toward the earliest step: the first maximum in task
+// order within a wave, and the earliest step of greatest length as the
+// path's end, so equal costs always yield the same path.
+//
+// Two weightings of the same waves:
 //  * wall: task busy seconds and shuffle build seconds — what a human
 //    reads, but timing-noisy.
 //  * deterministic: record counts (map/reduce: input+output records,
 //    shuffle: reducer input records) — bit-identical across same-seed
-//    runs, so CI can assert two runs agree on DAG shape and attribution.
+//    runs, so CI can assert two runs agree on the path and attribution.
 //
 // Retries: only the attempt that returns normally writes its task's
-// TaskMetrics, so a failed attempt never becomes a node, and a retried
-// task's node differs from a clean run's only in `attempts` and wall time.
+// TaskMetrics, so a failed attempt never becomes a step, and a retried
+// task's step differs from a clean run's only in `attempts` and wall time.
 
 #ifndef SKYMR_OBS_CRITICAL_PATH_H_
 #define SKYMR_OBS_CRITICAL_PATH_H_
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/mapreduce/task_metrics.h"
 
 namespace skymr::obs {
 
-/// One node of a node-weighted dependency DAG. Generic on purpose: the
-/// golden tests hand-build DAGs, the analyzer builds them from metrics.
-struct DagNode {
-  /// Unique nonzero node id.
-  uint64_t id = 0;
-  /// Display name ("j1.map3").
-  std::string name;
-  /// Phase label nodes are aggregated under ("shuffle", "merge", ...).
-  std::string phase;
-  /// Node cost. The path length is the sum of node weights (no edge
-  /// weights); weights must be non-negative.
-  double weight = 0.0;
-  /// Ids of nodes that must finish before this one starts.
-  std::vector<uint64_t> deps;
+/// Max and median of one cost over a wave's tasks. The max counts every
+/// task; the median counts only tasks that received input
+/// (input_records > 0), because a reducer that got no group finishes in
+/// microseconds and would make every working task look like a
+/// straggler. The report's "skew" block, the `stats` text and each
+/// critical-path step's wave median all read this.
+struct WaveStats {
+  double max = 0.0;
+  double median = 0.0;
 };
-
-/// A longest path through a DAG: total weight plus the node ids in
-/// dependency order (first node has no deps on the path).
-struct DagPath {
-  double length = 0.0;
-  std::vector<uint64_t> nodes;
-};
-
-/// Longest path through `nodes`. Deterministic: ties are broken toward
-/// the earliest candidate (first strict maximum in input order for the
-/// path end, in dependency-list order for predecessors), so equal-weight
-/// DAGs built in the same order yield byte-identical paths. Errors on an
-/// unknown dependency id, a duplicate/zero id, or a cycle. An empty DAG
-/// yields an empty path of length 0.
-StatusOr<DagPath> LongestPath(const std::vector<DagNode>& nodes);
-
-/// Longest path with every node of `free_phase` given weight 0 — the
-/// what-if analysis ("how short would the makespan be if this phase were
-/// free?"). The freed nodes still exist, so dependencies are preserved.
-StatusOr<DagPath> LongestPathWithPhaseFree(const std::vector<DagNode>& nodes,
-                                           std::string_view free_phase);
+WaveStats SummarizeWave(const std::vector<mr::TaskMetrics>& tasks,
+                        double mr::TaskMetrics::*cost);
 
 /// One phase's share of the critical path (wall weighting).
 struct CpPhase {
@@ -85,7 +66,7 @@ struct CpPhase {
   double what_if_free_percent = 0.0;
 };
 
-/// One node on the critical path (wall weighting).
+/// One step of the critical path (wall weighting).
 struct CpStep {
   /// Job name ("bitstring-generation", "mr-gpmrs").
   std::string job;
@@ -97,8 +78,9 @@ struct CpStep {
   /// Attempts the winning task needed (1 = no retry); 1 for shuffle.
   int attempts = 1;
   double seconds = 0.0;
-  /// Median cost of this step's wave — the straggler yardstick the
-  /// doctor's straggler-on-critical-path check compares against.
+  /// Median cost of this step's wave over the tasks that received input
+  /// (SummarizeWave) — the straggler yardstick the doctor's
+  /// straggler-on-critical-path check compares against.
   double wave_median_seconds = 0.0;
 };
 
@@ -121,12 +103,13 @@ struct CriticalPathReport {
   double makespan_seconds = 0.0;
   /// Phase attribution, ordered by first appearance on the path.
   std::vector<CpPhase> phases;
-  /// The path itself, in dependency order.
+  /// The path itself, in execution order.
   std::vector<CpStep> steps;
   /// Seed-stable attribution from deterministic record counts.
   std::vector<CpDeterministicPhase> deterministic_phases;
-  /// Seed-stable fingerprint of the DAG shape plus the deterministic
-  /// path: two same-seed runs must produce identical signatures.
+  /// Seed-stable fingerprint of the wave shape (tasks per wave) plus the
+  /// deterministic path: two same-seed runs must produce identical
+  /// signatures.
   std::string dag_signature;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "src/core/skyline_job_common.h"
@@ -181,12 +182,8 @@ void CheckReduceImbalance(const JsonValue& job, const std::string& job_name,
   for (const JsonValue& task : tasks->AsArray()) {
     records.push_back(task.GetDouble("input_records", 0.0));
   }
-  std::sort(records.begin(), records.end());
-  const size_t n = records.size();
-  const double median = n % 2 == 1
-                            ? records[n / 2]
-                            : 0.5 * (records[n / 2 - 1] + records[n / 2]);
-  const double max = records.back();
+  const double max = *std::max_element(records.begin(), records.end());
+  const double median = Median(std::move(records));
   if (max < static_cast<double>(kMinReducerRecords) ||
       median <= 0.0) {
     return;
@@ -282,17 +279,19 @@ void CheckPpd(const JsonValue& report,
                observed_tpp / predicted_tpp)});
   }
   // The Section 3.3 candidate series runs up to n_m = floor(n^(1/d)): a
-  // selected PPD far below that with overfull partitions means the grid
-  // was forced or capped too coarse.
+  // PPD below that with overfull partitions is a coarse grid. The report
+  // does not say where the PPD came from — an explicit --ppd, or the
+  // Section 3.3 rule itself — so the message names both.
   const double candidate_max = std::floor(std::pow(n, 1.0 / static_cast<double>(dim)));
   if (static_cast<double>(ppd) < candidate_max &&
       observed_tpp > kCoarseTpp) {
     findings->push_back(Finding{
         Severity::kWarning, "ppd-coarse",
-        Format("grid ppd=%lld is far below the Section 3.3 candidate "
-               "maximum %.0f and partitions hold %.1f tuples on average "
-               "— PPD forced or capped too low; mappers do excess local "
-               "work and pruning is coarse",
+        Format("grid ppd=%lld is below the Section 3.3 candidate maximum "
+               "%.0f and partitions hold %.1f tuples on average — mappers "
+               "do excess local work and pruning is coarse; the PPD came "
+               "from an explicit --ppd or from the Section 3.3 selection "
+               "rule",
                static_cast<long long>(ppd), candidate_max, observed_tpp)});
   }
 }

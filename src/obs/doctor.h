@@ -4,15 +4,16 @@
 // of raw numbers:
 //
 //   task-skew          one map/reduce task busy far longer than the
-//                      median of its wave (straggler; bad split or
-//                      skewed partition);
+//                      median of its wave's working tasks (straggler;
+//                      bad split or skewed partition);
 //   ppd-skew           observed tuples-per-partition far above the
 //                      Section 3.3 uniform-occupancy prediction for the
 //                      selected grid (clustered/skewed data breaks the
 //                      paper's uniformity assumption);
-//   ppd-coarse         the grid is much coarser than the Section 3.3
+//   ppd-coarse         the grid is coarser than the Section 3.3
 //                      candidate series allows and partitions are
-//                      overfull (PPD forced or capped too low);
+//                      overfull (an explicit --ppd, or the Section 3.3
+//                      rule itself, picked it);
 //   cost-model         observed comparison maxima exceed the Section 6
 //                      predictions (Eq. 5-9) by a large factor;
 //   pruning            Equation 2 bitstring pruning removed almost no
@@ -41,9 +42,10 @@
 //                      (reducer count for merge, partitioner for
 //                      shuffle, PPD for local-skyline);
 //   straggler-on-critical-path
-//                      a critical-path step ran far past its wave
-//                      median, or needed retries to commit — that one
-//                      task, not aggregate skew, set the makespan;
+//                      a critical-path step ran far past its wave's
+//                      working median, or needed retries to commit —
+//                      that one task, not aggregate skew, set the
+//                      makespan;
 //   sampler-overhead   the metrics sampler's own per-sample cost (the
 //                      mr.sampler_sample_us sketch in a skymr-metrics-v1
 //                      export) consumed a non-trivial fraction of the

@@ -14,28 +14,6 @@
 namespace skymr::obs {
 namespace {
 
-double MaxBusySeconds(const std::vector<mr::TaskMetrics>& tasks) {
-  double best = 0.0;
-  for (const mr::TaskMetrics& t : tasks) {
-    best = std::max(best, t.busy_seconds);
-  }
-  return best;
-}
-
-double MedianBusySeconds(const std::vector<mr::TaskMetrics>& tasks) {
-  if (tasks.empty()) {
-    return 0.0;
-  }
-  std::vector<double> busy;
-  busy.reserve(tasks.size());
-  for (const mr::TaskMetrics& t : tasks) {
-    busy.push_back(t.busy_seconds);
-  }
-  std::sort(busy.begin(), busy.end());
-  const size_t n = busy.size();
-  return n % 2 == 1 ? busy[n / 2] : 0.5 * (busy[n / 2 - 1] + busy[n / 2]);
-}
-
 void WriteTaskJson(const mr::TaskMetrics& task, bool is_reduce,
                    JsonWriter* w) {
   w->BeginObject();
@@ -149,16 +127,20 @@ void WriteJobMetricsJson(const mr::JobMetrics& job, JsonWriter* w) {
     WriteSketchJson(sketch, w);
   }
   w->EndObject();
+  const WaveStats map =
+      SummarizeWave(job.map_tasks, &mr::TaskMetrics::busy_seconds);
+  const WaveStats reduce =
+      SummarizeWave(job.reduce_tasks, &mr::TaskMetrics::busy_seconds);
   w->Key("skew");
   w->BeginObject();
   w->Key("max_map_busy_seconds");
-  w->Double(MaxBusySeconds(job.map_tasks));
+  w->Double(map.max);
   w->Key("median_map_busy_seconds");
-  w->Double(MedianBusySeconds(job.map_tasks));
+  w->Double(map.median);
   w->Key("max_reduce_busy_seconds");
-  w->Double(MaxBusySeconds(job.reduce_tasks));
+  w->Double(reduce.max);
   w->Key("median_reduce_busy_seconds");
-  w->Double(MedianBusySeconds(job.reduce_tasks));
+  w->Double(reduce.median);
   w->EndObject();
   w->Key("map_tasks");
   w->BeginArray();
@@ -290,13 +272,6 @@ Status WriteJobReportFile(const SkylineResult& result,
   return Status::OK();
 }
 
-std::string RenderJobMetricsJson(const mr::JobMetrics& metrics) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  WriteJobMetricsJson(metrics, &w);
-  return os.str();
-}
-
 std::string RenderStatsText(const SkylineResult& result) {
   std::ostringstream os;
   char buf[256];
@@ -329,13 +304,14 @@ std::string RenderStatsText(const SkylineResult& result) {
                   job.reduce_tasks.size(), job.wall_seconds,
                   HumanBytes(job.shuffle_bytes).c_str());
     os << buf;
+    const WaveStats map =
+        SummarizeWave(job.map_tasks, &mr::TaskMetrics::busy_seconds);
+    const WaveStats reduce =
+        SummarizeWave(job.reduce_tasks, &mr::TaskMetrics::busy_seconds);
     std::snprintf(buf, sizeof(buf),
                   "  map busy max/median: %.4fs / %.4fs    reduce busy "
                   "max/median: %.4fs / %.4fs\n",
-                  MaxBusySeconds(job.map_tasks),
-                  MedianBusySeconds(job.map_tasks),
-                  MaxBusySeconds(job.reduce_tasks),
-                  MedianBusySeconds(job.reduce_tasks));
+                  map.max, map.median, reduce.max, reduce.median);
     os << buf;
     std::snprintf(
         buf, sizeof(buf),

@@ -51,7 +51,8 @@
 // "sketches" hold work counts only (mapper window sizes, reducer group
 // load), so they too are byte-identical across same-seed runs. Task
 // timings and shuffle bucket sizes appear once, in "map_tasks" and
-// "reduce_tasks", summarized by "skew".
+// "reduce_tasks", summarized by "skew": each wave's max over every task
+// and median over the tasks that received input (obs::SummarizeWave).
 
 #ifndef SKYMR_OBS_JOB_REPORT_H_
 #define SKYMR_OBS_JOB_REPORT_H_
@@ -74,10 +75,6 @@ void WriteJobReport(const SkylineResult& result, std::ostream& os);
 /// WriteJobReport to a file.
 Status WriteJobReportFile(const SkylineResult& result,
                           const std::string& path);
-
-/// Renders one job's metrics block as a standalone JSON object — the same
-/// object that appears in the report's "jobs" array.
-std::string RenderJobMetricsJson(const mr::JobMetrics& metrics);
 
 /// Renders the human-readable summary `skymr_cli stats` prints: per-job
 /// task skew (max/median busy seconds), retries, cache traffic, one line

@@ -237,6 +237,16 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
+double Median(std::vector<double> values) {
+  const size_t n = values.size();
+  if (n == 0) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 void WriteSketchJson(const QuantileSketch& sketch, JsonWriter* w) {
   w->BeginObject();
   w->Key("count");

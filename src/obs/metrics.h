@@ -126,6 +126,12 @@ class QuantileSketch {
   double max_pos_;  // 0 when no positive value yet.
 };
 
+/// Exact median of `values` (the mean of the middle two for an even
+/// count); 0 when empty. The sketch estimates quantiles of unbounded
+/// streams; this is for the short lists obs/ summarizes exactly — one
+/// wave's task costs, one bench row's repetitions.
+double Median(std::vector<double> values);
+
 class JsonWriter;  // json.h
 
 /// Writes `sketch` as one JSON object: count, sum, min, max, p50, p95,

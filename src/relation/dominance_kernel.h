@@ -51,13 +51,6 @@ size_t FirstDominatorIndex(const double* candidate, double candidate_sum,
                            const double* rows, const double* sums,
                            size_t count, size_t dim);
 
-/// True iff some row of the block dominates `candidate` (no screening).
-inline bool DominatesAny(const double* candidate, const double* rows,
-                         size_t count, size_t dim) {
-  return FirstDominatorIndex(candidate, 0.0, rows, /*sums=*/nullptr, count,
-                             dim) != count;
-}
-
 /// One-pass Insert scan (the core of Algorithm 4): returns the smallest
 /// index of a row dominating `candidate`, or `count`; when it returns
 /// `count`, the ascending indices of rows dominated by `candidate` have

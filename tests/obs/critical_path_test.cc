@@ -1,11 +1,15 @@
 #include "src/obs/critical_path.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/mapreduce/task_metrics.h"
@@ -15,89 +19,6 @@ namespace skymr::obs {
 namespace {
 
 using session_testing::SubmitOnce;
-
-// ---------------------------------------------------------------------
-// LongestPath golden tests over hand-built DAGs.
-// ---------------------------------------------------------------------
-
-DagNode Node(uint64_t id, std::string name, std::string phase, double weight,
-             std::vector<uint64_t> deps) {
-  DagNode n;
-  n.id = id;
-  n.name = std::move(name);
-  n.phase = std::move(phase);
-  n.weight = weight;
-  n.deps = std::move(deps);
-  return n;
-}
-
-/// The golden diamond: a(2) -> {b(3), c(5)} -> d(4). Longest path is
-/// a,c,d with length 11; b carries 2 units of slack.
-std::vector<DagNode> Diamond() {
-  return {Node(1, "a", "load", 2.0, {}),
-          Node(2, "b", "work", 3.0, {1}),
-          Node(3, "c", "work", 5.0, {1}),
-          Node(4, "d", "save", 4.0, {2, 3})};
-}
-
-TEST(LongestPathTest, DiamondGolden) {
-  auto path = LongestPath(Diamond());
-  ASSERT_TRUE(path.ok()) << path.status();
-  EXPECT_DOUBLE_EQ(path->length, 11.0);
-  EXPECT_EQ(path->nodes, (std::vector<uint64_t>{1, 3, 4}));
-}
-
-TEST(LongestPathTest, PhaseFreeExposesSlack) {
-  // Freeing "work" zeroes b and c but keeps the a -> d dependency chain:
-  // the path shrinks to a + d = 6, a 5-second (45%) slack.
-  auto freed = LongestPathWithPhaseFree(Diamond(), "work");
-  ASSERT_TRUE(freed.ok()) << freed.status();
-  EXPECT_DOUBLE_EQ(freed->length, 6.0);
-  // Freeing a phase not on the DAG changes nothing.
-  auto same = LongestPathWithPhaseFree(Diamond(), "nope");
-  ASSERT_TRUE(same.ok());
-  EXPECT_DOUBLE_EQ(same->length, 11.0);
-}
-
-TEST(LongestPathTest, TiesBreakDeterministically) {
-  // b and c tie at weight 3: the predecessor choice must take the first
-  // strict maximum in d's dependency-list order — b.
-  auto path = LongestPath({Node(1, "a", "p", 2.0, {}),
-                           Node(2, "b", "p", 3.0, {1}),
-                           Node(3, "c", "p", 3.0, {1}),
-                           Node(4, "d", "p", 4.0, {2, 3})});
-  ASSERT_TRUE(path.ok());
-  EXPECT_EQ(path->nodes, (std::vector<uint64_t>{1, 2, 4}));
-
-  // Two equal-length disjoint chains: the path ends at the first sink in
-  // input order.
-  auto two = LongestPath({Node(1, "x", "p", 5.0, {}),
-                          Node(2, "y", "p", 5.0, {})});
-  ASSERT_TRUE(two.ok());
-  EXPECT_EQ(two->nodes, (std::vector<uint64_t>{1}));
-}
-
-TEST(LongestPathTest, EmptyDagIsEmptyPath) {
-  auto path = LongestPath({});
-  ASSERT_TRUE(path.ok());
-  EXPECT_DOUBLE_EQ(path->length, 0.0);
-  EXPECT_TRUE(path->nodes.empty());
-}
-
-TEST(LongestPathTest, RejectsMalformedDags) {
-  // Zero id.
-  EXPECT_FALSE(LongestPath({Node(0, "z", "p", 1.0, {})}).ok());
-  // Duplicate id.
-  EXPECT_FALSE(LongestPath({Node(1, "a", "p", 1.0, {}),
-                            Node(1, "b", "p", 1.0, {})})
-                   .ok());
-  // Unknown dependency.
-  EXPECT_FALSE(LongestPath({Node(1, "a", "p", 1.0, {99})}).ok());
-  // Cycle.
-  EXPECT_FALSE(LongestPath({Node(1, "a", "p", 1.0, {2}),
-                            Node(2, "b", "p", 1.0, {1})})
-                   .ok());
-}
 
 // ---------------------------------------------------------------------
 // AnalyzeCriticalPath over synthetic job metrics.
@@ -217,6 +138,253 @@ TEST(AnalyzeCriticalPathTest, RendersAttributionTable) {
   EXPECT_NE(RenderCriticalPathText(AnalyzeCriticalPath({}))
                 .find("no jobs"),
             std::string::npos);
+}
+
+TEST(AnalyzeCriticalPathTest, EqualWeightsTakeTheLowestTaskAndEarliestStep) {
+  // Every map and every reducer of job 0 ties, and job 1 adds nothing:
+  // the path takes task 0 of each wave and ends at the earliest step of
+  // greatest length, j0.red0, under both weightings.
+  std::vector<mr::JobMetrics> jobs(2);
+  jobs[0].name = "bitstring-generation";
+  jobs[0].map_tasks = {Task(1.0, 1, 1), Task(1.0, 1, 1)};
+  jobs[0].reduce_tasks = {Task(1.0, 1, 1, 0.5), Task(1.0, 1, 1, 0.5)};
+  jobs[1].name = "mr-gpmrs";
+  jobs[1].map_tasks = {Task(0.0, 0, 0), Task(0.0, 0, 0)};
+  jobs[1].reduce_tasks = {Task(0.0, 0, 0), Task(0.0, 0, 0)};
+  const CriticalPathReport report = AnalyzeCriticalPath(jobs);
+  ASSERT_TRUE(report.valid);
+  EXPECT_DOUBLE_EQ(report.makespan_seconds, 2.5);
+  ASSERT_EQ(report.steps.size(), 3u);
+  const std::vector<std::string> kinds = {"map", "shuffle", "reduce"};
+  for (size_t i = 0; i < report.steps.size(); ++i) {
+    EXPECT_EQ(report.steps[i].job, "bitstring-generation") << "step " << i;
+    EXPECT_EQ(report.steps[i].kind, kinds[i]) << "step " << i;
+    EXPECT_EQ(report.steps[i].task, 0) << "step " << i;
+  }
+  EXPECT_EQ(report.dag_signature,
+            "jobs=2;j0=bitstring-generation:m2:r2;j1=mr-gpmrs:m2:r2;"
+            "det=j0.map0>j0.shf0>j0.red0");
+}
+
+// ---------------------------------------------------------------------
+// The formula against brute force: on small random pipelines, every
+// chain that takes one map task and one reducer per job is enumerated.
+// ---------------------------------------------------------------------
+
+/// The paper phase of a wave, as AnalyzeCriticalPath documents it.
+std::string PhaseOf(const mr::JobMetrics& job, const std::string& kind) {
+  const bool bitstring = job.name == "bitstring-generation";
+  if (kind == "shuffle") {
+    return "shuffle";
+  }
+  if (kind == "map") {
+    return bitstring ? "ppd.select" : "local-skyline";
+  }
+  return bitstring ? "bitstring.prune" : "merge";
+}
+
+/// A step's cost: seconds, or records under the deterministic weighting.
+double StepWeight(const mr::JobMetrics& job, const std::string& kind,
+                  size_t task, bool records) {
+  const mr::TaskMetrics& t =
+      kind == "map" ? job.map_tasks[task] : job.reduce_tasks[task];
+  if (kind == "shuffle") {
+    return records ? static_cast<double>(t.input_records) : t.shuffle_seconds;
+  }
+  return records ? static_cast<double>(t.input_records + t.output_records)
+                 : t.busy_seconds;
+}
+
+/// The longest of all chains through jobs[j..], enumerated one by one: a
+/// chain takes one map task and one reducer (its shuffle, then its
+/// reduce) of each job, skipping empty waves. `prefix` is the length of
+/// the chain so far; steps of `free_phase` cost nothing.
+double LongestChain(const std::vector<mr::JobMetrics>& jobs, size_t j,
+                    double prefix, bool records,
+                    const std::string& free_phase) {
+  if (j == jobs.size()) {
+    return prefix;
+  }
+  const mr::JobMetrics& job = jobs[j];
+  const auto cost = [&](const std::string& kind, size_t task) {
+    return PhaseOf(job, kind) == free_phase
+               ? 0.0
+               : StepWeight(job, kind, task, records);
+  };
+  double best = 0.0;
+  for (size_t m = 0; m < std::max<size_t>(job.map_tasks.size(), 1); ++m) {
+    for (size_t r = 0; r < std::max<size_t>(job.reduce_tasks.size(), 1);
+         ++r) {
+      double length = prefix;
+      if (!job.map_tasks.empty()) {
+        length += cost("map", m);
+      }
+      if (!job.reduce_tasks.empty()) {
+        length += cost("shuffle", r);
+        length += cost("reduce", r);
+      }
+      best = std::max(
+          best, LongestChain(jobs, j + 1, length, records, free_phase));
+    }
+  }
+  return best;
+}
+
+/// One step named by job index, kind and task.
+struct ChainStep {
+  size_t job;
+  std::string kind;
+  size_t task;
+};
+
+/// True when `steps` is a prefix of some chain: in job order, a map task
+/// of each job that has any, then a reducer's shuffle and that reducer's
+/// reduce task of each job that has any, stopping anywhere.
+bool IsChainPrefix(const std::vector<mr::JobMetrics>& jobs,
+                   const std::vector<ChainStep>& steps) {
+  size_t i = 0;
+  for (size_t j = 0; j < jobs.size() && i < steps.size(); ++j) {
+    const auto is = [&](const std::string& kind, size_t bound) {
+      return steps[i].job == j && steps[i].kind == kind &&
+             steps[i].task < bound;
+    };
+    const size_t maps = jobs[j].map_tasks.size();
+    const size_t reducers = jobs[j].reduce_tasks.size();
+    if (maps > 0) {
+      if (!is("map", maps)) {
+        return false;
+      }
+      ++i;
+    }
+    if (reducers > 0 && i < steps.size()) {
+      if (!is("shuffle", reducers)) {
+        return false;
+      }
+      const size_t reducer = steps[i++].task;
+      if (i < steps.size()) {
+        if (!is("reduce", reducers) || steps[i].task != reducer) {
+          return false;
+        }
+        ++i;
+      }
+    }
+  }
+  return i == steps.size();
+}
+
+/// The deterministic path, parsed from the signature's "det=" part
+/// ("j0.map1>j0.shf0>j0.red0").
+std::vector<ChainStep> DeterministicChain(const std::string& signature) {
+  std::vector<ChainStep> chain;
+  std::istringstream det(signature.substr(signature.find(";det=") + 5));
+  std::string token;
+  while (std::getline(det, token, '>')) {
+    const size_t dot = token.find('.');
+    const std::string tag = token.substr(dot + 1, 3);
+    chain.push_back(ChainStep{
+        std::stoul(token.substr(1, dot - 1)),
+        tag == "map" ? "map" : tag == "shf" ? "shuffle" : "reduce",
+        std::stoul(token.substr(dot + 4))});
+  }
+  return chain;
+}
+
+/// 1-3 jobs with distinct names (so a wall step's job name identifies
+/// its job), 0-3 tasks per wave, coarse weights so ties, zero weights
+/// and idle tasks are common, and always one job without reducers.
+std::vector<mr::JobMetrics> RandomPipeline(Rng* rng) {
+  std::vector<std::string> names = {"bitstring-generation", "mr-gpmrs",
+                                    "mr-gpsrs"};
+  const auto seconds = [rng] {
+    return 0.5 * static_cast<double>(rng->NextBounded(4));
+  };
+  const auto records = [rng] { return rng->NextBounded(3); };
+  std::vector<mr::JobMetrics> jobs(1 + rng->NextBounded(3));
+  for (mr::JobMetrics& job : jobs) {
+    const size_t pick = rng->NextBounded(names.size());
+    job.name = names[pick];
+    names.erase(names.begin() + static_cast<std::ptrdiff_t>(pick));
+    job.map_tasks.resize(rng->NextBounded(4));
+    job.reduce_tasks.resize(rng->NextBounded(4));
+    for (mr::TaskMetrics& t : job.map_tasks) {
+      t = Task(seconds(), records(), records());
+    }
+    for (mr::TaskMetrics& t : job.reduce_tasks) {
+      t = Task(seconds(), records(), records(), seconds());
+    }
+  }
+  jobs[rng->NextBounded(jobs.size())].reduce_tasks.clear();
+  return jobs;
+}
+
+TEST(AnalyzeCriticalPathTest, MatchesBruteForceOverEveryChain) {
+  Rng rng(2411);
+  int analyzed = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::vector<mr::JobMetrics> jobs = RandomPipeline(&rng);
+    const CriticalPathReport report = AnalyzeCriticalPath(jobs);
+    bool any_task = false;
+    for (const mr::JobMetrics& job : jobs) {
+      any_task |= !job.map_tasks.empty() || !job.reduce_tasks.empty();
+    }
+    ASSERT_EQ(report.valid, any_task) << "trial " << trial;
+    if (!report.valid) {
+      continue;
+    }
+    ++analyzed;
+
+    // Wall weighting: the makespan is the longest chain, and the path is
+    // a chain of exactly that length.
+    const double longest = LongestChain(jobs, 0, 0.0, false, "");
+    ASSERT_DOUBLE_EQ(report.makespan_seconds, longest) << "trial " << trial;
+    std::vector<ChainStep> wall;
+    for (const CpStep& step : report.steps) {
+      size_t j = 0;
+      while (jobs[j].name != step.job) {
+        ++j;
+      }
+      wall.push_back(ChainStep{j, step.kind, static_cast<size_t>(step.task)});
+    }
+    ASSERT_TRUE(IsChainPrefix(jobs, wall)) << "trial " << trial;
+    double path_seconds = 0.0;
+    for (size_t i = 0; i < wall.size(); ++i) {
+      const double weight =
+          StepWeight(jobs[wall[i].job], wall[i].kind, wall[i].task, false);
+      EXPECT_EQ(report.steps[i].seconds, weight) << "trial " << trial;
+      path_seconds += weight;
+    }
+    EXPECT_DOUBLE_EQ(path_seconds, longest) << "trial " << trial;
+
+    // What-if: each phase freed is the longest chain with it zeroed.
+    for (const CpPhase& p : report.phases) {
+      if (longest <= 0.0) {
+        EXPECT_EQ(p.what_if_free_percent, 0.0);
+        continue;
+      }
+      const double freed = LongestChain(jobs, 0, 0.0, false, p.phase);
+      EXPECT_NEAR(p.what_if_free_percent,
+                  100.0 * (longest - freed) / longest, 1e-9)
+          << "trial " << trial << " phase " << p.phase;
+    }
+
+    // Record weighting: the signature's path is a chain of the longest
+    // record length, and the deterministic phases partition it.
+    const double longest_records = LongestChain(jobs, 0, 0.0, true, "");
+    const std::vector<ChainStep> det = DeterministicChain(report.dag_signature);
+    ASSERT_TRUE(IsChainPrefix(jobs, det))
+        << "trial " << trial << ": " << report.dag_signature;
+    double det_records = 0.0;
+    for (const ChainStep& step : det) {
+      det_records += StepWeight(jobs[step.job], step.kind, step.task, true);
+    }
+    EXPECT_EQ(det_records, longest_records) << report.dag_signature;
+    uint64_t phase_records = 0;
+    for (const CpDeterministicPhase& p : report.deterministic_phases) {
+      phase_records += p.records;
+    }
+    EXPECT_EQ(static_cast<double>(phase_records), longest_records);
+  }
+  EXPECT_GT(analyzed, 1500);
 }
 
 TEST(AnalyzeCriticalPathTest, RetriedTaskAttemptsSurfaceOnSteps) {

@@ -398,6 +398,112 @@ TEST(DoctorTest, FastOrFirstAttemptPathStepsStaySilent) {
 }
 
 // ---------------------------------------------------------------------
+// Wave medians over written reports: a GPMRS run with fewer reducer
+// groups than reducers leaves some reducers idle, and only the working
+// ones may set the wave median the skew and straggler checks read.
+// ---------------------------------------------------------------------
+
+/// The report of a one-job GPMRS run: 13 equal map tasks and reducers
+/// 1, 3, ..., 11 busy for `working_busy` seconds (1000 input records
+/// each); the other seven reducers received nothing and ran 0.1-2.5 us.
+JsonValue GpmrsReport(const std::vector<double>& working_busy) {
+  SkylineResult result;
+  mr::JobMetrics job;
+  job.name = "mr-gpmrs";
+  job.map_tasks.resize(13);
+  for (mr::TaskMetrics& t : job.map_tasks) {
+    t.busy_seconds = 0.02;
+    t.input_records = 1000;
+  }
+  job.reduce_tasks.resize(13);
+  size_t working = 0;
+  for (size_t r = 0; r < job.reduce_tasks.size(); ++r) {
+    mr::TaskMetrics& t = job.reduce_tasks[r];
+    if (r % 2 == 1 && working < working_busy.size()) {
+      t.busy_seconds = working_busy[working++];
+      t.input_records = 1000;
+      t.shuffle_seconds = 0.001;
+    } else {
+      t.busy_seconds = 1e-7 * static_cast<double>(1 + 2 * r);
+    }
+  }
+  result.jobs = {job};
+  std::ostringstream os;
+  WriteJobReport(result, os);
+  return Parse(os.str());
+}
+
+/// The report's reduce-wave median and its critical path's reduce step.
+struct ReduceWave {
+  double skew_median = -1.0;
+  const JsonValue* reduce_step = nullptr;
+};
+
+ReduceWave ReduceWaveOf(const JsonValue& report) {
+  ReduceWave wave;
+  const JsonValue* jobs = report.Find("jobs");
+  if (jobs != nullptr && jobs->is_array() && !jobs->AsArray().empty()) {
+    const JsonValue* skew = jobs->AsArray()[0].Find("skew");
+    if (skew != nullptr) {
+      wave.skew_median = skew->GetDouble("median_reduce_busy_seconds", -1.0);
+    }
+  }
+  const JsonValue* cp = report.Find("critical_path");
+  const JsonValue* path = cp != nullptr ? cp->Find("path") : nullptr;
+  if (path != nullptr && path->is_array()) {
+    for (const JsonValue& step : path->AsArray()) {
+      if (step.GetString("kind", "") == "reduce") {
+        wave.reduce_step = &step;
+      }
+    }
+  }
+  return wave;
+}
+
+TEST(DoctorTest, IdleReducersDoNotSetTheWaveMedian) {
+  // Six working reducers, the slowest 2.4x their median (0.0275 s):
+  // counting the seven idle ones would make the median ~1 us and the
+  // slowest reducer a critical straggler.
+  const JsonValue report =
+      GpmrsReport({0.020, 0.0217, 0.025, 0.030, 0.040, 0.065});
+  const ReduceWave wave = ReduceWaveOf(report);
+  EXPECT_DOUBLE_EQ(wave.skew_median, 0.0275);
+  ASSERT_NE(wave.reduce_step, nullptr);
+  EXPECT_EQ(wave.reduce_step->GetInt("task", -1), 11);
+  EXPECT_DOUBLE_EQ(wave.reduce_step->GetDouble("wave_median_seconds", -1.0),
+                   0.0275);
+  auto findings = AnalyzeReport(report);
+  ASSERT_TRUE(findings.ok()) << findings.status();
+  EXPECT_FALSE(HasCode(*findings, "task-skew")) << RenderFindings(*findings);
+  EXPECT_FALSE(HasCode(*findings, "straggler-on-critical-path"))
+      << RenderFindings(*findings);
+}
+
+TEST(DoctorTest, StragglerAmongWorkingReducersIsStillFlagged) {
+  // Five working reducers at 0.02 s and one at 0.1 s: 5x the working
+  // median, with seven idle reducers alongside.
+  const JsonValue report =
+      GpmrsReport({0.02, 0.02, 0.02, 0.02, 0.02, 0.1});
+  const ReduceWave wave = ReduceWaveOf(report);
+  EXPECT_DOUBLE_EQ(wave.skew_median, 0.02);
+  ASSERT_NE(wave.reduce_step, nullptr);
+  EXPECT_DOUBLE_EQ(wave.reduce_step->GetDouble("wave_median_seconds", -1.0),
+                   0.02);
+  auto findings = AnalyzeReport(report);
+  ASSERT_TRUE(findings.ok()) << findings.status();
+  EXPECT_TRUE(HasCode(*findings, "task-skew")) << RenderFindings(*findings);
+  EXPECT_TRUE(HasCode(*findings, "straggler-on-critical-path"))
+      << RenderFindings(*findings);
+  for (const Finding& finding : *findings) {
+    if (finding.code == "task-skew") {
+      EXPECT_EQ(finding.severity, Severity::kWarning);
+      EXPECT_NE(finding.message.find("(5.0x)"), std::string::npos)
+          << finding.message;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Metrics-snapshot findings (skymr-metrics-v1).
 // ---------------------------------------------------------------------
 

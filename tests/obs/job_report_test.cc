@@ -40,6 +40,22 @@ SkylineResult SmallGridRun() {
   return std::move(result).value();
 }
 
+/// The report's jobs[0] object for a run whose only job is `metrics`.
+JsonValue JobJson(const mr::JobMetrics& metrics) {
+  SkylineResult result;
+  result.jobs = {metrics};
+  std::ostringstream os;
+  WriteJobReport(result, os);
+  EXPECT_EQ(testing::JsonParseError(os.str()), "") << os.str();
+  auto doc = ParseJson(os.str());
+  const JsonValue* jobs = doc.ok() ? doc->Find("jobs") : nullptr;
+  if (jobs == nullptr || !jobs->is_array() || jobs->AsArray().empty()) {
+    ADD_FAILURE() << "no jobs[0] in " << os.str();
+    return JsonValue();
+  }
+  return jobs->AsArray()[0];
+}
+
 TEST(JobReportTest, ReportIsValidJsonWithSchemaAndCostModel) {
   const SkylineResult result = SmallGridRun();
   std::ostringstream os;
@@ -118,13 +134,11 @@ TEST(JobReportTest, JobMetricsJsonRendersSketchQuantiles) {
   for (const double cost : {335.0, 335.0, 360.0}) {
     metrics.sketches["skymr.reducer_group_cost"].Add(cost);
   }
-  const std::string json = RenderJobMetricsJson(metrics);
-  auto doc = ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << json;
-  const JsonValue* sketches = doc->Find("sketches");
-  ASSERT_NE(sketches, nullptr) << json;
+  const JsonValue job = JobJson(metrics);
+  const JsonValue* sketches = job.Find("sketches");
+  ASSERT_NE(sketches, nullptr);
   const JsonValue* cost = sketches->Find("skymr.reducer_group_cost");
-  ASSERT_NE(cost, nullptr) << json;
+  ASSERT_NE(cost, nullptr);
   EXPECT_EQ(cost->GetInt("count", 0), 3);
   EXPECT_DOUBLE_EQ(cost->GetDouble("min", 0.0), 335.0);
   EXPECT_DOUBLE_EQ(cost->GetDouble("max", 0.0), 360.0);
@@ -203,14 +217,17 @@ TEST(JobReportTest, RetriesAndCacheTrafficSurfaceInJobMetricsJson) {
   ASSERT_EQ(result.metrics.map_tasks.size(), 1u);
   EXPECT_EQ(result.metrics.map_tasks[0].attempts, 2);
 
-  const std::string json = RenderJobMetricsJson(result.metrics);
-  EXPECT_EQ(testing::JsonParseError(json), "") << json;
-  EXPECT_NE(json.find("\"name\": \"flaky\""), std::string::npos) << json;
+  const JsonValue rendered = JobJson(result.metrics);
+  EXPECT_EQ(rendered.GetString("name", ""), "flaky");
   // One retry, and one cache hit + one miss per attempt.
-  EXPECT_NE(json.find("\"task_retries\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cache_hits\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cache_misses\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"attempts\": 2"), std::string::npos) << json;
+  EXPECT_EQ(rendered.GetInt("task_retries", 0), 1);
+  EXPECT_EQ(rendered.GetInt("cache_hits", 0), 2);
+  EXPECT_EQ(rendered.GetInt("cache_misses", 0), 2);
+  const JsonValue* map_tasks = rendered.Find("map_tasks");
+  ASSERT_NE(map_tasks, nullptr);
+  ASSERT_TRUE(map_tasks->is_array());
+  ASSERT_EQ(map_tasks->AsArray().size(), 1u);
+  EXPECT_EQ(map_tasks->AsArray()[0].GetInt("attempts", 0), 2);
 }
 
 }  // namespace

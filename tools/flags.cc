@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace skymr::tools {
 
@@ -17,6 +20,41 @@ bool ParseFiniteDouble(std::string_view text, double* value) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
   return !text.empty() && ec == std::errc() && ptr == end &&
          std::isfinite(*value);
+}
+
+double PositiveEnvDouble(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) {
+    return fallback;
+  }
+  double value = 0.0;
+  if (!ParseFiniteDouble(env, &value) || value <= 0.0) {
+    std::fprintf(stderr, "%s=%s is not a finite number > 0\n", name, env);
+    std::exit(2);
+  }
+  return value;
+}
+
+namespace {
+
+bool BenchFullScale() {
+  const char* full = std::getenv("SKYMR_FULL");
+  return full != nullptr && std::strcmp(full, "1") == 0;
+}
+
+}  // namespace
+
+double BenchEnvScale() {
+  return BenchFullScale() ? 1.0 : PositiveEnvDouble("SKYMR_SCALE", 1.0);
+}
+
+size_t BenchScaledCount(size_t full, double scale, size_t floor) {
+  if (BenchFullScale()) {
+    return full;
+  }
+  const auto scaled = static_cast<size_t>(static_cast<double>(full) *
+                                          (scale * BenchEnvScale()));
+  return std::max(scaled, floor);
 }
 
 StatusOr<Flags> Flags::Parse(const std::vector<std::string>& args,

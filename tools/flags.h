@@ -1,15 +1,20 @@
-// Command-line flags for skymr_cli and skymr_loadgen.
+// Command-line flags for skymr_cli, skymr_loadgen and the self-contained
+// microbenches, plus the benches' numeric environment variables.
 //
-// Both binaries take `--name=value` and bare `--name` switches. Each
+// The binaries take `--name=value` and bare `--name` switches. Each
 // command declares the flags it reads, with a kind; Parse rejects a
 // positional argument, an undeclared flag, a switch given a value, a
 // value flag given none, and a number that does not parse in full
 // (`--mappers=13x`, `--qps=fast`). The caller prints usage and exits 2,
-// so a misspelt or removed flag can never silently run a default.
+// so a misspelt or removed flag can never silently run a default. The
+// environment readers below apply the same rule to SKYMR_SCALE and
+// SKYMR_BENCH_CACHE_MB (`SKYMR_SCALE=0,1` exits 2 instead of running at
+// a size nobody asked for).
 
 #ifndef SKYMR_TOOLS_FLAGS_H_
 #define SKYMR_TOOLS_FLAGS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -37,6 +42,20 @@ struct FlagSpec {
 /// empty text, trailing characters, or overflow.
 bool ParseInt64(std::string_view text, int64_t* value);
 bool ParseFiniteDouble(std::string_view text, double* value);
+
+/// Environment variable `name` as a finite number > 0, or `fallback` when
+/// it is unset. Any other value prints a message naming the variable and
+/// exits 2.
+double PositiveEnvDouble(const char* name, double fallback);
+
+/// The multiplier every bench applies to its default sizes: SKYMR_SCALE
+/// (PositiveEnvDouble, default 1), or 1 when SKYMR_FULL=1, which leaves
+/// SKYMR_SCALE unread.
+double BenchEnvScale();
+
+/// `full` scaled by `scale` times BenchEnvScale(), and at least `floor`;
+/// `full` itself when SKYMR_FULL=1 (the paper's full size).
+size_t BenchScaledCount(size_t full, double scale, size_t floor);
 
 /// Flags parsed against one command's declared set. Every value a getter
 /// returns already parsed, so the getters cannot fail.
