@@ -9,7 +9,8 @@
 //                     data); anything but a finite number > 0 exits 2
 //   SKYMR_FULL        when set to 1, uses the paper's full cardinalities
 //                     (several hours per figure on one machine)
-//   SKYMR_BENCH_REPS  pipeline repetitions per reported row (default 1);
+//   SKYMR_BENCH_REPS  pipeline repetitions per reported row (default 1;
+//                     an integer in [1, 100], anything else exits 2);
 //                     more repetitions tighten the wall-time statistics
 //                     in the bench artifact
 //   SKYMR_BENCH_OUT   path of the skymr-bench-v1 artifact (default
@@ -204,7 +205,7 @@ inline void RunAndReport(benchmark::State& state, const Dataset& data,
   if (pooled.pool == nullptr) {
     pooled.pool = &SharedBenchPool();
   }
-  const int reps = obs::BenchRepsFromEnv();
+  const int reps = tools::BenchEnvReps();
   for (auto _ : state) {
     std::vector<double> wall_samples;
     wall_samples.reserve(static_cast<size_t>(reps));
@@ -276,6 +277,8 @@ inline void RunAndReport(benchmark::State& state, const Dataset& data,
 /// then writes the skymr-bench-v1 artifact to SKYMR_BENCH_OUT (default
 /// BENCH_<bench>.json).
 inline int BenchMain(int argc, char** argv, const std::string& bench_name) {
+  // Read before any row runs, so a malformed value stops the bench first.
+  const int reps = tools::BenchEnvReps();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
@@ -283,6 +286,7 @@ inline int BenchMain(int argc, char** argv, const std::string& bench_name) {
   // The framework may invoke a benchmark several times while calibrating
   // the iteration count; keep only the final (measured) row per name.
   obs::BenchArtifact artifact(bench_name);
+  artifact.environment().reps = reps;
   std::map<std::string, size_t> last_by_name;
   for (size_t i = 0; i < CollectedRows().size(); ++i) {
     last_by_name.insert_or_assign(CollectedRows()[i].name, i);

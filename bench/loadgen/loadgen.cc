@@ -374,15 +374,6 @@ StatusOr<LoadReport> RunLoad(const LoadConfig& config,
       out.deadline_missed =
           config.deadline_ms > 0.0 && latency_us > config.deadline_ms * 1e3;
 
-      if (metrics != nullptr) {
-        metrics->counter(out.ok ? "query.completed" : "query.errors")->Add(1);
-        if (out.deadline_missed) {
-          metrics->counter("query.deadline_missed")->Add(1);
-        }
-        metrics->sketch("query.latency_us")->Record(latency_us);
-        metrics->sketch("query.queue_wait_us")
-            ->Record(out.dispatch_us - out.scheduled_us);
-      }
       if (logger != nullptr && out.deadline_missed) {
         std::ostringstream msg;
         msg << "latency " << static_cast<int64_t>(latency_us)

@@ -188,11 +188,11 @@ ArrivalSchedule BuildSchedule(const LoadConfig& config);
 /// goes through Session::Submit; config.serve picks a fresh session per
 /// query (batch) or resident ones (serve). All sessions share one
 /// ThreadPool, whose threads stay free to run the admitted queries'
-/// map/reduce tasks. `metrics` (optional) receives the query.*
-/// counters/sketches and the sessions' mr.session_* telemetry live;
-/// `logger` (optional) receives per-query structured events and is
-/// handed to every query's engine — configure its crash_dump_path to get
-/// flight-recorder dumps on chaos faults.
+/// map/reduce tasks. `metrics` (optional) is handed to every query's
+/// engine, so it accumulates every job's totals; the per-query numbers
+/// are the LoadReport's. `logger` (optional) receives per-query
+/// structured events and is handed to every query's engine — configure
+/// its crash_dump_path to get flight-recorder dumps on chaos faults.
 StatusOr<LoadReport> RunLoad(const LoadConfig& config,
                              obs::MetricsRegistry* metrics,
                              obs::Logger* logger);

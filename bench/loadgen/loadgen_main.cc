@@ -37,7 +37,6 @@
 
 #include "bench/loadgen/loadgen.h"
 #include "src/mapreduce/chaos.h"
-#include "src/obs/metrics.h"
 #include "tools/flags.h"
 
 namespace {
@@ -124,9 +123,7 @@ int main(int argc, char** argv) {
     config.chaos.seed = static_cast<uint64_t>(args.GetInt("chaos-seed", 0));
   }
 
-  skymr::obs::MetricsRegistry metrics;
   skymr::obs::Logger::Options log_options;
-  log_options.metrics = &metrics;
   log_options.crash_dump_path = args.GetString("crash-dump", "");
   auto level = skymr::obs::ParseLogSeverity(
       args.GetString("log-level", "info"));
@@ -151,7 +148,8 @@ int main(int argc, char** argv) {
     logger.AddSink(log_sink.get());
   }
 
-  auto report_or = skymr::loadgen::RunLoad(config, &metrics, &logger);
+  auto report_or =
+      skymr::loadgen::RunLoad(config, /*metrics=*/nullptr, &logger);
   if (!report_or.ok()) {
     std::fprintf(stderr, "%s\n", report_or.status().ToString().c_str());
     return 1;

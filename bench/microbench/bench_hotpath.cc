@@ -17,9 +17,8 @@
 //                     map -> sort -> reduce, end to end
 //   metrics_overhead  the shuffle_roundtrip job in alternating pairs on
 //                     one shared thread pool — engine metrics off vs a
-//                     live MetricsRegistry + 10 ms sampler thread
-//                     attached — reporting the median per-pair overhead
-//                     fraction (budget: < 2%)
+//                     MetricsRegistry attached — reporting the median
+//                     per-pair overhead fraction (budget: < 2%)
 //   compare_partitions CompareAllPartitions (the ADR walk, which skips
 //                     empty windows) over the mapper windows of
 //                     10^5 * scale independent 6-d tuples in 13
@@ -396,7 +395,6 @@ struct MetricsOverheadResult {
   /// Median over the rep pairs of metrics / plain, minus 1; negative
   /// values mean noise, not a win.
   double overhead_fraction = 0.0;
-  uint64_t samples_taken = 0;
   std::vector<double> samples;
 };
 
@@ -436,21 +434,16 @@ MetricsOverheadResult BenchMetricsOverhead(double scale, int reps) {
     return Now() - start;
   };
 
-  // Metrics rep: registry handles recorded per task + the sampler thread
-  // snapshotting every 10 ms, exactly what `stats --metrics-out` wires up.
-  // One registry serves every rep; each metrics rep gets a fresh sampler,
-  // so no sampler thread runs during a plain rep.
+  // Metrics rep: the job records its totals into a registry at its end,
+  // exactly what `stats --metrics-out` wires up. One registry serves
+  // every rep.
   obs::MetricsRegistry registry;
   mr::EngineOptions with_metrics = plain;
   with_metrics.metrics = &registry;
   const auto time_metrics = [&] {
-    obs::MetricsSampler sampler(&registry, /*period_ms=*/10);
     const double start = Now();
     run_job(with_metrics);
-    const double seconds = Now() - start;
-    sampler.Stop();
-    out.samples_taken += sampler.samples_taken();
-    return seconds;
+    return Now() - start;
   };
 
   // One untimed run per side first: the first jobs of the loop pay for
@@ -458,7 +451,6 @@ MetricsOverheadResult BenchMetricsOverhead(double scale, int reps) {
   // whole in the first pair's ratio.
   time_plain();
   time_metrics();
-  out.samples_taken = 0;
 
   // Plain and metrics reps alternate, and every other pair runs the
   // metrics rep first, so host drift reaches both sides of a pair instead
@@ -952,10 +944,8 @@ int Run(int argc, char** argv) {
                shuffle.records_per_s, shuffle.mb_per_s);
   std::fprintf(stderr, "metrics_overhead...\n");
   const MetricsOverheadResult metrics = BenchMetricsOverhead(scale, reps);
-  std::fprintf(stderr,
-               "  %+.2f%% vs metrics-off (%llu sampler snapshots)\n",
-               metrics.overhead_fraction * 100.0,
-               static_cast<unsigned long long>(metrics.samples_taken));
+  std::fprintf(stderr, "  %+.2f%% vs metrics-off\n",
+               metrics.overhead_fraction * 100.0);
 
   std::fprintf(stderr, "compare_partitions...\n");
   const CompareResult compare = BenchComparePartitions(scale, reps);
@@ -1039,8 +1029,6 @@ int Run(int argc, char** argv) {
     row.metrics["plain_seconds"] = metrics.plain_seconds;
     row.metrics["metrics_seconds"] = metrics.metrics_seconds;
     row.metrics["overhead_fraction"] = metrics.overhead_fraction;
-    row.metrics["sampler_samples"] =
-        static_cast<double>(metrics.samples_taken);
     row.deterministic["records"] = static_cast<int64_t>(metrics.records);
     artifact.AddRow(std::move(row));
   }

@@ -96,17 +96,6 @@ class ValueIterator {
     return Serde<V2>::Read(&source);
   }
 
-  /// Materializes every remaining value. Convenience for callers that
-  /// genuinely need the whole group at once; prefer streaming with Next().
-  std::vector<V2> Drain() {
-    std::vector<V2> out;
-    out.reserve(remaining());
-    while (HasNext()) {
-      out.push_back(Next());
-    }
-    return out;
-  }
-
  private:
   const Slice* slices_;
   size_t count_;
@@ -316,12 +305,6 @@ class Job {
               std::to_string(input.size()) + " input records",
           name_);
     }
-    // Live metrics (optional): gauge of jobs in flight for the sampler's
-    // time series, sketches fed per task below.
-    obs::ScopedGaugeDelta inflight(
-        options.metrics != nullptr ? options.metrics->gauge("mr.inflight_jobs")
-                                   : nullptr,
-        1);
     // Cache traffic is reported per job as the delta of the cache's
     // lifetime hit/miss totals across this run.
     const uint64_t cache_hits_before = cache.hits();
@@ -498,7 +481,7 @@ class Job {
         static_cast<int64_t>(cache.misses() - cache_misses_before));
     result.metrics.wall_seconds = job_clock.ElapsedSeconds();
     if (options.metrics != nullptr) {
-      RecordLiveMetrics(options.metrics, result.metrics, reducer_inputs);
+      RecordJobTotals(options.metrics, result.metrics, reducer_inputs);
     }
     if (options.log != nullptr) {
       options.log->LogQuery(
@@ -548,30 +531,32 @@ class Job {
     double build_seconds = 0.0;
   };
 
-  /// Feeds one finished job into the live metrics registry: a completion
-  /// counter (exported with rate_per_s) and the latency/byte sketches the
-  /// future query server reads p50/p95/p99 from. Registration is by name,
-  /// so repeated jobs accumulate into the same handles.
-  void RecordLiveMetrics(obs::MetricsRegistry* metrics,
-                         const JobMetrics& job,
-                         const std::vector<ReducerInput>& reducer_inputs) {
-    metrics->counter("mr.jobs_completed")->Add(1);
-    metrics->sketch("mr.job_wall_us")->Record(job.wall_seconds * 1e6);
-    obs::MetricsRegistry::Sketch* map_busy =
-        metrics->sketch("mr.map_task_busy_us");
-    for (const TaskMetrics& t : job.map_tasks) {
-      map_busy->Record(t.busy_seconds * 1e6);
-    }
-    obs::MetricsRegistry::Sketch* reduce_busy =
-        metrics->sketch("mr.reduce_task_busy_us");
-    for (const TaskMetrics& t : job.reduce_tasks) {
-      reduce_busy->Record(t.busy_seconds * 1e6);
-    }
-    obs::MetricsRegistry::Sketch* bucket_bytes =
-        metrics->sketch("mr.shuffle_bucket_bytes");
+  /// Adds one finished job to the metrics registry (its only writer):
+  /// the job count, the job's wall time, every task's busy time and every
+  /// reducer's shuffle bucket bytes. Repeated jobs accumulate under the
+  /// same names.
+  static void RecordJobTotals(
+      obs::MetricsRegistry* metrics, const JobMetrics& job,
+      const std::vector<ReducerInput>& reducer_inputs) {
+    const auto busy_us = [](const std::vector<TaskMetrics>& tasks) {
+      std::vector<double> us;
+      us.reserve(tasks.size());
+      for (const TaskMetrics& t : tasks) {
+        us.push_back(t.busy_seconds * 1e6);
+      }
+      return us;
+    };
+    std::vector<double> bucket_bytes;
+    bucket_bytes.reserve(reducer_inputs.size());
     for (const ReducerInput& in : reducer_inputs) {
-      bucket_bytes->Record(static_cast<double>(in.input_bytes));
+      bucket_bytes.push_back(static_cast<double>(in.input_bytes));
     }
+    const double wall_us[] = {job.wall_seconds * 1e6};
+    metrics->Add("mr.jobs_completed", 1);
+    metrics->Record("mr.job_wall_us", wall_us);
+    metrics->Record("mr.map_task_busy_us", busy_us(job.map_tasks));
+    metrics->Record("mr.reduce_task_busy_us", busy_us(job.reduce_tasks));
+    metrics->Record("mr.shuffle_bucket_bytes", bucket_bytes);
   }
 
   static std::span<const In> SplitOf(std::span<const In> input, int task,

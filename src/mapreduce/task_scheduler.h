@@ -87,10 +87,10 @@ struct EngineOptions {
   ChaosSchedule chaos;
 
   // -- Observability --
-  /// Live metrics sink (obs/metrics.h). When set, Job::Run records
-  /// in-flight job gauges, completion counters, and task/shuffle latency
-  /// sketches into it while the job executes. Null (the default) keeps
-  /// the engine metrics-free; the registry must outlive the run.
+  /// Cross-job metrics (obs/metrics.h). When set, Job::Run adds each
+  /// finished job's count, wall time, task busy times and shuffle bucket
+  /// bytes to it. Null (the default) keeps the engine metrics-free; the
+  /// registry must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
   /// Structured log + flight recorder (obs/log.h). When set, Job::Run
   /// and the TaskScheduler emit job/task lifecycle records into it, and

@@ -113,17 +113,7 @@ BenchEnvironment CaptureBenchEnvironment() {
   env.threads = ThreadPool::DefaultThreads();
   env.scale_env = EnvOrEmpty("SKYMR_SCALE");
   env.full_env = EnvOrEmpty("SKYMR_FULL");
-  env.reps = BenchRepsFromEnv();
   return env;
-}
-
-int BenchRepsFromEnv() {
-  const char* env = std::getenv("SKYMR_BENCH_REPS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const long reps = std::strtol(env, nullptr, 10);
-  return static_cast<int>(std::clamp(reps, 1L, 100L));
 }
 
 namespace {

@@ -97,13 +97,10 @@ struct BenchEnvironment {
   int reps = 1;
 };
 
-/// Captures the compiled-in build facts plus the host CPU and the
-/// SKYMR_SCALE / SKYMR_FULL / SKYMR_BENCH_REPS environment.
+/// Captures the compiled-in build facts plus the host CPU and the raw
+/// SKYMR_SCALE / SKYMR_FULL environment. `reps` stays 1: a bench that
+/// repeats its rows sets it (tools::BenchEnvReps reads SKYMR_BENCH_REPS).
 BenchEnvironment CaptureBenchEnvironment();
-
-/// Repetitions per bench row: SKYMR_BENCH_REPS clamped to [1, 100],
-/// default 1.
-int BenchRepsFromEnv();
 
 /// Harvests the deterministic counter section from a finished pipeline:
 /// structural outcomes (skyline size, ppd, partition counts, jobs) plus

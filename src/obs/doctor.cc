@@ -11,7 +11,6 @@
 #include "src/core/skyline_job_common.h"
 #include "src/obs/bench_artifact.h"
 #include "src/obs/job_report.h"
-#include "src/obs/metrics.h"
 
 namespace skymr::obs {
 namespace {
@@ -40,11 +39,6 @@ constexpr int64_t kMinObservedComparisons = 10000;
 /// grid with at least this many non-empty partitions.
 constexpr double kPruneMinFraction = 0.02;
 constexpr int64_t kMinPartitionsForPrune = 256;
-
-/// reduce-imbalance: max reducer input records > ratio * median, and the
-/// largest reducer saw at least this many records.
-constexpr double kReduceImbalanceRatio = 4.0;
-constexpr int64_t kMinReducerRecords = 1000;
 
 /// local-kernel: a window kernel (no skymr.bbs.* counters) spending more
 /// than this many comparisons per input tuple at core::kBbsMinDim or more
@@ -77,12 +71,6 @@ constexpr double kCriticalStragglerRatio = 4.0;
 constexpr double kCriticalMinStepSeconds = 0.02;
 constexpr int64_t kCriticalRetryAttempts = 2;
 
-/// sampler-overhead: flag when the sampler's summed per-sample cost
-/// exceeds this fraction of the registry uptime, measured over at least
-/// this much uptime.
-constexpr double kSamplerOverheadFraction = 0.02;
-constexpr double kMinSamplerUptimeSeconds = 0.5;
-
 /// queueing-delay (load artifacts): flag when the arrival->dispatch queue
 /// wait p99 exceeds this fraction of the end-to-end latency p99 (the tail
 /// is spent waiting for an admission slot, not computing), escalating to
@@ -102,8 +90,8 @@ constexpr double kMinTailP99Us = 10000.0;
 /// (percentiles of a handful of queries are noise).
 constexpr int64_t kMinQueriesForLoad = 20;
 
-/// log-drop (load artifacts and metrics snapshots): flagged once at least
-/// this many structured log records were dropped.
+/// log-drop (load artifacts): flagged once at least this many structured
+/// log records were dropped.
 constexpr int64_t kMinLogDropped = 1;
 
 /// session-cache-cold (serve-mode load artifacts): flag when fewer than
@@ -169,38 +157,6 @@ void CheckTaskSkew(const JsonValue& job, const std::string& job_name,
                "balance",
                job_name.c_str(), wave.label, max, median, ratio)});
   }
-}
-
-void CheckReduceImbalance(const JsonValue& job, const std::string& job_name,
-                          std::vector<Finding>* findings) {
-  const JsonValue* tasks = job.Find("reduce_tasks");
-  if (tasks == nullptr || !tasks->is_array() || tasks->AsArray().size() < 2) {
-    return;
-  }
-  std::vector<double> records;
-  records.reserve(tasks->AsArray().size());
-  for (const JsonValue& task : tasks->AsArray()) {
-    records.push_back(task.GetDouble("input_records", 0.0));
-  }
-  const double max = *std::max_element(records.begin(), records.end());
-  const double median = Median(std::move(records));
-  if (max < static_cast<double>(kMinReducerRecords) ||
-      median <= 0.0) {
-    return;
-  }
-  const double ratio = max / median;
-  if (ratio <= kReduceImbalanceRatio) {
-    return;
-  }
-  findings->push_back(Finding{
-      Severity::kWarning, "reduce-imbalance",
-      Format("job %s: largest reducer consumed %.0f records vs %.0f "
-             "median (%.1fx) — lopsided reducer load%s",
-             job_name.c_str(), max, median, ratio,
-             job_name == "mr-gpmrs"
-                 ? "; Definition-5 group assignment produced unbalanced "
-                   "reducer groups"
-                 : "")});
 }
 
 void CheckFaultTolerance(const JsonValue& job, const std::string& job_name,
@@ -509,7 +465,6 @@ StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report) {
     for (const JsonValue& job : jobs->AsArray()) {
       const std::string job_name = job.GetString("name", "?");
       CheckTaskSkew(job, job_name, &findings);
-      CheckReduceImbalance(job, job_name, &findings);
       CheckFaultTolerance(job, job_name, &findings);
     }
   }
@@ -524,58 +479,6 @@ StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report) {
                      return static_cast<int>(a.severity) >
                             static_cast<int>(b.severity);
                    });
-  return findings;
-}
-
-StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics) {
-  if (!metrics.is_object()) {
-    return Status::InvalidArgument("doctor: metrics is not a JSON object");
-  }
-  const std::string schema = metrics.GetString("schema", "");
-  if (schema != kMetricsSchemaVersion) {
-    return Status::InvalidArgument("doctor: expected schema '" +
-                                   std::string(kMetricsSchemaVersion) +
-                                   "', got '" + schema + "'");
-  }
-  std::vector<Finding> findings;
-  // sampler-overhead: the sampler records its own per-sample wall cost
-  // into mr.sampler_sample_us, so its total footprint is that sketch's
-  // sum compared against the registry uptime.
-  const double uptime = metrics.GetDouble("uptime_seconds", 0.0);
-  const JsonValue* sketches = metrics.Find("sketches");
-  const JsonValue* cost = sketches != nullptr && sketches->is_object()
-                              ? sketches->Find("mr.sampler_sample_us")
-                              : nullptr;
-  if (cost != nullptr && cost->is_object() &&
-      uptime >= kMinSamplerUptimeSeconds) {
-    const double spent_seconds = cost->GetDouble("sum", 0.0) / 1e6;
-    const double fraction = spent_seconds / uptime;
-    if (fraction > kSamplerOverheadFraction) {
-      findings.push_back(Finding{
-          Severity::kWarning, "sampler-overhead",
-          Format("metrics sampler spent %.3fs of %.3fs uptime (%.1f%%) "
-                 "taking %lld samples — lengthen the sampling period",
-                 spent_seconds, uptime, 100.0 * fraction,
-                 static_cast<long long>(cost->GetInt("count", 0)))});
-    }
-  }
-  // log-drop: the mr.log_dropped counter mirrors Logger::dropped().
-  const JsonValue* counters = metrics.Find("counters");
-  const JsonValue* dropped = counters != nullptr && counters->is_object()
-                                 ? counters->Find("mr.log_dropped")
-                                 : nullptr;
-  if (dropped != nullptr && dropped->is_object()) {
-    const int64_t count = static_cast<int64_t>(dropped->GetInt("value", 0));
-    if (count >= kMinLogDropped) {
-      findings.push_back(Finding{
-          Severity::kWarning, "log-drop",
-          Format("%lld structured log records were dropped — the flight "
-                 "recorder would have holes exactly where a post-mortem "
-                 "looks; grow Logger ring_capacity or log less on the "
-                 "hot path",
-                 static_cast<long long>(count))});
-    }
-  }
   return findings;
 }
 

@@ -26,9 +26,6 @@
 //                      --local-algorithm=bbs or auto), or BBS paying its
 //                      tree-build overhead on a run whose comparison
 //                      volume SFS would handle cheaply (info);
-//   reduce-imbalance   reducer input lopsided across tasks (for
-//                      MR-GPMRS: Definition-5 group assignment produced
-//                      unbalanced reducer groups);
 //   retry-storm        task retries per task far above normal (flaky
 //                      workers, aggressive chaos schedule, or a
 //                      systematic task failure burning the retry
@@ -46,10 +43,6 @@
 //                      working median, or needed retries to commit —
 //                      that one task, not aggregate skew, set the
 //                      makespan;
-//   sampler-overhead   the metrics sampler's own per-sample cost (the
-//                      mr.sampler_sample_us sketch in a skymr-metrics-v1
-//                      export) consumed a non-trivial fraction of the
-//                      run — lengthen the sampling period;
 //   queueing-delay     (load artifacts) the tail of per-query latency is
 //                      dominated by the arrival->dispatch queue wait —
 //                      queries spend their p99 waiting for an admission
@@ -75,11 +68,10 @@
 // zero findings. The thresholds and floors are fixed constants in
 // doctor.cc, deliberately loose: the doctor speaks only when something is
 // clearly wrong. The findings down to straggler-on-critical-path read
-// skymr-report-v2 documents (AnalyzeReport); sampler-overhead and
-// log-drop read skymr-metrics-v1 documents (AnalyzeMetrics); the load
-// findings and log-drop read the `loadgen` row of the load harness's
-// skymr-bench-v1 document (AnalyzeLoad). Callers parse the document
-// first (ParseJson / ParseJsonFile, json_parse.h).
+// skymr-report-v2 documents (AnalyzeReport); the load findings and
+// log-drop read the `loadgen` row of the load harness's skymr-bench-v1
+// document (AnalyzeLoad). Callers parse the document first (ParseJson /
+// ParseJsonFile, json_parse.h).
 
 #ifndef SKYMR_OBS_DOCTOR_H_
 #define SKYMR_OBS_DOCTOR_H_
@@ -114,11 +106,6 @@ struct Finding {
 /// Returns InvalidArgument when `report` is not a skymr-report-v2
 /// object.
 StatusOr<std::vector<Finding>> AnalyzeReport(const JsonValue& report);
-
-/// Analyzes a parsed skymr-metrics-v1 document (the metrics.h exporter's
-/// output): sampler-overhead and log-drop. Returns
-/// InvalidArgument when `metrics` is not a skymr-metrics-v1 object.
-StatusOr<std::vector<Finding>> AnalyzeMetrics(const JsonValue& metrics);
 
 /// Analyzes the `loadgen` row of a parsed skymr-bench-v1 document (the
 /// load harness's artifact): query-errors, queueing-delay,

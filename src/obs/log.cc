@@ -9,7 +9,6 @@
 #include "src/common/logging.h"
 #include "src/obs/json.h"
 #include "src/obs/json_parse.h"
-#include "src/obs/metrics.h"
 
 namespace skymr::obs {
 namespace {
@@ -188,18 +187,11 @@ Logger::~Logger() {
   }
 }
 
-void Logger::CountDrop() {
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("mr.log_dropped")->Add(1);
-  }
-}
-
 bool Logger::Append(const LogRecord& record) {
   writers_in_flight_.fetch_add(1, std::memory_order_seq_cst);
   if (!recording_.load(std::memory_order_seq_cst)) {
     writers_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
-    CountDrop();
+    dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
@@ -213,7 +205,7 @@ bool Logger::Append(const LogRecord& record) {
   if (!slot.seq.compare_exchange_strong(expected, SlotBusy(seq),
                                         std::memory_order_acq_rel)) {
     writers_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
-    CountDrop();
+    dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   slot.record = record;

@@ -30,10 +30,10 @@
 //    are invoked under a per-logger mutex (sinks are for humans and
 //    files; the ring is for crashes).
 //  * Records arriving while a Snapshot()/dump drains the ring, or racing
-//    a laggard writer a full ring-lap behind, are dropped and counted:
-//    dropped() and, when a MetricsRegistry is attached, the
-//    "mr.log_dropped" counter. A nonzero count is surfaced by the doctor
-//    as the log-drop finding.
+//    a laggard writer a full ring-lap behind, are dropped and counted in
+//    dropped(). The load harness copies the count into its artifact's
+//    log_dropped, where the doctor surfaces a nonzero count as the
+//    log-drop finding.
 
 #ifndef SKYMR_OBS_LOG_H_
 #define SKYMR_OBS_LOG_H_
@@ -52,8 +52,6 @@
 #include "src/common/status.h"
 
 namespace skymr::obs {
-
-class MetricsRegistry;  // metrics.h
 
 /// The correlation spine of one query: a stable id every span, metric,
 /// and log record of the query's tasks carries. Threaded through
@@ -159,9 +157,6 @@ class Logger {
     /// Ring slots retained for the crash dump (rounded up to a power of
     /// two, minimum 8).
     size_t ring_capacity = 256;
-    /// When set, drops are counted into this registry's "mr.log_dropped"
-    /// counter as well as dropped(). Must outlive the logger.
-    MetricsRegistry* metrics = nullptr;
     /// When non-empty, NotifyFatal writes the flight-recorder dump to
     /// this path (once per logger).
     std::string crash_dump_path;
@@ -208,8 +203,7 @@ class Logger {
   std::vector<LogRecord> Snapshot() const;
 
   /// Records dropped so far: arrivals during a snapshot/dump plus ring
-  /// writers overtaken by a full ring lap. Mirrored into the
-  /// "mr.log_dropped" metrics counter when Options::metrics is set.
+  /// writers overtaken by a full ring lap.
   int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   size_t ring_capacity() const { return mask_ + 1; }
@@ -247,7 +241,6 @@ class Logger {
   /// Claims one ring slot and copies `record` in; returns false (and
   /// counts a drop) when the ring is quiesced or the slot is contended.
   bool Append(const LogRecord& record);
-  void CountDrop();
 
   Options options_;
   /// steady_clock origin for ts_us.

@@ -1,23 +1,18 @@
-// Live runtime metrics: a lock-free registry of gauges, rate counters,
-// and streaming quantile sketches, plus a periodic sampler thread and a
-// JSON snapshot exporter (schema skymr-metrics-v1).
+// The metrics registry: named counters and QuantileSketch distributions
+// that hold the engine's per-job totals across every job a process runs
+// (all the queries of a `compare` or `serve` run), exported as one JSON
+// snapshot (schema skymr-metrics-v2).
 //
-// This is the per-query observability substrate the resident query
-// server (ROADMAP item 1) plugs into: unlike the post-hoc JobReport,
-// handles here are updated while work is running, and the sketch keeps
-// p50/p95/p99 over an unbounded stream in constant memory.
+// Job::Run is the only writer. When a job finishes it adds one to
+// mr.jobs_completed and records its wall time, every task's busy time
+// and every reducer's shuffle bucket bytes (DESIGN.md §15.1). One job's
+// numbers live in its JobMetrics and the job report; the registry keeps
+// only their distribution across jobs.
 //
-// Concurrency model:
-//  * Handle registration (gauge()/counter()/sketch()) takes a mutex —
-//    the cold path, once per metric name. Handles are stable pointers
-//    that live as long as the registry.
-//  * Recording through a handle (Set/Add/Record) is lock-free: plain
-//    relaxed atomics for gauges and counters, one relaxed atomic
-//    fetch_add per sketch bucket. Any thread may record concurrently
-//    with any other and with Snapshot().
-//  * Snapshot()/WriteJson() take the registration mutex only to walk the
-//    name -> handle maps; the values they read are racy-by-design
-//    point-in-time reads, exactly what a sampler wants.
+// Concurrency: one mutex guards every value. A finished job takes it
+// once per name it records, and nothing on the per-record or per-task
+// path touches it, so concurrent queries sharing one registry lose no
+// update.
 //
 // The quantile sketch is a DDSketch-style log-bucket sketch: a value v
 // lands in bucket ceil(log_gamma(v)) with gamma = (1+a)/(1-a), so every
@@ -30,27 +25,24 @@
 #ifndef SKYMR_OBS_METRICS_H_
 #define SKYMR_OBS_METRICS_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/thread_annotations.h"
 
 namespace skymr::obs {
 
 /// Schema identifier stamped into every exported metrics snapshot.
-inline constexpr const char* kMetricsSchemaVersion = "skymr-metrics-v1";
+inline constexpr const char* kMetricsSchemaVersion = "skymr-metrics-v2";
 
 /// Streaming quantile sketch over non-negative values (durations, byte
 /// counts). Constant memory, mergeable, deterministic: estimates depend
@@ -95,9 +87,6 @@ class QuantileSketch {
   double min() const;
   /// Largest positive value added (0 when none).
   double max() const;
-  /// Raw bucket counts (slot 0 = zero bucket) — exposed for the
-  /// associativity tests and the registry's atomic mirror.
-  const std::vector<uint64_t>& buckets() const { return buckets_; }
 
   /// Structural equality: buckets, count, min, max. `sum` is excluded —
   /// floating-point addition is not associative, so sums from different
@@ -106,17 +95,6 @@ class QuantileSketch {
   bool operator!=(const QuantileSketch& other) const {
     return !(*this == other);
   }
-
-  /// Bucket slot for a value (0 = zero bucket; otherwise
-  /// index - kMinIndex + 1 with the index clamped to the range).
-  static size_t BucketSlot(double value);
-  /// Midpoint estimate of bucket slot `slot` (> 0); slot 0 estimates 0.
-  static double SlotValue(size_t slot);
-  /// Rebuilds a sketch from raw parts (registry snapshot plumbing).
-  /// `buckets` must have kNumBuckets entries.
-  static QuantileSketch FromParts(std::vector<uint64_t> buckets,
-                                  uint64_t count, double sum, double min_pos,
-                                  double max_pos);
 
  private:
   std::vector<uint64_t> buckets_;
@@ -139,169 +117,40 @@ class JsonWriter;  // json.h
 /// job report has this shape.
 void WriteSketchJson(const QuantileSketch& sketch, JsonWriter* w);
 
-/// Point-in-time copy of every registered metric.
+/// Point-in-time copy of the registry.
 struct MetricsSnapshot {
   double uptime_seconds = 0.0;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, int64_t> counters;
-  std::map<std::string, QuantileSketch> sketches;
+  std::map<std::string, int64_t, std::less<>> counters;
+  std::map<std::string, QuantileSketch, std::less<>> sketches;
 };
 
-/// One periodic sampler observation (gauge/counter values only; sketches
-/// are cumulative and exported once, in the final snapshot).
-struct MetricsSample {
-  double uptime_seconds = 0.0;
-  /// Wall time this sample itself took — the sampler's own overhead,
-  /// also accumulated into the mr.sampler_sample_us sketch so the
-  /// doctor's sampler-overhead check can read it from the export.
-  double sample_cost_us = 0.0;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, int64_t> counters;
-};
-
-/// The registry. See the file comment for the concurrency model.
+/// The registry. See the file comment for who writes it and when.
 class MetricsRegistry {
  public:
-  /// A settable instantaneous value (queue depth, in-flight jobs).
-  class Gauge {
-   public:
-    void Set(int64_t value) {
-      value_.store(value, std::memory_order_relaxed);
-    }
-    void Add(int64_t delta) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-    int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<int64_t> value_{0};
-  };
-
-  /// A monotone event count; the exporter derives rate_per_s from it.
-  class Counter {
-   public:
-    void Add(int64_t delta) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-    int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<int64_t> value_{0};
-  };
-
-  /// Concurrent mirror of QuantileSketch: one atomic per bucket, so
-  /// Record() is lock-free and Snapshot() is a racy-but-consistent-enough
-  /// point-in-time read.
-  class Sketch {
-   public:
-    Sketch();
-    void Record(double value);
-    QuantileSketch Snapshot() const;
-
-   private:
-    std::vector<std::atomic<uint64_t>> buckets_;
-    std::atomic<uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-    std::atomic<double> min_pos_;
-    std::atomic<double> max_pos_{0.0};
-  };
-
   MetricsRegistry();
 
-  /// Returns the handle registered under `name`, creating it on first
-  /// use. The pointer stays valid for the registry's lifetime. A name
-  /// holds exactly one metric kind; reusing it with a different kind is
-  /// a programming error (checked).
-  Gauge* gauge(std::string_view name);
-  Counter* counter(std::string_view name);
-  Sketch* sketch(std::string_view name);
+  /// Adds `delta` to the counter `name`, created at 0 on first use.
+  void Add(std::string_view name, int64_t delta);
+  /// Adds every value in `values` to the sketch `name`, created empty on
+  /// first use, under one lock.
+  void Record(std::string_view name, std::span<const double> values);
 
-  /// Seconds since the registry was constructed.
-  double UptimeSeconds() const;
-
-  /// Point-in-time copy of everything registered.
+  /// Copy of every counter and sketch, plus the seconds since the
+  /// registry was constructed.
   MetricsSnapshot Snapshot() const;
 
-  /// Writes the skymr-metrics-v1 JSON document: the final snapshot plus
-  /// the sampler's time series (pass {} when no sampler ran).
-  void WriteJson(std::ostream& os,
-                 const std::vector<MetricsSample>& samples) const;
-  Status WriteJsonFile(const std::string& path,
-                       const std::vector<MetricsSample>& samples) const;
+  /// Writes the skymr-metrics-v2 JSON document: schema, uptime_seconds,
+  /// counters (name -> value) and sketches (name -> WriteSketchJson).
+  void WriteJson(std::ostream& os) const;
+  Status WriteJsonFile(const std::string& path) const;
 
  private:
+  const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Sketch>, std::less<>> sketches_;
-  std::chrono::steady_clock::time_point epoch_;
-};
-
-/// Background thread that samples a registry's gauges and counters every
-/// `period_ms` into a bounded ring (oldest samples dropped past
-/// `max_samples`). Records its own per-sample cost into the registry's
-/// mr.sampler_sample_us sketch so the overhead is visible in the export.
-/// The registry must outlive the sampler.
-class MetricsSampler {
- public:
-  explicit MetricsSampler(MetricsRegistry* registry, int period_ms = 10,
-                          size_t max_samples = 512);
-  ~MetricsSampler();
-
-  MetricsSampler(const MetricsSampler&) = delete;
-  MetricsSampler& operator=(const MetricsSampler&) = delete;
-
-  /// Stops the thread after taking one final sample. Idempotent.
-  void Stop();
-
-  /// The collected time series, oldest first. Call after Stop() for a
-  /// stable result (sampling continues until then).
-  std::vector<MetricsSample> Samples() const;
-
-  /// Total samples taken (may exceed Samples().size() once the ring
-  /// wrapped).
-  uint64_t samples_taken() const {
-    return samples_taken_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void Loop();
-  void TakeSample();
-
-  MetricsRegistry* registry_;
-  const int period_ms_;
-  const size_t max_samples_;
-  MetricsRegistry::Sketch* cost_sketch_ = nullptr;
-  mutable std::mutex mutex_;
-  std::condition_variable wake_;
-  std::once_flag stop_once_;
-  bool stop_ = false;
-  std::deque<MetricsSample> samples_;
-  std::atomic<uint64_t> samples_taken_{0};
-  std::thread thread_;
-};
-
-/// RAII +delta/-delta around a scope for a gauge; tolerates a null gauge
-/// (metrics disabled) so call sites need no branching.
-class ScopedGaugeDelta {
- public:
-  ScopedGaugeDelta(MetricsRegistry::Gauge* gauge, int64_t delta)
-      : gauge_(gauge), delta_(delta) {
-    if (gauge_ != nullptr) {
-      gauge_->Add(delta_);
-    }
-  }
-  ~ScopedGaugeDelta() {
-    if (gauge_ != nullptr) {
-      gauge_->Add(-delta_);
-    }
-  }
-  ScopedGaugeDelta(const ScopedGaugeDelta&) = delete;
-  ScopedGaugeDelta& operator=(const ScopedGaugeDelta&) = delete;
-
- private:
-  MetricsRegistry::Gauge* gauge_;
-  int64_t delta_;
+  std::map<std::string, int64_t, std::less<>> counters_
+      SKYMR_GUARDED_BY(mutex_);
+  std::map<std::string, QuantileSketch, std::less<>> sketches_
+      SKYMR_GUARDED_BY(mutex_);
 };
 
 }  // namespace skymr::obs

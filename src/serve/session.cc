@@ -18,7 +18,6 @@
 #include "src/mapreduce/chaos.h"
 #include "src/mapreduce/cluster_model.h"
 #include "src/obs/log.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace skymr {
@@ -304,7 +303,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
   bitstring_config.constraint = spec.constraint;
 
   const uint64_t fingerprint = FingerprintFor(spec);
-  obs::MetricsRegistry* metrics = engine.metrics;
 
   {
     std::unique_lock<std::mutex> lock(cache_mu_);
@@ -328,9 +326,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
         {
           std::lock_guard<std::mutex> stats_lock(stats_mu_);
           ++stats_.cache_hits;
-        }
-        if (metrics != nullptr) {
-          metrics->counter("mr.session_cache_hits")->Add(1);
         }
         SKYMR_TRACE_INSTANT("session.cache_hit", "ppd",
                             static_cast<int64_t>(phase->ppd));
@@ -377,9 +372,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
       {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         ++stats_.cache_misses;
-      }
-      if (metrics != nullptr) {
-        metrics->counter("mr.session_cache_misses")->Add(1);
       }
     } else {
       entry.state = CacheEntry::State::kFailed;
@@ -524,14 +516,6 @@ StatusOr<SkylineResult> Session::Submit(const QuerySpec& spec,
   const bool small = options_.SmallLane(data_->size());
   info->small_lane = small;
   info->queue_wait_seconds = admission_.Acquire(small);
-  obs::MetricsRegistry* metrics = engine.metrics;
-  obs::ScopedGaugeDelta inflight_gauge(
-      metrics != nullptr ? metrics->gauge("mr.session_inflight") : nullptr,
-      1);
-  if (metrics != nullptr) {
-    metrics->sketch("mr.session_queue_wait_us")
-        ->Record(info->queue_wait_seconds * 1e6);
-  }
 
   // API hardening: nothing escapes this boundary as an exception. Task
   // failures inside the engine already surface as Status; this catch is

@@ -23,8 +23,8 @@
 //    the same fingerprint block on the entry and reuse the result, so
 //    concurrent identical queries cost one bitstring job, not N, and
 //    hit/miss counts are deterministic (exactly one miss per distinct
-//    fingerprint regardless of timing). Counted in SessionStats and,
-//    when a MetricsRegistry is attached, mr.session_* (§13.5).
+//    fingerprint regardless of timing). Counted in SessionStats and
+//    each query's SubmitInfo.
 //
 //  * The pipeline — the paper's two jobs: the bitstring/PPD job
 //    (Section 3), then MR-GPSRS or MR-GPMRS (Sections 4-5); baselines

@@ -59,7 +59,7 @@
 #include "src/serve/session.h"
 
 // Observability: job reports, trace export, report analysis,
-// critical-path attribution, and the live metrics registry.
+// critical-path attribution, and the cross-job metrics registry.
 #include "src/obs/critical_path.h"
 #include "src/obs/doctor.h"
 #include "src/obs/job_report.h"

@@ -101,19 +101,25 @@ TEST(RunLoadTest, DeterministicSignalIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(first->errors, 0);
 }
 
-TEST(RunLoadTest, RecordsQueryMetrics) {
+TEST(RunLoadTest, ReportCountsEveryQueryAndRegistryEveryJob) {
+  // The per-query numbers live in the LoadReport; the registry handed to
+  // RunLoad reaches every query's engine and counts its jobs.
   obs::MetricsRegistry metrics;
   const LoadConfig config = TinyConfig();
   auto report = RunLoad(config, &metrics, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(metrics.counter("query.completed")->Value(), config.queries);
-  EXPECT_EQ(metrics.counter("query.errors")->Value(), 0);
-  EXPECT_EQ(metrics.sketch("query.latency_us")->Snapshot().count(),
+  EXPECT_EQ(report->completed, config.queries);
+  EXPECT_EQ(report->errors, 0);
+  EXPECT_EQ(report->latency_us.count(),
             static_cast<uint64_t>(config.queries));
-  EXPECT_EQ(metrics.sketch("query.queue_wait_us")->Snapshot().count(),
+  EXPECT_EQ(report->queue_wait_us.count(),
             static_cast<uint64_t>(config.queries));
-  // Every fresh session released its admission slot.
-  EXPECT_EQ(metrics.gauge("mr.session_inflight")->Value(), 0);
+  int64_t jobs = 0;
+  for (const QueryOutcome& out : report->outcomes) {
+    jobs += out.jobs;
+  }
+  EXPECT_EQ(jobs, 2 * config.queries);  // Batch mode: both jobs each.
+  EXPECT_EQ(metrics.Snapshot().counters.at("mr.jobs_completed"), jobs);
 }
 
 // The acceptance test for coordinated-omission safety: one injected slow
@@ -380,9 +386,7 @@ TEST(FlightRecorderPostMortemTest, ChaosCrashDumpNamesFailingQuery) {
       testing::TempDir() + "/loadgen_flight_dump.jsonl";
   std::remove(dump_path.c_str());
 
-  obs::MetricsRegistry metrics;
   obs::Logger::Options log_options;
-  log_options.metrics = &metrics;
   log_options.crash_dump_path = dump_path;
   obs::Logger logger(log_options);
 
@@ -390,7 +394,7 @@ TEST(FlightRecorderPostMortemTest, ChaosCrashDumpNamesFailingQuery) {
   config.chaos.seed = 99;
   config.chaos.crash_rate = 0.5;
   config.max_task_attempts = 1;  // first injected crash is fatal
-  auto report = RunLoad(config, &metrics, &logger);
+  auto report = RunLoad(config, nullptr, &logger);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GT(report->errors, 0) << "chaos injected no fatal fault";
   EXPECT_TRUE(logger.crash_dumped());

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,7 +178,11 @@ class CollectReducer : public Reducer<int, int, std::vector<int>> {
   void Reduce(const int& key, ValueIterator<int>& values,
               ReduceContext<std::vector<int>>& ctx) override {
     (void)key;
-    ctx.Emit(values.Drain());
+    std::vector<int> all;
+    while (values.HasNext()) {
+      all.push_back(values.Next());
+    }
+    ctx.Emit(std::move(all));
   }
 };
 

@@ -156,9 +156,9 @@ TEST(BenchArtifactTest, WriteFileRejectsBadPath) {
   EXPECT_FALSE(artifact.WriteFile("/nonexistent-dir/artifact.json").ok());
 }
 
-TEST(BenchRepsTest, ClampsEnvironmentValue) {
-  // No env -> 1 (the test runner does not set SKYMR_BENCH_REPS).
-  EXPECT_EQ(BenchRepsFromEnv(), 1);
+TEST(BenchArtifactTest, CapturedEnvironmentRecordsOneRep) {
+  // The bench that repeats its rows sets reps itself.
+  EXPECT_EQ(CaptureBenchEnvironment().reps, 1);
 }
 
 }  // namespace

@@ -100,24 +100,6 @@ TEST(DoctorTest, FastSkewedTasksStaySilent) {
   EXPECT_TRUE(Analyze(json).empty());
 }
 
-TEST(DoctorTest, FlagsReduceImbalanceWithGpmrsHint) {
-  const std::string json = Report(
-      R"("jobs": [{"name": "mr-gpmrs", "reduce_tasks": [
-           {"input_records": 100}, {"input_records": 120},
-           {"input_records": 5000}]}])");
-  const auto findings = Analyze(json);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].code, "reduce-imbalance");
-  EXPECT_NE(findings[0].message.find("Definition-5"), std::string::npos);
-}
-
-TEST(DoctorTest, SmallReducersStaySilent) {
-  const std::string json = Report(
-      R"("jobs": [{"name": "mr-gpmrs", "reduce_tasks": [
-           {"input_records": 10}, {"input_records": 900}]}])");
-  EXPECT_TRUE(Analyze(json).empty());
-}
-
 TEST(DoctorTest, FlagsCoarsePpd) {
   // 100k tuples in 3 dims: candidate max is floor(100000^(1/3)) = 46;
   // ppd=2 leaves 8 cells and ~12.5k tuples per partition.
@@ -504,52 +486,6 @@ TEST(DoctorTest, StragglerAmongWorkingReducersIsStillFlagged) {
 }
 
 // ---------------------------------------------------------------------
-// Metrics-snapshot findings (skymr-metrics-v1).
-// ---------------------------------------------------------------------
-
-/// Minimal skymr-metrics-v1 document with a sampler cost sketch whose
-/// sum is `cost_us` microseconds over `uptime` seconds of registry life.
-std::string Metrics(double uptime, double cost_us, int64_t count = 100) {
-  std::ostringstream os;
-  os << R"({"schema": "skymr-metrics-v1", "uptime_seconds": )" << uptime
-     << R"(, "gauges": {}, "counters": {}, "sketches": {)"
-     << R"("mr.sampler_sample_us": {"count": )" << count
-     << R"(, "sum": )" << cost_us
-     << R"(, "min": 1.0, "max": 9.0, "p50": 4.0, "p95": 8.0, "p99": 9.0,)"
-     << R"( "relative_error": 0.01}}})";
-  return os.str();
-}
-
-TEST(DoctorTest, MetricsRejectsWrongSchema) {
-  EXPECT_FALSE(
-      AnalyzeMetrics(Parse(R"({"schema": "skymr-report-v2"})")).ok());
-  EXPECT_FALSE(AnalyzeMetrics(Parse("[]")).ok());
-}
-
-TEST(DoctorTest, FlagsSamplerOverhead) {
-  // 50ms of sampling cost in 1s of uptime = 5% > the 2% budget.
-  auto findings = AnalyzeMetrics(Parse(Metrics(1.0, 50000.0)));
-  ASSERT_TRUE(findings.ok()) << findings.status();
-  ASSERT_TRUE(HasCode(*findings, "sampler-overhead"))
-      << RenderFindings(*findings);
-  EXPECT_EQ((*findings)[0].severity, Severity::kWarning);
-}
-
-TEST(DoctorTest, CheapSamplerStaysSilent) {
-  // 5ms over 1s = 0.5%: well inside budget.
-  auto findings = AnalyzeMetrics(Parse(Metrics(1.0, 5000.0)));
-  ASSERT_TRUE(findings.ok()) << findings.status();
-  EXPECT_TRUE(findings->empty()) << RenderFindings(*findings);
-}
-
-TEST(DoctorTest, ShortLivedSamplerNeverTripsOverheadCheck) {
-  // 50% overhead but only 0.1s of uptime: startup cost, not a trend.
-  auto findings = AnalyzeMetrics(Parse(Metrics(0.1, 50000.0)));
-  ASSERT_TRUE(findings.ok()) << findings.status();
-  EXPECT_TRUE(findings->empty()) << RenderFindings(*findings);
-}
-
-// ---------------------------------------------------------------------
 // Load-artifact findings (the `loadgen` row of a skymr-bench-v1 document).
 // ---------------------------------------------------------------------
 
@@ -731,16 +667,6 @@ TEST(DoctorTest, FewLookupsNeverTripSessionCacheCheck) {
   const auto findings = AnalyzeLoadDoc(ServeLoad(0, 2));
   EXPECT_FALSE(HasCode(findings, "session-cache-cold"))
       << RenderFindings(findings);
-}
-
-TEST(DoctorTest, FlagsLogDropFromMetricsSnapshot) {
-  const std::string json =
-      R"({"schema": "skymr-metrics-v1", "uptime_seconds": 1.0,)"
-      R"( "gauges": {}, "sketches": {},)"
-      R"( "counters": {"mr.log_dropped": {"value": 3, "rate_per_s": 3.0}}})";
-  auto findings = AnalyzeMetrics(Parse(json));
-  ASSERT_TRUE(findings.ok()) << findings.status();
-  EXPECT_TRUE(HasCode(*findings, "log-drop")) << RenderFindings(*findings);
 }
 
 // ---------------------------------------------------------------------

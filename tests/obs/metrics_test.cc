@@ -1,7 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -174,167 +173,92 @@ TEST(QuantileSketchTest, MergeEqualsCombinedStream) {
   EXPECT_EQ(merged, SketchOf(all));
 }
 
-TEST(QuantileSketchTest, FromPartsRoundTrips) {
-  const QuantileSketch original = SketchOf({0.0, 3.0, 3.0, 1e6});
-  const QuantileSketch rebuilt = QuantileSketch::FromParts(
-      original.buckets(), original.count(), original.sum(), original.min(),
-      original.max());
-  EXPECT_EQ(rebuilt, original);
-  EXPECT_DOUBLE_EQ(rebuilt.Quantile(0.5), original.Quantile(0.5));
-}
-
 // ---------------------------------------------------------------------
 // MetricsRegistry.
 // ---------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, HandlesAreStableAndNamed) {
+TEST(MetricsRegistryTest, CountersAndSketchesAccumulateByName) {
   MetricsRegistry registry;
-  MetricsRegistry::Gauge* g = registry.gauge("mr.inflight_jobs");
-  MetricsRegistry::Counter* c = registry.counter("mr.jobs_completed");
-  MetricsRegistry::Sketch* s = registry.sketch("mr.job_wall_us");
-  EXPECT_EQ(registry.gauge("mr.inflight_jobs"), g);
-  EXPECT_EQ(registry.counter("mr.jobs_completed"), c);
-  EXPECT_EQ(registry.sketch("mr.job_wall_us"), s);
-
-  g->Set(7);
-  g->Add(-2);
-  c->Add(3);
-  s->Record(125.0);
-  s->Record(250.0);
+  registry.Add("mr.jobs_completed", 3);
+  registry.Add("mr.jobs_completed", 1);
+  const double first[] = {125.0};
+  const double second[] = {250.0, 500.0};
+  registry.Record("mr.job_wall_us", first);
+  registry.Record("mr.job_wall_us", second);
+  registry.Record("mr.reduce_task_busy_us", {});
 
   const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.gauges.at("mr.inflight_jobs"), 5);
-  EXPECT_EQ(snap.counters.at("mr.jobs_completed"), 3);
-  EXPECT_EQ(snap.sketches.at("mr.job_wall_us").count(), 2u);
+  EXPECT_EQ(snap.counters.at("mr.jobs_completed"), 4);
+  EXPECT_EQ(snap.sketches.at("mr.job_wall_us").count(), 3u);
+  // Recording no values still creates the name, so a job without
+  // reducers leaves an empty reduce sketch rather than none.
+  EXPECT_EQ(snap.sketches.at("mr.reduce_task_busy_us").count(), 0u);
   EXPECT_GE(snap.uptime_seconds, 0.0);
 }
 
-TEST(MetricsRegistryTest, SketchSnapshotMatchesPlainSketch) {
+TEST(MetricsRegistryTest, RecordedSketchMatchesPlainSketch) {
   MetricsRegistry registry;
-  MetricsRegistry::Sketch* live = registry.sketch("x");
-  QuantileSketch plain;
-  for (const double v : {0.0, 1.0, 42.0, 42.0, 9999.5}) {
-    live->Record(v);
-    plain.Add(v);
-  }
-  EXPECT_EQ(live->Snapshot(), plain);
+  const std::vector<double> values = {0.0, 1.0, 42.0, 42.0, 9999.5};
+  registry.Record("x", values);
+  EXPECT_EQ(registry.Snapshot().sketches.at("x"), SketchOf(values));
 }
 
 TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* counter = registry.counter("events");
-  MetricsRegistry::Sketch* sketch = registry.sketch("latency");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        counter->Add(1);
-        sketch->Record(static_cast<double>(t * kPerThread + i + 1));
+        registry.Add("events", 1);
+        const double value[] = {static_cast<double>(t * kPerThread + i + 1)};
+        registry.Record("latency", value);
+        if (i % 1000 == 0) {
+          registry.Snapshot();  // Readers race the writers too.
+        }
       }
     });
   }
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(counter->Value(), kThreads * kPerThread);
-  EXPECT_EQ(sketch->Snapshot().count(),
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("events"), kThreads * kPerThread);
+  EXPECT_EQ(snap.sketches.at("latency").count(),
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
-TEST(MetricsRegistryTest, ScopedGaugeDeltaRestoresAndToleratesNull) {
-  MetricsRegistry registry;
-  MetricsRegistry::Gauge* gauge = registry.gauge("depth");
-  {
-    ScopedGaugeDelta outer(gauge, 1);
-    EXPECT_EQ(gauge->Value(), 1);
-    {
-      ScopedGaugeDelta inner(gauge, 1);
-      EXPECT_EQ(gauge->Value(), 2);
-    }
-    EXPECT_EQ(gauge->Value(), 1);
-  }
-  EXPECT_EQ(gauge->Value(), 0);
-  { ScopedGaugeDelta none(nullptr, 1); }  // Must not crash.
-}
-
 // ---------------------------------------------------------------------
-// MetricsSampler.
-// ---------------------------------------------------------------------
-
-TEST(MetricsSamplerTest, CollectsSamplesAndStopsIdempotently) {
-  MetricsRegistry registry;
-  registry.gauge("mr.inflight_jobs")->Set(2);
-  registry.counter("mr.jobs_completed")->Add(5);
-  MetricsSampler sampler(&registry, /*period_ms=*/1);
-  while (sampler.samples_taken() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.Stop();
-  sampler.Stop();  // Idempotent.
-
-  const std::vector<MetricsSample> samples = sampler.Samples();
-  ASSERT_GE(samples.size(), 3u);
-  EXPECT_GE(sampler.samples_taken(), samples.size());
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].uptime_seconds, samples[i - 1].uptime_seconds);
-  }
-  const MetricsSample& last = samples.back();
-  EXPECT_EQ(last.gauges.at("mr.inflight_jobs"), 2);
-  EXPECT_EQ(last.counters.at("mr.jobs_completed"), 5);
-  // The sampler's own cost feeds the doctor's overhead check.
-  const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_GE(snap.sketches.at("mr.sampler_sample_us").count(),
-            samples.size());
-}
-
-TEST(MetricsSamplerTest, RingDropsOldestPastMaxSamples) {
-  MetricsRegistry registry;
-  MetricsSampler sampler(&registry, /*period_ms=*/1, /*max_samples=*/2);
-  while (sampler.samples_taken() < 6) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.Stop();
-  EXPECT_LE(sampler.Samples().size(), 2u);
-  EXPECT_GE(sampler.samples_taken(), 6u);
-}
-
-// ---------------------------------------------------------------------
-// JSON export (skymr-metrics-v1).
+// JSON export (skymr-metrics-v2).
 // ---------------------------------------------------------------------
 
 TEST(MetricsJsonTest, ExportsValidSchemaDocument) {
   MetricsRegistry registry;
-  registry.gauge("mr.inflight_jobs")->Set(1);
-  registry.counter("mr.jobs_completed")->Add(4);
-  MetricsRegistry::Sketch* wall = registry.sketch("mr.job_wall_us");
+  registry.Add("mr.jobs_completed", 4);
+  std::vector<double> wall;
   for (int i = 1; i <= 100; ++i) {
-    wall->Record(static_cast<double>(i));
+    wall.push_back(static_cast<double>(i));
   }
-
-  std::vector<MetricsSample> samples(1);
-  samples[0].uptime_seconds = 0.25;
-  samples[0].sample_cost_us = 12.0;
-  samples[0].gauges["mr.inflight_jobs"] = 1;
-  samples[0].counters["mr.jobs_completed"] = 2;
+  registry.Record("mr.job_wall_us", wall);
 
   std::ostringstream os;
-  registry.WriteJson(os, samples);
+  registry.WriteJson(os);
   const std::string text = os.str();
   EXPECT_EQ(testing::JsonParseError(text), "") << text;
 
   auto doc = ParseJson(text);
   ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_EQ(doc->GetString("schema", ""), kMetricsSchemaVersion);
+  EXPECT_EQ(doc->GetString("schema", ""), "skymr-metrics-v2");
   EXPECT_GE(doc->GetDouble("uptime_seconds", -1.0), 0.0);
+  // The four keys and nothing else: no gauges, no sampler time series.
+  EXPECT_EQ(doc->AsObject().size(), 4u);
+  EXPECT_EQ(doc->Find("gauges"), nullptr);
+  EXPECT_EQ(doc->Find("samples"), nullptr);
 
   const JsonValue* counters = doc->Find("counters");
   ASSERT_NE(counters, nullptr);
-  const JsonValue* jobs = counters->Find("mr.jobs_completed");
-  ASSERT_NE(jobs, nullptr);
-  EXPECT_EQ(jobs->GetInt("value", 0), 4);
-  EXPECT_GT(jobs->GetDouble("rate_per_s", 0.0), 0.0);
+  EXPECT_EQ(counters->GetInt("mr.jobs_completed", 0), 4);
 
   const JsonValue* sketches = doc->Find("sketches");
   ASSERT_NE(sketches, nullptr);
@@ -349,21 +273,14 @@ TEST(MetricsJsonTest, ExportsValidSchemaDocument) {
   EXPECT_NEAR(p50, 50.0, 3.0);
   EXPECT_DOUBLE_EQ(sk->GetDouble("relative_error", 0.0),
                    QuantileSketch::kRelativeError);
-
-  const JsonValue* sample_rows = doc->Find("samples");
-  ASSERT_NE(sample_rows, nullptr);
-  ASSERT_TRUE(sample_rows->is_array());
-  ASSERT_EQ(sample_rows->AsArray().size(), 1u);
-  EXPECT_DOUBLE_EQ(
-      sample_rows->AsArray()[0].GetDouble("uptime_seconds", 0.0), 0.25);
 }
 
 TEST(MetricsJsonTest, WriteJsonFileRoundTrips) {
   MetricsRegistry registry;
-  registry.counter("n")->Add(1);
+  registry.Add("n", 1);
   const std::string path =
       ::testing::TempDir() + "/skymr_metrics_test.json";
-  ASSERT_TRUE(registry.WriteJsonFile(path, {}).ok());
+  ASSERT_TRUE(registry.WriteJsonFile(path).ok());
   auto doc = ParseJsonFile(path);
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_EQ(doc->GetString("schema", ""), kMetricsSchemaVersion);

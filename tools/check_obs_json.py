@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates skymr observability artifacts: a Chrome trace (skymr-trace-v1),
 a job report (skymr-report-v2), a bench artifact (skymr-bench-v1), a
-metrics snapshot (skymr-metrics-v1), a load artifact (a skymr-bench-v1
+metrics snapshot (skymr-metrics-v2), a load artifact (a skymr-bench-v1
 document from bench "loadgen"), and/or a flight-recorder crash dump
 (skymr-flight-v1).
 
@@ -335,41 +335,25 @@ def check_flight(path):
 
 
 def check_metrics(path):
+    """Validates a skymr-metrics-v2 snapshot: per-job totals across a
+    run's jobs, as plain counters and sketches. The v1 live-sampler
+    keys (gauges, samples) must not come back."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "skymr-metrics-v1":
+    if doc.get("schema") != "skymr-metrics-v2":
         fail(f"{path}: schema is {doc.get('schema')!r}")
-    for key in ("uptime_seconds", "gauges", "counters", "sketches",
-                "samples"):
-        if key not in doc:
-            fail(f"{path}: missing {key!r}")
+    keys = {"schema", "uptime_seconds", "counters", "sketches"}
+    if set(doc) != keys:
+        fail(f"{path}: keys are {sorted(doc)}, want {sorted(keys)}")
     if doc["uptime_seconds"] < 0:
         fail(f"{path}: negative uptime")
-    for name, gauge in doc["gauges"].items():
-        if not isinstance(gauge, int):
-            fail(f"{path}: gauge {name!r} is not an int: {gauge!r}")
-    for name, counter in doc["counters"].items():
-        for key in ("value", "rate_per_s"):
-            if key not in counter:
-                fail(f"{path}: counter {name!r} lacks {key!r}")
-        if counter["value"] < 0 or counter["rate_per_s"] < 0:
-            fail(f"{path}: counter {name!r} is negative: {counter}")
+    for name, value in doc["counters"].items():
+        if not isinstance(value, int) or value < 0:
+            fail(f"{path}: counter {name!r} is not a count: {value!r}")
     for name, sk in doc["sketches"].items():
         check_sketch(f"{path}: sketch {name!r}", sk)
-    samples = doc["samples"]
-    if not isinstance(samples, list):
-        fail(f"{path}: samples is not a list")
-    last_uptime = -1.0
-    for i, sample in enumerate(samples):
-        for key in ("uptime_seconds", "sample_cost_us", "gauges",
-                    "counters"):
-            if key not in sample:
-                fail(f"{path}: sample {i} lacks {key!r}")
-        if sample["uptime_seconds"] < last_uptime:
-            fail(f"{path}: sample {i} goes back in time")
-        last_uptime = sample["uptime_seconds"]
-    print(f"check_obs_json: {path}: {len(doc['sketches'])} sketches, "
-          f"{len(samples)} samples OK")
+    print(f"check_obs_json: {path}: {len(doc['counters'])} counters, "
+          f"{len(doc['sketches'])} sketches OK")
 
 
 def main():

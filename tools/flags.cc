@@ -48,6 +48,20 @@ double BenchEnvScale() {
   return BenchFullScale() ? 1.0 : PositiveEnvDouble("SKYMR_SCALE", 1.0);
 }
 
+int BenchEnvReps() {
+  const char* env = std::getenv("SKYMR_BENCH_REPS");
+  if (env == nullptr) {
+    return 1;
+  }
+  int64_t reps = 0;
+  if (!ParseInt64(env, &reps) || reps < 1 || reps > 100) {
+    std::fprintf(stderr, "SKYMR_BENCH_REPS=%s is not an integer in [1, 100]\n",
+                 env);
+    std::exit(2);
+  }
+  return static_cast<int>(reps);
+}
+
 size_t BenchScaledCount(size_t full, double scale, size_t floor) {
   if (BenchFullScale()) {
     return full;

@@ -53,6 +53,11 @@ double PositiveEnvDouble(const char* name, double fallback);
 /// SKYMR_SCALE unread.
 double BenchEnvScale();
 
+/// Pipeline repetitions per bench row: SKYMR_BENCH_REPS as an integer in
+/// [1, 100], or 1 when it is unset. Any other value prints a message
+/// naming the variable and exits 2.
+int BenchEnvReps();
+
 /// `full` scaled by `scale` times BenchEnvScale(), and at least `floor`;
 /// `full` itself when SKYMR_FULL=1 (the paper's full size).
 size_t BenchScaledCount(size_t full, double scale, size_t floor);

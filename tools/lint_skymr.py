@@ -83,10 +83,9 @@ ALLOWED_THROWS = ("TaskFailure", "TaskCancelled", "SerdeUnderflow")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)\s*(.*)")
 # Metric/counter namespaces the registry governs: mr. (engine), skymr.
-# (algorithm), query. (per-query serving metrics from the loadgen /
-# admission layer). Widening this regex is how a new namespace opts into
-# the bidirectional inventory check — log/loadgen sources are walked via
-# CPP_DIRS already.
+# (algorithm), query. (per-query structured log events). Widening this
+# regex is how a new namespace opts into the bidirectional inventory
+# check — log/loadgen sources are walked via CPP_DIRS already.
 COUNTER_LITERAL_RE = re.compile(r'"((?:mr|skymr|query)\.[A-Za-z0-9_.]+)"')
 REGISTRY_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*(\w+)\s*\|")
 KCOUNTER_RE = re.compile(

@@ -16,8 +16,7 @@
 //             [--trace-out=FILE] [--metrics-out=FILE]
 //   skymr_cli serve    --in=data.csv [--qps=40] [--queries=48] [--slots=3]
 //             [--small-reserved=1] [--warmup] [--out=load.json] ...
-//   skymr_cli doctor   [--report=report.json] [--metrics=metrics.json]
-//                      [--load=load.json]
+//   skymr_cli doctor   [--report=report.json] [--load=load.json]
 //             [--fail-on=warning|critical]
 //
 // Each command accepts only the flags it reads (Commands() below): an
@@ -29,18 +28,18 @@
 // `stats` runs the same pipeline and prints per-task skew,
 // retries, sketches, and the cost-model comparison — `--critical-path`
 // appends the obs/critical_path.h phase-attribution table (which paper
-// phase bounds the makespan, with what-if slack per phase) and
-// `--metrics-out` runs a live metrics registry + sampler thread during
-// the pipeline and writes the skymr-metrics-v1 snapshot; `compare` runs all
-// algorithms on the same input and prints a table; `serve` keeps the
-// dataset resident behind a serve/session.h Session and drives it with
-// the open-loop loadgen mix (cross-query bitstring cache + two-lane
-// admission), writing a skymr-bench-v1 artifact; `doctor` analyzes a
-// previously written skymr-report-v2 document, skymr-metrics-v1 snapshot
-// or load artifact and prints severity-ranked findings (task skew,
+// phase bounds the makespan, with what-if slack per phase); `compare`
+// runs all algorithms on the same input and prints a table; `serve`
+// keeps the dataset resident behind a serve/session.h Session and
+// drives it with the open-loop loadgen mix (cross-query bitstring cache
+// + two-lane admission), writing a skymr-bench-v1 artifact; `doctor`
+// analyzes a previously written skymr-report-v2 document or load
+// artifact and prints severity-ranked findings (task skew,
 // PPD-selection quality, cost-model deviation, pruning effectiveness,
-// reducer imbalance, retry storms, degradation, load-tail and cache
-// signals).
+// retry storms, degradation, load-tail and cache signals).
+// `--metrics-out` attaches a metrics registry to every job the command
+// runs and writes its skymr-metrics-v2 snapshot: per-job wall, task
+// busy-time and shuffle-bucket distributions across all of them.
 // `--trace-out` writes Chrome trace-event JSON (open in Perfetto /
 // chrome://tracing); `--report-out` writes the skymr-report-v2 JSON
 // document.
@@ -57,7 +56,6 @@
 
 #include <cstdio>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,7 +98,7 @@ int Usage() {
       "            [--mappers=M] [--reducers=R] [--out=load.json]\n"
       "            [--chaos-profile=NAME] [--chaos-seed=S] [--attempts=N]\n"
       "            [--trace-out=FILE] [--metrics-out=FILE]\n"
-      "  skymr_cli doctor  [--report=FILE] [--metrics=FILE] [--load=FILE]\n"
+      "  skymr_cli doctor  [--report=FILE] [--load=FILE]\n"
       "            [--fail-on=warning|critical]\n"
       "an unknown flag or a malformed number exits 2\n"
       "algorithms: mr-gpsrs mr-gpmrs mr-bnl mr-angle hybrid sky-mr\n"
@@ -287,11 +285,11 @@ int BuildPipeline(const Flags& args, const skymr::Dataset& data,
 ///
 ///   --trace-out=FILE    Chrome trace-event JSON of the run
 ///   --report-out=FILE   skymr-report-v2 job report (needs a result)
-///   --metrics-out=FILE  live metrics registry + sampler snapshot
+///   --metrics-out=FILE  skymr-metrics-v2 snapshot of every job's totals
 ///   --bench-out=FILE    one-row skymr-bench-v1 artifact (needs a result)
 ///
-/// Construct before the pipeline runs (arms tracing and the sampler),
-/// call StopCollecting() right after it, then one of the Write methods.
+/// Construct before the pipeline runs (arms tracing), call
+/// StopCollecting() right after it, then one of the Write methods.
 class OutputSinks {
  public:
   explicit OutputSinks(const Flags& args)
@@ -302,25 +300,17 @@ class OutputSinks {
     if (!trace_out_.empty()) {
       skymr::obs::StartTracing();
     }
-    if (!metrics_out_.empty()) {
-      sampler_ = std::make_unique<skymr::obs::MetricsSampler>(&metrics_);
-    }
   }
 
-  /// The live registry to hook into the engine; null without
-  /// --metrics-out so runs that don't ask pay nothing.
+  /// The registry to hook into the engine; null without --metrics-out
+  /// so runs that don't ask pay nothing.
   skymr::obs::MetricsRegistry* metrics() {
     return metrics_out_.empty() ? nullptr : &metrics_;
   }
 
-  /// Stops tracing and the sampler thread; call once the pipeline is
-  /// done and before any Write method.
-  void StopCollecting() {
-    skymr::obs::StopTracing();
-    if (sampler_ != nullptr) {
-      sampler_->Stop();
-    }
-  }
+  /// Stops tracing; call once the pipeline is done and before any
+  /// Write method.
+  void StopCollecting() { skymr::obs::StopTracing(); }
 
   /// Writes the sinks that need no single result (--trace-out,
   /// --metrics-out) — all `compare` and `serve` can honor. Returns 0,
@@ -335,8 +325,7 @@ class OutputSinks {
                   skymr::obs::CollectedEventCount(), trace_out_.c_str());
     }
     if (!metrics_out_.empty()) {
-      if (auto s = metrics_.WriteJsonFile(metrics_out_, sampler_->Samples());
-          !s.ok()) {
+      if (auto s = metrics_.WriteJsonFile(metrics_out_); !s.ok()) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
         return 1;
       }
@@ -382,7 +371,6 @@ class OutputSinks {
   const std::string metrics_out_;
   const std::string bench_out_;
   skymr::obs::MetricsRegistry metrics_;
-  std::unique_ptr<skymr::obs::MetricsSampler> sampler_;
 };
 
 int RunSkyline(const Flags& args) {
@@ -487,8 +475,7 @@ int RunStats(const Flags& args) {
     return code;
   }
 
-  // --metrics-out hooks the sinks' live registry + sampler into the
-  // engine.
+  // --metrics-out hooks the sinks' registry into the engine.
   OutputSinks sinks(args);
   options.engine.metrics = sinks.metrics();
   auto session = skymr::Session::Open(*data, options);
@@ -653,12 +640,9 @@ int RunServe(const Flags& args) {
 
 int RunDoctor(const Flags& args) {
   const std::string report = args.GetString("report", "");
-  const std::string metrics = args.GetString("metrics", "");
   const std::string load = args.GetString("load", "");
-  if (report.empty() && metrics.empty() && load.empty()) {
-    std::fprintf(stderr,
-                 "doctor requires --report=FILE, --metrics=FILE, and/or "
-                 "--load=FILE\n");
+  if (report.empty() && load.empty()) {
+    std::fprintf(stderr, "doctor requires --report=FILE and/or --load=FILE\n");
     return 2;
   }
   const std::string fail_on = args.GetString("fail-on", "");
@@ -671,7 +655,6 @@ int RunDoctor(const Flags& args) {
       const skymr::obs::JsonValue&);
   const std::pair<std::string, Analyzer> inputs[] = {
       {report, skymr::obs::AnalyzeReport},
-      {metrics, skymr::obs::AnalyzeMetrics},
       {load, skymr::obs::AnalyzeLoad},
   };
   for (const auto& [path, analyze] : inputs) {
@@ -770,7 +753,6 @@ std::vector<Command> Commands() {
        RunServe},
       {"doctor",
        {{"report", FlagKind::kString},
-        {"metrics", FlagKind::kString},
         {"load", FlagKind::kString},
         {"fail-on", FlagKind::kString}},
        RunDoctor},
