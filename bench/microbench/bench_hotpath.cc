@@ -659,10 +659,10 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
       core::GroupMergeStrategy::kComputationCost);
 
   // Algorithm 8 per split: BNL windows of the unpruned cells,
-  // ComparePartitions, then one payload per reducer group holding the
-  // group's non-empty windows, decoded from its wire bytes as a reducer
-  // receives it.
-  std::vector<std::vector<core::GroupPayload>> inboxes(groups.size());
+  // ComparePartitions, then one LocalSkylineSet per reducer group holding
+  // the group's non-empty windows, decoded from its wire bytes as a
+  // reducer receives it.
+  std::vector<std::vector<core::LocalSkylineSet>> inboxes(groups.size());
   for (size_t s = 0; s < kSplits; ++s) {
     core::CellWindowMap windows;
     for (size_t i = s * out.tuples / kSplits;
@@ -677,9 +677,7 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
     }
     core::CompareAllPartitions(grid, &windows, nullptr);
     for (size_t g = 0; g < groups.size(); ++g) {
-      core::GroupPayload payload;
-      payload.reducer_group = static_cast<uint32_t>(g);
-      payload.responsible = groups[g].responsible;
+      core::LocalSkylineSet payload;
       for (const core::CellId cell : groups[g].cells) {
         const auto it = windows.find(cell);
         if (it != windows.end() && !it->second.empty()) {
@@ -687,9 +685,9 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
         }
       }
       ByteSink sink;
-      Serde<core::GroupPayload>::Write(payload, &sink);
+      Serde<core::LocalSkylineSet>::Write(payload, &sink);
       ByteSource source(sink.data(), sink.size());
-      inboxes[g].push_back(Serde<core::GroupPayload>::Read(&source));
+      inboxes[g].push_back(Serde<core::LocalSkylineSet>::Read(&source));
     }
   }
 
@@ -697,7 +695,7 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
   size_t busiest = 0;
   for (size_t g = 0; g < inboxes.size(); ++g) {
     size_t received = 0;
-    for (const core::GroupPayload& payload : inboxes[g]) {
+    for (const core::LocalSkylineSet& payload : inboxes[g]) {
       for (const core::PartitionSkyline& part : payload.parts) {
         received += part.window.size();
       }
@@ -707,7 +705,7 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
       busiest = g;
     }
   }
-  const std::vector<core::GroupPayload>& inbox = inboxes[busiest];
+  const std::vector<core::LocalSkylineSet>& inbox = inboxes[busiest];
   const std::vector<core::CellId>& responsible = groups[busiest].responsible;
   out.group_cells = groups[busiest].cells.size();
   out.responsible_cells = responsible.size();
@@ -722,7 +720,7 @@ GpmrsReduceResult BenchGpmrsReduce(double scale, int reps) {
       DominanceCounter counter;
       core::CellWindowMap windows;
       const double start = Now();
-      for (const core::GroupPayload& payload : inbox) {
+      for (const core::LocalSkylineSet& payload : inbox) {
         core::MergeParts(payload.parts, kDim, &windows, &counter, targets);
       }
       core::CompareAllPartitions(grid, &windows, &counter, targets);

@@ -2,47 +2,56 @@
 
 #include <numeric>
 #include <string>
+#include <string_view>
 
+#include "src/core/gpsrs.h"
 #include "src/obs/trace.h"
 
 namespace skymr::core {
 namespace {
 
-/// Algorithm 8: Map of MR-GPMRS.
-class GpmrsMapper : public mr::Mapper<TupleId, uint32_t, GroupPayload> {
+/// Algorithms 3 and 8: Map of MR-GPSRS and MR-GPMRS.
+class GridSkylineMapper
+    : public mr::Mapper<TupleId, uint32_t, LocalSkylineSet> {
  public:
-  void Setup(mr::MapContext<uint32_t, GroupPayload>& ctx) override {
+  void Setup(mr::MapContext<uint32_t, LocalSkylineSet>& ctx) override {
     phase_.Setup(ctx.cache());
   }
 
   void Map(const TupleId& id,
-           mr::MapContext<uint32_t, GroupPayload>& ctx) override {
+           mr::MapContext<uint32_t, LocalSkylineSet>& ctx) override {
     (void)ctx;
     phase_.Add(id);
   }
 
-  void Cleanup(mr::MapContext<uint32_t, GroupPayload>& ctx) override {
+  void Cleanup(mr::MapContext<uint32_t, LocalSkylineSet>& ctx) override {
     const SkylineJobContext& context = phase_.context();
     CellWindowMap windows =
         phase_.Finish(&ctx.counters(), &ctx.sketches());
 
     // Lines 11-19: ship each group's local skylines to its reducer. The
     // groups (line 11, Algorithm 7) with Section 5.4's merging and output
-    // responsibility come from the bitstring alone, so RunGpmrsJob derives
+    // responsibility come from the bitstring alone, so the job derives
     // them once and every mapper reads the same broadcast copy — the
-    // consistency requirement Section 5.3 states.
+    // consistency requirement Section 5.3 states. Emit serializes at
+    // once, so each group borrows its windows: moved into the payload,
+    // emitted, and moved back for the next group that holds them.
+    LocalSkylineSet set;
+    std::vector<CellWindowMap::iterator> lent;
     for (uint32_t i = 0; i < context.reducer_groups.size(); ++i) {
-      const ReducerGroup& group = context.reducer_groups[i];
-      GroupPayload payload;
-      payload.reducer_group = i;
-      payload.responsible = group.responsible;
-      for (const CellId cell : group.cells) {
+      for (const CellId cell : context.reducer_groups[i].cells) {
         const auto it = windows.find(cell);
         if (it != windows.end()) {
-          payload.parts.push_back(PartitionSkyline{cell, it->second});
+          set.parts.push_back(PartitionSkyline{cell, std::move(it->second)});
+          lent.push_back(it);
         }
       }
-      ctx.Emit(i, payload);
+      ctx.Emit(i, set);
+      for (size_t k = 0; k < lent.size(); ++k) {
+        lent[k]->second = std::move(set.parts[k].window);
+      }
+      set.parts.clear();
+      lent.clear();
     }
   }
 
@@ -50,28 +59,32 @@ class GpmrsMapper : public mr::Mapper<TupleId, uint32_t, GroupPayload> {
   LocalSkylinePhase phase_;
 };
 
-/// Algorithm 9: Reduce of MR-GPMRS. Each key is one (merged) independent
-/// group; the reducer finalizes that group's share of the global skyline.
-class GpmrsReducer
-    : public mr::Reducer<uint32_t, GroupPayload, SkylineWindow> {
+/// Algorithms 6 and 9: Reduce of MR-GPSRS and MR-GPMRS. Each key is one
+/// (merged) independent group; the reducer finalizes that group's share
+/// of the global skyline.
+class GridSkylineReducer
+    : public mr::Reducer<uint32_t, LocalSkylineSet, SkylineWindow> {
  public:
+  explicit GridSkylineReducer(std::string_view merge_span)
+      : merge_span_(merge_span) {}
+
   void Setup(mr::ReduceContext<SkylineWindow>& ctx) override {
     context_ = ctx.cache().Get<SkylineJobContext>(kCacheKeySkylineContext);
     if (context_ == nullptr) {
-      throw mr::TaskFailure("GPMRS reducer: job context missing");
+      throw mr::TaskFailure("skyline reducer: job context missing");
     }
   }
 
-  void Reduce(const uint32_t& key, mr::ValueIterator<GroupPayload>& values,
+  void Reduce(const uint32_t& key, mr::ValueIterator<LocalSkylineSet>& values,
               mr::ReduceContext<SkylineWindow>& ctx) override {
     if (key >= context_->reducer_groups.size()) {
-      throw mr::TaskFailure("GPMRS reducer: no reducer group " +
+      throw mr::TaskFailure("skyline reducer: no reducer group " +
                             std::to_string(key));
     }
     if (!values.HasNext()) {
       return;
     }
-    SKYMR_TRACE_SPAN("gpmrs.merge", "group", static_cast<int64_t>(key),
+    SKYMR_TRACE_SPAN(merge_span_, "group", static_cast<int64_t>(key),
                      "values", static_cast<int64_t>(values.remaining()));
     const size_t dim = context_->grid.dim();
     // Section 5.4.2: the cells this group outputs. Every other received
@@ -84,14 +97,8 @@ class GpmrsReducer
     // at a time. Only responsible cells are merged; replicas are appended
     // unchecked to source-only windows.
     while (values.HasNext()) {
-      const GroupPayload payload = values.Next();
-      if (payload.responsible != responsible) {
-        throw SerdeUnderflow(
-            "serde underflow: payload for reducer group " +
-            std::to_string(key) + " carries a foreign responsibility list");
-      }
-      MergeParts(payload.parts, dim, &windows, &dominance_counter,
-                 &responsible);
+      const LocalSkylineSet set = values.Next();
+      MergeParts(set.parts, dim, &windows, &dominance_counter, &responsible);
     }
     // Lines 9-10: false-positive elimination of the responsible cells.
     // The group is independent (Definition 5), so every partition's full
@@ -124,54 +131,54 @@ class GpmrsReducer
   }
 
  private:
+  std::string_view merge_span_;
   std::shared_ptr<const SkylineJobContext> context_;
 };
 
-}  // namespace
-
-std::unique_ptr<mr::Reducer<uint32_t, GroupPayload, SkylineWindow>>
-NewGpmrsReducer() {
-  return std::make_unique<GpmrsReducer>();
-}
-
-StatusOr<SkylineJobRun> RunGpmrsJob(
-    std::shared_ptr<const Dataset> data, const Grid& grid,
-    const DynamicBitset& bits, GroupMergeStrategy merge,
-    const mr::EngineOptions& engine, ThreadPool* pool,
-    const std::optional<Box>& constraint, LocalAlgorithm local_algorithm) {
+/// A skyline job's context over `grid` and `bits` with the given
+/// constraint and kernel, after checking the inputs. The caller fills
+/// `reducer_groups`.
+StatusOr<std::shared_ptr<SkylineJobContext>> NewJobContext(
+    std::string_view algorithm, const Dataset* data, const Grid& grid,
+    const DynamicBitset& bits, const std::optional<Box>& constraint,
+    LocalAlgorithm local_algorithm) {
   if (data == nullptr) {
-    return Status::InvalidArgument("GPMRS: dataset is null");
+    return Status::InvalidArgument(std::string(algorithm) +
+                                   ": dataset is null");
   }
   if (bits.size() != grid.num_cells()) {
-    return Status::InvalidArgument("GPMRS: bitstring/grid size mismatch");
+    return Status::InvalidArgument(std::string(algorithm) +
+                                   ": bitstring/grid size mismatch");
   }
   if (constraint.has_value()) {
     SKYMR_RETURN_IF_ERROR(constraint->Validate(data->dim()));
   }
-
-  mr::DistributedCache cache;
-  SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
   auto context = std::make_shared<SkylineJobContext>(grid, bits);
-  {
-    SKYMR_TRACE_SPAN("gpmrs.group_assign", "reducers", engine.num_reducers);
-    context->reducer_groups = AssignGroupsToReducers(
-        grid, GenerateIndependentGroups(grid, bits), engine.num_reducers,
-        merge);
-  }
   context->constraint = constraint;
   context->local_algorithm = local_algorithm;
-  SKYMR_RETURN_IF_ERROR(cache.Put(
-      kCacheKeySkylineContext,
-      std::shared_ptr<const SkylineJobContext>(context)));
+  return context;
+}
+
+/// Runs the grid skyline job `name` over `data`: one reduce key per
+/// entry of `context->reducer_groups`, key i pinned to reducer i (the
+/// group count never exceeds the reducer count).
+StatusOr<SkylineJobRun> RunGridSkylineJob(
+    const std::string& name, std::string_view merge_span,
+    std::shared_ptr<const Dataset> data,
+    std::shared_ptr<const SkylineJobContext> context,
+    const mr::EngineOptions& engine, ThreadPool* pool) {
+  mr::DistributedCache cache;
+  SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
+  SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeySkylineContext, context));
 
   std::vector<TupleId> ids(data->size());
   std::iota(ids.begin(), ids.end(), 0);
 
-  mr::Job<TupleId, uint32_t, GroupPayload, SkylineWindow> job(
-      "mr-gpmrs", [] { return std::make_unique<GpmrsMapper>(); },
-      NewGpmrsReducer);
-  // Reducer-group i is pinned to reducer i (group count never exceeds the
-  // reducer count after merging).
+  mr::Job<TupleId, uint32_t, LocalSkylineSet, SkylineWindow> job(
+      name, [] { return std::make_unique<GridSkylineMapper>(); },
+      [merge_span] {
+        return std::make_unique<GridSkylineReducer>(merge_span);
+      });
   job.UseModuloPartitioner();
 
   auto result = job.Run(ids, engine, cache, pool);
@@ -181,20 +188,77 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
 
   SkylineJobRun run;
   run.metrics = std::move(result.metrics);
-  // Per-reducer group load (Section 5.4.1's balancing target).
-  for (const ReducerGroup& group : context->reducer_groups) {
-    run.metrics.sketches["skymr.reducer_group_cells"].Add(
-        static_cast<double>(group.cells.size()));
-    run.metrics.sketches["skymr.reducer_group_cost"].Add(
-        static_cast<double>(group.cost));
-  }
   run.skyline = SkylineWindow(data->dim());
   for (const SkylineWindow& window : result.outputs) {
     for (size_t i = 0; i < window.size(); ++i) {
       run.skyline.AppendUnchecked(window.RowAt(i), window.IdAt(i));
     }
   }
-  DebugVerifySkyline("MR-GPMRS", *data, run.skyline, constraint);
+  DebugVerifySkyline(name.c_str(), *data, run.skyline, context->constraint);
+  return run;
+}
+
+}  // namespace
+
+std::unique_ptr<mr::Reducer<uint32_t, LocalSkylineSet, SkylineWindow>>
+NewGpmrsReducer() {
+  return std::make_unique<GridSkylineReducer>("gpmrs.merge");
+}
+
+StatusOr<SkylineJobRun> RunGpsrsJob(std::shared_ptr<const Dataset> data,
+                                    const Grid& grid,
+                                    const DynamicBitset& bits,
+                                    const mr::EngineOptions& engine,
+                                    ThreadPool* pool,
+                                    const std::optional<Box>& constraint,
+                                    LocalAlgorithm local_algorithm) {
+  auto context = NewJobContext("GPSRS", data.get(), grid, bits, constraint,
+                               local_algorithm);
+  if (!context.ok()) {
+    return context.status();
+  }
+  // Algorithm 3 is Algorithm 8 with one group: every set cell, all of
+  // them output by the single reducer.
+  ReducerGroup all;
+  bits.ForEachSetBit([&all](size_t cell) { all.cells.push_back(cell); });
+  all.responsible = all.cells;
+  (*context)->reducer_groups.push_back(std::move(all));
+
+  mr::EngineOptions options = engine;
+  options.num_reducers = 1;  // Single reducer, by definition of MR-GPSRS.
+  return RunGridSkylineJob("mr-gpsrs", "gpsrs.merge", std::move(data),
+                           std::move(*context), options, pool);
+}
+
+StatusOr<SkylineJobRun> RunGpmrsJob(
+    std::shared_ptr<const Dataset> data, const Grid& grid,
+    const DynamicBitset& bits, GroupMergeStrategy merge,
+    const mr::EngineOptions& engine, ThreadPool* pool,
+    const std::optional<Box>& constraint, LocalAlgorithm local_algorithm) {
+  auto context = NewJobContext("GPMRS", data.get(), grid, bits, constraint,
+                               local_algorithm);
+  if (!context.ok()) {
+    return context.status();
+  }
+  std::vector<ReducerGroup>& groups = (*context)->reducer_groups;
+  {
+    SKYMR_TRACE_SPAN("gpmrs.group_assign", "reducers", engine.num_reducers);
+    groups = AssignGroupsToReducers(grid,
+                                    GenerateIndependentGroups(grid, bits),
+                                    engine.num_reducers, merge);
+  }
+  auto run = RunGridSkylineJob("mr-gpmrs", "gpmrs.merge", std::move(data),
+                               *context, engine, pool);
+  if (!run.ok()) {
+    return run;
+  }
+  // Per-reducer group load (Section 5.4.1's balancing target).
+  for (const ReducerGroup& group : groups) {
+    run->metrics.sketches["skymr.reducer_group_cells"].Add(
+        static_cast<double>(group.cells.size()));
+    run->metrics.sketches["skymr.reducer_group_cost"].Add(
+        static_cast<double>(group.cost));
+  }
   return run;
 }
 

@@ -3,12 +3,13 @@
 //
 // The job derives the independent partition groups from the bitstring
 // once (Algorithm 7, with Section 5.4's group merging and output
-// responsibility) and broadcasts them. Mappers run the same local phase
-// as MR-GPSRS and ship each group's local skylines to its reducer. Every
-// reducer independently finalizes its groups' share of the global skyline
-// (Lemma 2), so no post-merge step exists; it merges and filters only the
-// partitions it is responsible for outputting, reading the replicated
-// rest as sources of dominators only.
+// responsibility) and broadcasts them. Mappers run the local phase and
+// ship each group's local skylines, a LocalSkylineSet keyed by the
+// group's index, to its reducer. Every reducer independently finalizes
+// its groups' share of the global skyline (Lemma 2), so no post-merge
+// step exists; it merges and filters only the partitions it is
+// responsible for outputting, reading the replicated rest as sources of
+// dominators only. MR-GPSRS (gpsrs.h) is this job with one group.
 
 #ifndef SKYMR_CORE_GPMRS_H_
 #define SKYMR_CORE_GPMRS_H_
@@ -34,7 +35,7 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
 /// builds per reduce task. Exposed as a test seam, so tests can drive
 /// Setup and Reduce directly with a hand-built cache and payloads; its
 /// Setup reads the SkylineJobContext under kCacheKeySkylineContext.
-std::unique_ptr<mr::Reducer<uint32_t, GroupPayload, SkylineWindow>>
+std::unique_ptr<mr::Reducer<uint32_t, LocalSkylineSet, SkylineWindow>>
 NewGpmrsReducer();
 
 }  // namespace skymr::core

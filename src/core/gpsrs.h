@@ -4,7 +4,9 @@
 // Mappers compute per-partition local skylines for unpruned partitions and
 // eliminate cross-partition false positives; a single reducer merges the
 // local skylines per partition with InsertTuple and runs ComparePartitions
-// once more to obtain the global skyline.
+// once more to obtain the global skyline. That is MR-GPMRS (gpmrs.h) with
+// one reducer group that holds and outputs every set cell, so RunGpsrsJob
+// runs the MR-GPMRS job (gpmrs.cc) with that group, named "mr-gpsrs".
 
 #ifndef SKYMR_CORE_GPSRS_H_
 #define SKYMR_CORE_GPSRS_H_

@@ -24,8 +24,10 @@ struct PartitionSkyline {
   }
 };
 
-/// A mapper's full local skyline, organized by partition (the value sent
-/// to MR-GPSRS's single reducer, Figure 4).
+/// Local skylines organized by partition: the value every skyline job
+/// shuffles. A grid job's mapper sends one per reducer group, holding the
+/// group's windows (Algorithm 8 line 18; for MR-GPSRS's one group, the
+/// mapper's whole local skyline, Figure 4).
 struct LocalSkylineSet {
   std::vector<PartitionSkyline> parts;
 
@@ -34,9 +36,10 @@ struct LocalSkylineSet {
   }
 };
 
-/// The (S_i, ig) value MR-GPMRS mappers send to reducer `i` (Algorithm 8
-/// line 18), extended with the Section 5.4.2 designation notification: the
-/// cells whose skyline this reducer is responsible for outputting.
+/// A LocalSkylineSet tagged with its reducer group and the group's
+/// Section 5.4.2 responsibility list. No job ships it: the broadcast
+/// SkylineJobContext holds both. It stays only because querybench's
+/// replay still encodes it.
 struct GroupPayload {
   uint32_t reducer_group = 0;
   std::vector<CellId> responsible;

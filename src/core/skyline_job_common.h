@@ -1,7 +1,7 @@
-// Shared plumbing of the two grid-partitioning skyline jobs (MR-GPSRS and
-// MR-GPMRS): the broadcast job context and the mapper-side local skyline
-// phase, which is identical in Algorithm 3 (lines 1-10) and Algorithm 8
-// (lines 1-10).
+// Shared plumbing of the grid-partitioning skyline job, which runs as
+// MR-GPMRS and, with one reducer group, as MR-GPSRS: the broadcast job
+// context and the mapper-side local skyline phase, which is identical in
+// Algorithm 3 (lines 1-10) and Algorithm 8 (lines 1-10).
 
 #ifndef SKYMR_CORE_SKYLINE_JOB_COMMON_H_
 #define SKYMR_CORE_SKYLINE_JOB_COMMON_H_
@@ -111,14 +111,15 @@ inline constexpr const char* kCounterBbsAutoSfs =
     "skymr.bbs.auto_sfs_partitions";
 
 /// Side data broadcast to every task of a skyline job: the grid, the
-/// Equation 2 bitstring BS_R, the optional constraint box, and (for
-/// MR-GPMRS) the reducer groups.
+/// Equation 2 bitstring BS_R, the optional constraint box, and the
+/// reducer groups.
 struct SkylineJobContext {
   Grid grid;
   DynamicBitset bits;
-  /// MR-GPMRS only: Algorithm 7's independent groups assigned to reducers
-  /// with Section 5.4's merging and output responsibility, computed once
-  /// per job. Entry i is reducer key i; empty for MR-GPSRS.
+  /// The groups mappers ship to, computed once per job; entry i is reducer
+  /// key i. MR-GPMRS: Algorithm 7's independent groups assigned to
+  /// reducers with Section 5.4's merging and output responsibility.
+  /// MR-GPSRS: one group of every set cell, all of them responsible.
   std::vector<ReducerGroup> reducer_groups;
   std::optional<Box> constraint;
   LocalAlgorithm local_algorithm = LocalAlgorithm::kBnl;

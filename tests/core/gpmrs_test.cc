@@ -5,11 +5,13 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/serde.h"
+#include "src/core/gpsrs.h"
 #include "src/core/partition_bitstring.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
@@ -185,7 +187,7 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
   const std::vector<ReducerGroup> groups = AssignGroupsToReducers(
       *p.grid, GenerateIndependentGroups(*p.grid, p.bits), kReducers,
       GroupMergeStrategy::kComputationCost);
-  std::vector<std::vector<GroupPayload>> inboxes(groups.size());
+  std::vector<std::vector<LocalSkylineSet>> inboxes(groups.size());
   DominanceCounter map_counter;
   uint64_t shuffle_bytes = 0;
   const size_t n = p.data->size();
@@ -204,9 +206,7 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
     }
     CompareAllPartitions(*p.grid, &windows, &map_counter);
     for (uint32_t g = 0; g < groups.size(); ++g) {
-      GroupPayload payload;
-      payload.reducer_group = g;
-      payload.responsible = groups[g].responsible;
+      LocalSkylineSet payload;
       for (const CellId cell : groups[g].cells) {
         if (const auto it = windows.find(cell);
             it != windows.end() && !it->second.empty()) {
@@ -216,10 +216,10 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
       ByteSink sink;
       Serde<uint32_t>::Write(g, &sink);
       const size_t key_bytes = sink.size();
-      Serde<GroupPayload>::Write(payload, &sink);
+      Serde<LocalSkylineSet>::Write(payload, &sink);
       shuffle_bytes += sink.size();
       ByteSource source(sink.data() + key_bytes, sink.size() - key_bytes);
-      inboxes[g].push_back(Serde<GroupPayload>::Read(&source));
+      inboxes[g].push_back(Serde<LocalSkylineSet>::Read(&source));
     }
     begin = end;
   }
@@ -232,9 +232,9 @@ TEST(GpmrsTest, ReducersTestFewerTuplesThanFullGroupFilters) {
       << "the replay does not rebuild the job's map side";
   EXPECT_EQ(run->metrics.shuffle_bytes, shuffle_bytes);
   DominanceCounter full_groups;
-  for (const std::vector<GroupPayload>& inbox : inboxes) {
+  for (const std::vector<LocalSkylineSet>& inbox : inboxes) {
     CellWindowMap windows;
-    for (const GroupPayload& payload : inbox) {
+    for (const LocalSkylineSet& payload : inbox) {
       MergeParts(payload.parts, dim, &windows, &full_groups);
     }
     CompareAllPartitions(*p.grid, &windows, &full_groups);
@@ -271,23 +271,15 @@ class GpmrsReducerTest : public ::testing::Test {
                     .ok());
   }
 
-  /// Group `g`'s payload as a mapper holding no rows builds it.
-  GroupPayload PayloadFor(uint32_t g) const {
-    GroupPayload payload;
-    payload.reducer_group = g;
-    payload.responsible = groups_[g].responsible;
-    return payload;
-  }
-
   /// Runs a fresh reducer's Setup, then Reduce(key) over `payloads`.
-  void Reduce(uint32_t key, const std::vector<GroupPayload>& payloads) {
+  void Reduce(uint32_t key, const std::vector<LocalSkylineSet>& payloads) {
     std::vector<ByteSink> sinks(payloads.size());
-    std::vector<mr::ValueIterator<GroupPayload>::Slice> slices;
+    std::vector<mr::ValueIterator<LocalSkylineSet>::Slice> slices;
     for (size_t i = 0; i < payloads.size(); ++i) {
-      Serde<GroupPayload>::Write(payloads[i], &sinks[i]);
+      Serde<LocalSkylineSet>::Write(payloads[i], &sinks[i]);
       slices.push_back({sinks[i].data(), sinks[i].size()});
     }
-    mr::ValueIterator<GroupPayload> values(slices.data(), slices.size());
+    mr::ValueIterator<LocalSkylineSet> values(slices.data(), slices.size());
     mr::ReduceContext<SkylineWindow> ctx(/*task_id=*/0, &cache_);
     const auto reducer = NewGpmrsReducer();
     reducer->Setup(ctx);
@@ -298,41 +290,70 @@ class GpmrsReducerTest : public ::testing::Test {
   std::vector<ReducerGroup> groups_;
 };
 
-// The control for the two rejection tests below: a fixture that threw on
-// every input would pass them vacuously.
+// The control for the rejection test below: a fixture that threw on
+// every input would pass it vacuously. A mapper holding no rows sends
+// each group an empty set.
 TEST_F(GpmrsReducerTest, AcceptsItsOwnGroupsPayload) {
-  EXPECT_NO_THROW(Reduce(0, {PayloadFor(0), PayloadFor(0)}));
-  EXPECT_NO_THROW(Reduce(1, {PayloadFor(1)}));
+  EXPECT_NO_THROW(Reduce(0, {LocalSkylineSet{}, LocalSkylineSet{}}));
+  EXPECT_NO_THROW(Reduce(1, {LocalSkylineSet{}}));
 }
 
 TEST_F(GpmrsReducerTest, KeyPastTheLastGroupIsATaskFailure) {
   const auto key = static_cast<uint32_t>(groups_.size());
   EXPECT_THROW(Reduce(key, {}), mr::TaskFailure);
-  GroupPayload payload = PayloadFor(0);
-  payload.reducer_group = key;
-  EXPECT_THROW(Reduce(key, {payload}), mr::TaskFailure);
+  EXPECT_THROW(Reduce(key, {LocalSkylineSet{}}), mr::TaskFailure);
 }
 
-TEST_F(GpmrsReducerTest, ForeignResponsibilityListIsSerdeUnderflow) {
-  GroupPayload foreign = PayloadFor(0);
-  foreign.responsible.push_back(3);
-  EXPECT_THROW(Reduce(0, {PayloadFor(0), foreign}), SerdeUnderflow);
-  ASSERT_NE(groups_[0].responsible, groups_[1].responsible);
-  EXPECT_THROW(Reduce(0, {PayloadFor(1)}), SerdeUnderflow);
+/// Per-task (input, output) record counts of one phase.
+std::vector<std::pair<uint64_t, uint64_t>> Records(
+    const std::vector<mr::TaskMetrics>& tasks) {
+  std::vector<std::pair<uint64_t, uint64_t>> records;
+  for (const mr::TaskMetrics& task : tasks) {
+    records.emplace_back(task.input_records, task.output_records);
+  }
+  return records;
 }
 
 TEST(GpmrsTest, MatchesGpsrsResult) {
-  // The two algorithms must produce identical skylines; MR-GPMRS merely
-  // parallelizes the reduce side.
-  const Prepared p = Prepare(data::GenerateIndependent(2000, 4, 79), 3);
-  mr::EngineOptions engine;
-  engine.num_map_tasks = 4;
-  engine.num_reducers = 6;
-  auto gpmrs = RunGpmrsJob(p.data, *p.grid, p.bits,
-                           GroupMergeStrategy::kComputationCost, engine);
-  ASSERT_TRUE(gpmrs.ok());
-  const std::vector<TupleId> expected = ReferenceSkyline(*p.data);
-  EXPECT_TRUE(SameIdSet(SortedIds(gpmrs->skyline), expected));
+  // MR-GPSRS is MR-GPMRS with one reducer group, and at one reducer
+  // Section 5.4.1 merges every group into one that holds, and outputs,
+  // every set cell. So the two jobs must agree on the skyline and its
+  // order, every counter, and every shuffled byte and record, under each
+  // window kernel, with and without a constraint box.
+  const Box box{std::vector<double>(4, 0.1), std::vector<double>(4, 0.7)};
+  for (const LocalAlgorithm kernel :
+       {LocalAlgorithm::kBnl, LocalAlgorithm::kSfs}) {
+    for (const std::optional<Box>& constraint :
+         {std::optional<Box>(), std::optional<Box>(box)}) {
+      SCOPED_TRACE(std::string(LocalAlgorithmName(kernel)) +
+                   (constraint.has_value() ? " boxed" : " unconstrained"));
+      const Prepared p =
+          Prepare(data::GenerateAntiCorrelated(3000, 4, 79), 4, constraint);
+      mr::EngineOptions engine;
+      engine.num_map_tasks = 4;
+      engine.num_reducers = 1;
+      auto gpsrs = RunGpsrsJob(p.data, *p.grid, p.bits, engine,
+                               /*pool=*/nullptr, constraint, kernel);
+      auto gpmrs = RunGpmrsJob(p.data, *p.grid, p.bits,
+                               GroupMergeStrategy::kComputationCost, engine,
+                               /*pool=*/nullptr, constraint, kernel);
+      ASSERT_TRUE(gpsrs.ok()) << gpsrs.status();
+      ASSERT_TRUE(gpmrs.ok()) << gpmrs.status();
+      EXPECT_EQ(constraint.has_value()
+                    ? ExplainSkylineMismatch(*p.data, *constraint,
+                                             gpsrs->skyline.ids())
+                    : ExplainSkylineMismatch(*p.data, gpsrs->skyline.ids()),
+                "");
+      EXPECT_EQ(gpmrs->skyline.ids(), gpsrs->skyline.ids());
+      EXPECT_EQ(gpmrs->metrics.counters.values(),
+                gpsrs->metrics.counters.values());
+      EXPECT_EQ(gpmrs->metrics.shuffle_bytes, gpsrs->metrics.shuffle_bytes);
+      EXPECT_EQ(Records(gpmrs->metrics.map_tasks),
+                Records(gpsrs->metrics.map_tasks));
+      EXPECT_EQ(Records(gpmrs->metrics.reduce_tasks),
+                Records(gpsrs->metrics.reduce_tasks));
+    }
+  }
 }
 
 TEST(GpmrsTest, NoDuplicateOutputsWithReplicatedPartitions) {
