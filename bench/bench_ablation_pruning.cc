@@ -38,6 +38,8 @@ void PruningOnOff(benchmark::State& state) {
     skymr::Stopwatch watch;
     const skymr::Bounds bounds = skymr::Bounds::UnitCube(dim);
     skymr::core::PpdOptions ppd_options;
+    // Section 3.3's rule as printed, as bench::PaperOptions pins it.
+    ppd_options.strategy = skymr::core::PpdStrategy::kPaperLiteral;
     const auto candidates =
         skymr::core::CandidatePpds(card, dim, ppd_options);
     auto shared = std::make_shared<const skymr::Dataset>(dataset);

@@ -134,11 +134,13 @@ inline const Dataset& CachedDataset(data::Distribution distribution,
 }
 
 /// The paper's experimental configuration: 13 nodes, one mapper split per
-/// node, MR-GPMRS defaults to one reducer per node (Section 7.1).
+/// node, MR-GPMRS defaults to one reducer per node (Section 7.1), and the
+/// grid chosen by Section 3.3's occupancy rule as printed.
 inline SessionOptions PaperOptions(int reducers = 13) {
   SessionOptions options;
   options.engine.num_map_tasks = 13;
   options.engine.num_reducers = reducers;
+  options.ppd.strategy = core::PpdStrategy::kPaperLiteral;
   return options;
 }
 

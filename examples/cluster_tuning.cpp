@@ -40,8 +40,8 @@ int main() {
               data.dim());
 
   // ---- 1. Grid resolution (tuples per partition trade-off) ----
-  std::printf("PPD sweep (explicit grid resolutions vs the Section 3.3 "
-              "heuristic):\n");
+  std::printf("PPD sweep (explicit grid resolutions vs the default "
+              "rule):\n");
   std::printf("%6s %10s %12s %14s %16s\n", "ppd", "cells", "nonempty",
               "modeled[s]", "partition cmps");
   for (const uint32_t ppd : {2u, 3u, 4u, 6u, 8u}) {
@@ -68,8 +68,9 @@ int main() {
   {
     auto result = RunFresh(data, BaseOptions());
     if (result.ok()) {
-      std::printf("heuristic (Section 3.3) selected PPD %u, modeled %.1f s\n",
-                  result->ppd, result->modeled_seconds);
+      std::printf("rule %s selected PPD %u, modeled %.1f s\n",
+                  result->ppd_rule.c_str(), result->ppd,
+                  result->modeled_seconds);
     }
   }
 

@@ -19,7 +19,8 @@ int main() {
 
   // 2. Open a session over the dataset: 13 mappers and 13 reducers,
   //    mirroring the paper's 13-node Hadoop cluster; grid resolution
-  //    picked by the Section 3.3 PPD heuristic.
+  //    picked by the default PPD rule, which aims at the tuples per
+  //    partition Section 3.3 names as the ideal target.
   skymr::SessionOptions options;
   options.engine.num_map_tasks = 13;
   options.engine.num_reducers = 13;

@@ -39,10 +39,22 @@ class SerdeUnderflow : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// An append-only byte buffer used as a serialization target.
+/// An append-only byte buffer used as a serialization target. A counting
+/// sink (ByteSink::Counting()) stores nothing and only adds up the sizes
+/// appended to it, so SerializedByteSize walks a value without encoding it.
 class ByteSink {
  public:
+  static ByteSink Counting() {
+    ByteSink sink;
+    sink.counting_ = true;
+    return sink;
+  }
+
   void Append(const void* data, size_t size) {
+    if (counting_) {
+      counted_ += size;
+      return;
+    }
     if (size == 0) {
       return;  // `data` may be null (e.g. an empty vector's data()).
     }
@@ -56,17 +68,20 @@ class ByteSink {
     Append(&value, sizeof(T));
   }
 
-  size_t size() const { return buffer_.size(); }
+  /// Sizes the buffer for `bytes` in total, so appends up to that size
+  /// neither reallocate nor leave growth slack.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+
+  /// Bytes appended so far (stored, or only counted).
+  size_t size() const { return counting_ ? counted_ : buffer_.size(); }
   const uint8_t* data() const { return buffer_.data(); }
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
 
-  /// Empties the buffer but keeps its capacity (arena reuse across
-  /// map-task retries).
-  void Clear() { buffer_.clear(); }
-
  private:
   std::vector<uint8_t> buffer_;
+  bool counting_ = false;
+  size_t counted_ = 0;
 };
 
 /// A sequential reader over a byte buffer produced by ByteSink.
@@ -243,10 +258,12 @@ T DeserializeFromBytes(const std::vector<uint8_t>& bytes) {
   return Serde<T>::Read(&source);
 }
 
-/// Exact encoded size of a value, used for shuffle byte accounting.
+/// Exact encoded size of a value, used for shuffle byte accounting and
+/// arena sizing: the encoder runs against a counting sink, so no byte is
+/// copied.
 template <typename T>
 size_t SerializedByteSize(const T& value) {
-  ByteSink sink;
+  ByteSink sink = ByteSink::Counting();
   Serde<T>::Write(value, &sink);
   return sink.size();
 }

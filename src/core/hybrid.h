@@ -51,6 +51,13 @@ double EstimateSkylineFraction(
     const Dataset& data, size_t sample_size,
     const std::optional<Box>& constraint = std::nullopt);
 
+/// The number of rows a query covers, which the Session uses as Section
+/// 3.3's cardinality c: data.size() exactly without a constraint box;
+/// with one, the in-box share of the kHybridSampleSize stride sample
+/// scaled to data.size() (0 when no sampled row is in the box).
+uint64_t EstimateInScopeRows(const Dataset& data,
+                             const std::optional<Box>& constraint);
+
 /// Decides between MR-GPSRS and MR-GPMRS. `grid` must be the grid of
 /// `result.bits`; `data` is the job's input dataset.
 HybridDecision DecideHybrid(

@@ -19,6 +19,11 @@ const char* PpdStrategyName(PpdStrategy strategy) {
   return "unknown";
 }
 
+const char* PpdRuleName(const PpdOptions& options) {
+  return options.explicit_ppd > 0 ? "explicit"
+                                  : PpdStrategyName(options.strategy);
+}
+
 std::vector<uint32_t> CandidatePpds(uint64_t cardinality, size_t dim,
                                     const PpdOptions& options) {
   if (options.explicit_ppd > 0) {

@@ -51,6 +51,9 @@ struct SkylineResult {
   double modeled_compute_seconds = 0.0;
   /// Selected PPD (grid algorithms; 0 for baselines).
   uint32_t ppd = 0;
+  /// The rule that chose `ppd` (core::PpdRuleName): "explicit",
+  /// "paper-literal" or "target-tpp"; empty for baselines.
+  std::string ppd_rule;
   /// Non-empty partitions before / pruned by Equation 2.
   uint64_t nonempty_partitions = 0;
   uint64_t pruned_partitions = 0;

@@ -24,15 +24,19 @@
 //
 // Map and reduce tasks run concurrently on a ThreadPool.
 //
-// Shuffle storage is allocation-lean: each map task owns one contiguous
-// byte arena per reducer bucket into which Emit serializes key and value
-// back to back (one write doubles as the byte-count measurement), plus a
-// small offset/length record index. The shuffle moves whole arenas to the
-// reducer side — never per-record buffers — and each reducer's merge and
-// sort runs as its own pool task. Reducers consume values through a
-// streaming ValueIterator that deserializes one value at a time straight
-// out of the arena, so a key group is never materialized as a
-// std::vector<V2>.
+// Shuffle storage is allocation-lean and exact: each map task owns one
+// contiguous byte arena per reducer bucket into which Emit serializes key
+// and value back to back (one write doubles as the byte-count
+// measurement), plus a small offset/length record index. A bucket's first
+// record sizes its arena exactly (counted, not encoded, beforehand), so a
+// bucket holding one payload — every skyline job's — carries no growth
+// slack. The shuffle moves whole arenas to the reducer side — never
+// per-record buffers — and each reducer's merge and sort runs as its own
+// pool task. Reducers consume values through a streaming ValueIterator
+// that deserializes one value at a time straight out of the arena, so a
+// key group is never materialized as a std::vector<V2>. A reducer's
+// arenas and index are freed as soon as its reduce attempt returns: a
+// returning attempt is its task's last, so nothing re-reads them.
 
 #ifndef SKYMR_MAPREDUCE_JOB_H_
 #define SKYMR_MAPREDUCE_JOB_H_
@@ -116,10 +120,15 @@ class MapContext {
 
   /// Emits one intermediate record. Key and value are serialized once,
   /// back to back, into the destination bucket's arena; the arena growth
-  /// is the byte count, so nothing is encoded twice.
+  /// is the byte count, so nothing is encoded twice. A bucket's first
+  /// record reserves exactly its own bytes.
   void Emit(const K2& key, const V2& value) {
     const int bucket_index = Route(key);
     Bucket& bucket = buckets_[static_cast<size_t>(bucket_index)];
+    if (bucket.records.empty()) {
+      bucket.arena.Reserve(SerializedByteSize(key) +
+                           SerializedByteSize(value));
+    }
     const size_t key_begin = bucket.arena.size();
     Serde<K2>::Write(key, &bucket.arena);
     const size_t value_begin = bucket.arena.size();
@@ -387,11 +396,15 @@ class Job {
       wave_status = scheduler.RunWave(
           pool, TaskKind::kReduce, r,
           [&](const TaskAttempt& attempt) {
-            return RunReduceAttempt(
-                attempt,
-                reducer_inputs[static_cast<size_t>(attempt.task_id)],
-                scheduler.chaos(), cache,
+            ReducerInput& in =
+                reducer_inputs[static_cast<size_t>(attempt.task_id)];
+            const Status status = RunReduceAttempt(
+                attempt, in, scheduler.chaos(), cache,
                 &reduce_outputs[static_cast<size_t>(attempt.task_id)]);
+            // A failing attempt throws past this line, so the retry
+            // re-reads intact bytes; a returning one is the task's last.
+            in.Release();
+            return status;
           },
           &wave_stats);
     }
@@ -529,6 +542,14 @@ class Job {
     /// Wall time BuildReducerInput took for this bucket — the shuffle
     /// edge weight the critical-path analyzer consumes.
     double build_seconds = 0.0;
+
+    /// Frees the bytes and the index; input_bytes and build_seconds stay
+    /// for the job's metrics.
+    void Release() {
+      std::vector<std::vector<uint8_t>>().swap(segments);
+      std::vector<ShuffleEntry>().swap(entries);
+      std::vector<Slice>().swap(slices);
+    }
   };
 
   /// Adds one finished job to the metrics registry (its only writer):

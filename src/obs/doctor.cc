@@ -24,8 +24,8 @@ constexpr double kMinBusySeconds = 0.05;
 
 /// ppd-skew: observed tuples-per-partition vs the uniform prediction.
 constexpr double kPpdSkewRatio = 4.0;
-/// ppd-coarse: absolute tuples-per-partition beyond which a grid that
-/// could have been finer is flagged.
+/// ppd-coarse: absolute tuples-per-partition beyond which an explicit or
+/// paper-literal grid that could have been finer is flagged.
 constexpr double kCoarseTpp = 32.0;
 /// Minimum input size for either grid heuristic to speak.
 constexpr int64_t kMinTuplesForPpd = 1000;
@@ -235,9 +235,21 @@ void CheckPpd(const JsonValue& report,
                observed_tpp / predicted_tpp)});
   }
   // The Section 3.3 candidate series runs up to n_m = floor(n^(1/d)): a
-  // PPD below that with overfull partitions is a coarse grid. The report
-  // does not say where the PPD came from — an explicit --ppd, or the
-  // Section 3.3 rule itself — so the message names both.
+  // PPD below that with overfull partitions is a coarse grid. A
+  // target-tpp grid is not judged: that rule picks, by construction, the
+  // candidate whose partitions come nearest its tuples-per-partition
+  // target. The message names the rule the report records; a report
+  // without one gets both.
+  const std::string rule = report.GetString("ppd_rule", "");
+  if (rule == "target-tpp") {
+    return;
+  }
+  const char* source =
+      rule == "explicit"        ? "an explicit --ppd set the PPD"
+      : rule == "paper-literal" ? "the Section 3.3 occupancy rule chose "
+                                  "the PPD"
+                                : "the PPD came from an explicit --ppd or "
+                                  "the Section 3.3 occupancy rule";
   const double candidate_max = std::floor(std::pow(n, 1.0 / static_cast<double>(dim)));
   if (static_cast<double>(ppd) < candidate_max &&
       observed_tpp > kCoarseTpp) {
@@ -245,10 +257,9 @@ void CheckPpd(const JsonValue& report,
         Severity::kWarning, "ppd-coarse",
         Format("grid ppd=%lld is below the Section 3.3 candidate maximum "
                "%.0f and partitions hold %.1f tuples on average — mappers "
-               "do excess local work and pruning is coarse; the PPD came "
-               "from an explicit --ppd or from the Section 3.3 selection "
-               "rule",
-               static_cast<long long>(ppd), candidate_max, observed_tpp)});
+               "do excess local work and pruning is coarse; %s",
+               static_cast<long long>(ppd), candidate_max, observed_tpp,
+               source)});
   }
 }
 

@@ -12,8 +12,11 @@
 //                      paper's uniformity assumption);
 //   ppd-coarse         the grid is coarser than the Section 3.3
 //                      candidate series allows and partitions are
-//                      overfull (an explicit --ppd, or the Section 3.3
-//                      rule itself, picked it);
+//                      overfull; judged only when the report's
+//                      "ppd_rule" is "explicit" or "paper-literal" (a
+//                      target-tpp grid is, by construction, the
+//                      candidate nearest its tuples-per-partition
+//                      target);
 //   cost-model         observed comparison maxima exceed the Section 6
 //                      predictions (Eq. 5-9) by a large factor;
 //   pruning            Equation 2 bitstring pruning removed almost no

@@ -216,6 +216,10 @@ void WriteJobReport(const SkylineResult& result, std::ostream& os) {
   w.Uint(InputTuplesOf(result));
   w.Key("ppd");
   w.Uint(result.ppd);
+  if (result.ppd > 0) {
+    w.Key("ppd_rule");
+    w.String(result.ppd_rule);
+  }
   w.Key("nonempty_partitions");
   w.Uint(result.nonempty_partitions);
   w.Key("pruned_partitions");
@@ -283,8 +287,9 @@ std::string RenderStatsText(const SkylineResult& result) {
   os << buf;
   if (result.ppd > 0) {
     std::snprintf(buf, sizeof(buf),
-                  "grid: ppd=%u, %llu non-empty partitions, %llu pruned\n",
-                  result.ppd,
+                  "grid: ppd=%u (%s), %llu non-empty partitions, %llu "
+                  "pruned\n",
+                  result.ppd, result.ppd_rule.c_str(),
                   static_cast<unsigned long long>(result.nonempty_partitions),
                   static_cast<unsigned long long>(result.pruned_partitions));
     os << buf;

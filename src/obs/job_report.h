@@ -9,7 +9,8 @@
 //   { "schema": "skymr-report-v2",
 //     "algorithm": "mr-gpmrs", "wall_seconds": ..., "modeled_seconds": ...,
 //     "modeled_compute_seconds": ..., "skyline_size": ...,
-//     "ppd": ..., "nonempty_partitions": ..., "pruned_partitions": ...,
+//     "ppd": ..., "ppd_rule": ..., "nonempty_partitions": ...,
+//     "pruned_partitions": ...,
 //     "degraded": ..., "resumed_from_checkpoint": ...,
 //     "jobs": [ { "name": ..., "wall_seconds": ..., "shuffle_bytes": ...,
 //                 "task_retries": ..., "cache_hits": ..., "cache_misses": ...,
@@ -36,7 +37,9 @@
 //       "deterministic": { "dag_signature": ...,
 //                          "phases": [ {phase, records, percent} ] } } }
 //
-// "cost_model" is present only for the grid algorithms (ppd > 0). The
+// "cost_model" and "ppd_rule" (core::PpdRuleName: "explicit",
+// "paper-literal" or "target-tpp") are present only for the grid
+// algorithms (ppd > 0). The
 // predictions are the paper's estimates under its uniformity assumptions,
 // not hard bounds: on skewed data, or when ppd selection is capped, the
 // observed counts can exceed them. The point of the block is exactly that

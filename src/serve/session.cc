@@ -289,19 +289,6 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
                                 SkylineResult* result,
                                 core::BitstringBuildResult* phase,
                                 SubmitInfo* info) {
-  core::BitstringJobConfig bitstring_config;
-  bitstring_config.bounds = bounds_;
-  bitstring_config.candidates =
-      core::CandidatePpds(data_->size(), data_->dim(), options_.ppd);
-  if (bitstring_config.candidates.empty()) {
-    return Status::InvalidArgument(
-        "no feasible PPD candidate: 2^d exceeds the cell budget");
-  }
-  bitstring_config.ppd = options_.ppd;
-  bitstring_config.cardinality = data_->size();
-  bitstring_config.prune_mode = options_.prune_mode;
-  bitstring_config.constraint = spec.constraint;
-
   const uint64_t fingerprint = FingerprintFor(spec);
 
   {
@@ -339,7 +326,17 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
   }
 
   // Leader path: the external checkpoint store first, then the
-  // bitstring job.
+  // bitstring job. Section 3.3's c counts the rows the query covers, so
+  // a box's grid is sized for the rows inside it, not for the dataset.
+  core::BitstringJobConfig bitstring_config;
+  bitstring_config.bounds = bounds_;
+  bitstring_config.cardinality =
+      core::EstimateInScopeRows(*data_, spec.constraint);
+  bitstring_config.candidates = core::CandidatePpds(
+      bitstring_config.cardinality, data_->dim(), options_.ppd);
+  bitstring_config.ppd = options_.ppd;
+  bitstring_config.prune_mode = options_.prune_mode;
+  bitstring_config.constraint = spec.constraint;
   Status status = Status::OK();
   if (options_.checkpoint != nullptr &&
       options_.checkpoint->LoadBitstring(fingerprint, phase)) {
@@ -348,6 +345,9 @@ Status Session::EnsureBitstring(const QuerySpec& spec,
     result->resumed_from_checkpoint = true;
     SKYMR_TRACE_INSTANT("checkpoint.resume", "ppd",
                         static_cast<int64_t>(phase->ppd));
+  } else if (bitstring_config.candidates.empty()) {
+    status = Status::InvalidArgument(
+        "no feasible PPD candidate: 2^d exceeds the cell budget");
   } else {
     auto bitstring_or = core::RunBitstringJob(Unowned(*data_),
                                               bitstring_config, engine,
@@ -430,6 +430,7 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
   SKYMR_RETURN_IF_ERROR(
       EnsureBitstring(spec, engine_in, &result, &phase, info));
   result.ppd = phase.ppd;
+  result.ppd_rule = core::PpdRuleName(options_.ppd);
   result.nonempty_partitions = phase.nonempty;
   result.pruned_partitions = phase.pruned;
 

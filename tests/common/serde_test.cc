@@ -74,10 +74,59 @@ TEST(SerdeTest, SkylineWindow) {
   EXPECT_EQ(round.size(), 2u);
 }
 
+/// The counted size of `value` is the length of its encoding.
+template <typename T>
+void ExpectCountedSizeIsEncodedSize(const T& value) {
+  EXPECT_EQ(SerializedByteSize(value), SerializeToBytes(value).size());
+}
+
 TEST(SerdeTest, SerializedByteSizeMatchesBuffer) {
   const std::vector<double> v{1.0, 2.0, 3.0};
   EXPECT_EQ(SerializedByteSize(v), SerializeToBytes(v).size());
   EXPECT_EQ(SerializedByteSize(v), sizeof(uint64_t) + 3 * sizeof(double));
+  // Every wire type the shuffle carries (core's message types are
+  // checked next to their Serde specializations).
+  ExpectCountedSizeIsEncodedSize(int{-42});
+  ExpectCountedSizeIsEncodedSize(uint64_t{7});
+  ExpectCountedSizeIsEncodedSize(std::string());
+  ExpectCountedSizeIsEncodedSize(std::string("hello world"));
+  ExpectCountedSizeIsEncodedSize(std::pair<int, std::string>{7, "seven"});
+  ExpectCountedSizeIsEncodedSize(std::pair<uint32_t, double>{3, 0.5});
+  ExpectCountedSizeIsEncodedSize(std::vector<double>{});
+  ExpectCountedSizeIsEncodedSize(std::vector<std::string>{"a", "", "bc"});
+  ExpectCountedSizeIsEncodedSize(
+      std::vector<std::vector<uint32_t>>{{1, 2}, {}, {3}});
+  ExpectCountedSizeIsEncodedSize(
+      std::vector<std::pair<uint32_t, uint64_t>>{{2, 4}, {3, 9}});
+  ExpectCountedSizeIsEncodedSize(DynamicBitset());
+  DynamicBitset bits(131);
+  bits.Set(0);
+  bits.Set(130);
+  ExpectCountedSizeIsEncodedSize(bits);
+  ExpectCountedSizeIsEncodedSize(SkylineWindow(2));
+  SkylineWindow window(2);
+  const double a[] = {0.5, 0.4};
+  const double b[] = {0.1, 0.9};
+  window.Insert(a, 10, nullptr);
+  window.Insert(b, 20, nullptr);
+  ExpectCountedSizeIsEncodedSize(window);
+}
+
+TEST(SerdeTest, CountingSinkStoresNothing) {
+  ByteSink sink = ByteSink::Counting();
+  Serde<std::string>::Write("hello", &sink);
+  Serde<double>::Write(1.5, &sink);
+  EXPECT_EQ(sink.size(), sizeof(uint64_t) + 5 + sizeof(double));
+  EXPECT_TRUE(sink.buffer().empty());
+}
+
+TEST(SerdeTest, ReservedSinkHoldsExactlyTheReservedBytes) {
+  const std::vector<double> v{1.0, 2.0, 3.0};
+  ByteSink sink;
+  sink.Reserve(SerializedByteSize(v));
+  Serde<std::vector<double>>::Write(v, &sink);
+  EXPECT_EQ(sink.size(), SerializedByteSize(v));
+  EXPECT_EQ(sink.buffer().capacity(), sink.size());
 }
 
 TEST(SerdeTest, SequentialReadsFromOneBuffer) {

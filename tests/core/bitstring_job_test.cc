@@ -65,7 +65,8 @@ TEST(BitstringJobTest, SplitCountDoesNotChangeResult) {
 
 TEST(BitstringJobTest, CandidateSeriesReportsOccupancies) {
   const auto data = Share(data::GenerateIndependent(5000, 2, 29));
-  const auto config = ConfigFor(*data, {2, 3, 4, 5});
+  auto config = ConfigFor(*data, {2, 3, 4, 5});
+  config.ppd.strategy = PpdStrategy::kPaperLiteral;
   mr::EngineOptions engine;
   engine.num_map_tasks = 3;
   auto run = RunBitstringJob(data, config, engine);
@@ -135,6 +136,10 @@ TEST(BitstringJobTest, ResultSerdeRoundTrip) {
   EXPECT_EQ(round.nonempty, 5u);
   EXPECT_EQ(round.pruned, 2u);
   EXPECT_EQ(round.occupancies, result.occupancies);
+  // The reducer's output bytes are counted, not encoded.
+  EXPECT_EQ(SerializedByteSize(result), SerializeToBytes(result).size());
+  EXPECT_EQ(SerializedByteSize(BitstringBuildResult{}),
+            SerializeToBytes(BitstringBuildResult{}).size());
 }
 
 TEST(BitstringJobTest, ShuffleBytesScaleWithCandidates) {

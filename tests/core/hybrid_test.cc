@@ -48,6 +48,40 @@ TEST(EstimateSkylineFractionTest, DiscriminatesDistributions) {
   EXPECT_GT(f_anti, 3.0 * f_indep);
 }
 
+TEST(EstimateInScopeRowsTest, UnconstrainedIsExactlyN) {
+  const Dataset data = data::GenerateIndependent(20000, 3, 5);
+  EXPECT_EQ(EstimateInScopeRows(data, std::nullopt), 20000u);
+  EXPECT_EQ(EstimateInScopeRows(Dataset(2), Box{{0.0, 0.0}, {1.0, 1.0}}),
+            0u);
+}
+
+TEST(EstimateInScopeRowsTest, SmallDataCountsEveryRow) {
+  // Up to kHybridSampleSize rows the stride is 1: the count is exact.
+  const Dataset data = data::GenerateIndependent(2000, 2, 7);
+  const Box box{{0.0, 0.0}, {0.5, 0.7}};
+  uint64_t exact = 0;
+  for (TupleId id = 0; id < data.size(); ++id) {
+    exact += box.Contains(data.RowPtr(id), data.dim()) ? 1 : 0;
+  }
+  EXPECT_EQ(EstimateInScopeRows(data, box), exact);
+  EXPECT_EQ(EstimateInScopeRows(data, Box{{0.0, 0.0}, {1.0, 1.0}}), 2000u);
+}
+
+TEST(EstimateInScopeRowsTest, ScalesTheSampledShareToN) {
+  const Dataset data = data::GenerateIndependent(100000, 3, 9);
+  const Box box{{0.0, 0.0, 0.0}, {0.5, 0.5, 1.0}};  // A quarter of [0,1]^3.
+  uint64_t exact = 0;
+  for (TupleId id = 0; id < data.size(); ++id) {
+    exact += box.Contains(data.RowPtr(id), data.dim()) ? 1 : 0;
+  }
+  const double estimate =
+      static_cast<double>(EstimateInScopeRows(data, box));
+  EXPECT_NEAR(estimate, static_cast<double>(exact), 0.05 * 100000);
+  // A box no row reaches estimates zero rows.
+  EXPECT_EQ(EstimateInScopeRows(data, Box{{2.0, 2.0, 2.0}, {3.0, 3.0, 3.0}}),
+            0u);
+}
+
 TEST(HybridTest, IndependentLowDimPicksSingleReducer) {
   // Section 7: "MR-GPSRS performs marginally better when the skyline
   // fraction is small."

@@ -33,6 +33,11 @@ TEST(MessagesSerdeTest, LocalSkylineSetRoundTrip) {
   const auto round =
       DeserializeFromBytes<LocalSkylineSet>(SerializeToBytes(set));
   EXPECT_EQ(round, set);
+  // Shuffle byte accounting and arena sizing count the payload instead
+  // of encoding it: the count must be the encoding's length.
+  EXPECT_EQ(SerializedByteSize(set), SerializeToBytes(set).size());
+  EXPECT_EQ(SerializedByteSize(LocalSkylineSet{}),
+            SerializeToBytes(LocalSkylineSet{}).size());
 }
 
 TEST(MessagesSerdeTest, GroupPayloadRoundTrip) {

@@ -495,6 +495,28 @@ TEST(JobTest, MetricsCountRecordsAndBytes) {
   EXPECT_EQ(reduce_in_bytes, result.metrics.shuffle_bytes);
   EXPECT_EQ(reduce_in_records, 15u);
   EXPECT_GT(result.metrics.wall_seconds, 0.0);
+
+  // Map output bytes come from the arenas, reduce output bytes from the
+  // counting sink: both are the encodings' lengths.
+  uint64_t encoded_shuffle = 0;
+  for (const std::string& line : kCorpus) {
+    std::istringstream stream(line);
+    std::string word;
+    while (stream >> word) {
+      encoded_shuffle +=
+          SerializeToBytes(word).size() + SerializeToBytes(1).size();
+    }
+  }
+  EXPECT_EQ(result.metrics.shuffle_bytes, encoded_shuffle);
+  uint64_t encoded_output = 0;
+  for (const auto& out : result.outputs) {
+    encoded_output += SerializeToBytes(out).size();
+  }
+  uint64_t output_bytes = 0;
+  for (const TaskMetrics& t : result.metrics.reduce_tasks) {
+    output_bytes += t.output_bytes;
+  }
+  EXPECT_EQ(output_bytes, encoded_output);
 }
 
 TEST(JobTest, ValuesPhysicallySerializedThroughShuffle) {

@@ -110,6 +110,31 @@ TEST(DoctorTest, FlagsCoarsePpd) {
   EXPECT_TRUE(HasCode(findings, "ppd-coarse"));
 }
 
+TEST(DoctorTest, CoarseCheckJudgesAGridByTheRuleThatChoseIt) {
+  // 4,000 tuples at PPD 2 in 3 dims hold 500 tuples per partition: the
+  // target-tpp rule's own target, but far below the Section 3.3
+  // candidate maximum of 15.
+  const std::string grid =
+      R"("dim": 3, "input_tuples": 4000, "ppd": 2,
+         "nonempty_partitions": 8, "pruned_partitions": 0, )";
+  const auto target = Analyze(Report(grid + R"("ppd_rule": "target-tpp")"));
+  EXPECT_TRUE(target.empty()) << RenderFindings(target);
+
+  const auto literal =
+      Analyze(Report(grid + R"("ppd_rule": "paper-literal")"));
+  ASSERT_EQ(literal.size(), 1u) << RenderFindings(literal);
+  EXPECT_EQ(literal[0].code, "ppd-coarse");
+  EXPECT_NE(literal[0].message.find("Section 3.3 occupancy rule chose"),
+            std::string::npos)
+      << literal[0].message;
+
+  const auto forced = Analyze(Report(grid + R"("ppd_rule": "explicit")"));
+  ASSERT_EQ(forced.size(), 1u) << RenderFindings(forced);
+  EXPECT_NE(forced[0].message.find("an explicit --ppd set"),
+            std::string::npos)
+      << forced[0].message;
+}
+
 TEST(DoctorTest, FlagsPpdSkew) {
   // A fine grid (ppd=40, d=3 -> 64000 cells) over 100k tuples should
   // leave ~1.3 tuples per non-empty partition under uniformity; 50

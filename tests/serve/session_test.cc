@@ -417,6 +417,75 @@ TEST(SessionTest, ReservedSlotsExcludeLargeQueries) {
 }
 
 // ---------------------------------------------------------------------
+// Section 3.3's c is the number of rows in scope
+// ---------------------------------------------------------------------
+
+/// Candidate grids the query's bitstring job swept: every mapper emits
+/// one local bitstring per candidate PPD.
+uint64_t CandidatesSwept(const SkylineResult& result) {
+  return result.jobs.front().map_tasks.front().output_records;
+}
+
+TEST(SessionTest, GridIsSizedForTheRowsInsideTheBox) {
+  const Dataset data = MakeData(20000, 3, 84);
+  SessionOptions options;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 3;
+  auto session = Session::Open(data, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  // Unconstrained: c = n exactly, so the series is 2 .. floor(20000^(1/3))
+  // = 27, and TPP 512 picks PPD 4 (20000 / 64 cells = 312 rows per cell).
+  QuerySpec whole;
+  whole.algorithm = Algorithm::kMrGpmrs;
+  auto unconstrained = (*session)->Submit(whole);
+  ASSERT_TRUE(unconstrained.ok()) << unconstrained.status();
+  EXPECT_EQ(CandidatesSwept(*unconstrained), 26u);
+  EXPECT_EQ(unconstrained->ppd, 4u);
+  EXPECT_EQ(unconstrained->ppd_rule, "target-tpp");
+
+  // An eighth of the unit cube: c is the box's share of the stride
+  // sample scaled to n, so the series stops at floor(2402^(1/3)) = 13
+  // instead of 27, and PPD 4 puts the box's rows in 8 cells of ~300.
+  QuerySpec boxed = whole;
+  boxed.constraint = Box{{0.0, 0.0, 0.0}, {0.5, 0.5, 0.5}};
+  EXPECT_EQ(core::EstimateInScopeRows(data, boxed.constraint), 2402u);
+  auto constrained = (*session)->Submit(boxed);
+  ASSERT_TRUE(constrained.ok()) << constrained.status();
+  EXPECT_EQ(CandidatesSwept(*constrained), 12u);
+  EXPECT_EQ(constrained->ppd, 4u);
+  EXPECT_TRUE(SameIdSet(constrained->SkylineIds(),
+                        ReferenceSkyline(data, *boxed.constraint)));
+}
+
+TEST(SessionTest, BoxWithNoSampledRowFallsBackToPpdTwo) {
+  // 4,096 rows: the stride sample reads the even ids, and only odd ids
+  // lie in the box, so c = 0 and PPD 2 is the only candidate.
+  std::vector<double> values;
+  for (int i = 0; i < 4096; ++i) {
+    const double u = static_cast<double>((i * 37) % 101) / 101.0;
+    const double v = static_cast<double>((i * 53) % 97) / 97.0;
+    const double base = i % 2 == 1 ? 0.9 : 0.0;
+    const double span = i % 2 == 1 ? 0.1 : 0.8;
+    values.push_back(base + span * u);
+    values.push_back(base + span * v);
+  }
+  const Dataset data = std::move(Dataset::FromFlat(2, values)).value();
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kMrGpmrs;
+  spec.constraint = Box{{0.85, 0.85}, {1.0, 1.0}};
+  ASSERT_EQ(core::EstimateInScopeRows(data, spec.constraint), 0u);
+  auto result = SubmitOnce(data, BaseOptions(), spec);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(CandidatesSwept(*result), 1u);
+  EXPECT_EQ(result->ppd, 2u);
+  const std::vector<TupleId> expected =
+      ReferenceSkyline(data, *spec.constraint);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_TRUE(SameIdSet(result->SkylineIds(), expected));
+}
+
+// ---------------------------------------------------------------------
 // Options validation
 // ---------------------------------------------------------------------
 

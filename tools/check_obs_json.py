@@ -147,6 +147,10 @@ def check_report(path):
     if "critical_path" in doc:
         check_critical_path(f"{path}: critical_path", doc["critical_path"])
     if doc.get("ppd", 0) > 0:
+        if doc.get("ppd_rule") not in ("explicit", "paper-literal",
+                                       "target-tpp"):
+            fail(f"{path}: grid run (ppd > 0) with ppd_rule "
+                 f"{doc.get('ppd_rule')!r}")
         cm = doc.get("cost_model")
         if cm is None:
             fail(f"{path}: grid run (ppd > 0) without cost_model")

@@ -194,9 +194,9 @@ void PrintResultSummary(const skymr::Dataset& data,
   std::printf("skyline:   %zu of %zu tuples\n", result.skyline.size(),
               data.size());
   if (result.ppd > 0) {
-    std::printf("grid:      PPD %u, %llu non-empty partitions, %llu "
+    std::printf("grid:      PPD %u (%s), %llu non-empty partitions, %llu "
                 "pruned\n",
-                result.ppd,
+                result.ppd, result.ppd_rule.c_str(),
                 static_cast<unsigned long long>(result.nonempty_partitions),
                 static_cast<unsigned long long>(result.pruned_partitions));
   }
