@@ -1,11 +1,12 @@
 // bench_hotpath: microbenchmarks for the hot paths this library
 // optimizes — block dominance kernels, the allocation-lean shuffle,
-// ComparePartitions and the MR-GPMRS reducer filter — reported as a
-// machine-readable JSON file (BENCH_hotpath.json).
+// ComparePartitions, the MR-GPMRS reducer filter and the map-side scan of
+// a constrained query — reported as a machine-readable JSON file
+// (BENCH_hotpath.json).
 //
 //   bench_hotpath [--out=BENCH_hotpath.json] [--scale=1.0] [--reps=3]
 //
-// Seven benchmarks:
+// Nine benchmarks:
 //
 //   dominance_kernel  block FirstDominatorIndex over an anti-correlated
 //                     row block vs the scalar CompareDominance loop
@@ -33,6 +34,14 @@
 //                     tuples, then data::LoadCsv of the file vs the
 //                     string-table loader it replaced (retained below
 //                     verbatim); both must load bit-identical values
+//   constrained_scan  Box::Contains over 10^6 * scale independent 4-d
+//                     tuples and one serve-boxes-shaped box (0.6 wide per
+//                     axis) vs the early-exit loop it replaced (retained
+//                     below verbatim); both must keep the same rows
+//   bitstring_sweep   the bitstring mapper's binning of that box's rows
+//                     into every candidate grid of the series (Section
+//                     3.3): one GridSweep pass vs one Grid::CellOf per
+//                     candidate; both must set identical bitstrings
 //
 // Speedups are computed from best-of-`reps` wall time; every benchmark
 // validates its result against the reference before reporting. The
@@ -51,6 +60,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,14 +69,17 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/compare_partitions.h"
+#include "src/core/grid.h"
 #include "src/core/independent_groups.h"
 #include "src/core/partition_bitstring.h"
+#include "src/core/ppd.h"
 #include "src/data/dataset_io.h"
 #include "src/data/generator.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
 #include "src/obs/bench_artifact.h"
 #include "src/obs/metrics.h"
+#include "src/relation/box.h"
 #include "src/relation/dominance.h"
 #include "src/relation/dominance_kernel.h"
 #include "tools/flags.h"
@@ -905,6 +918,166 @@ CsvLoadResult BenchCsvLoad(double scale, int reps) {
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Benchmarks 8 and 9: the map-side scan of a constrained query. The
+// early-exit box test and the per-candidate CellOf loop they replaced are
+// retained verbatim so the speedups are measured against the real
+// baselines.
+// ---------------------------------------------------------------------
+
+bool EarlyExitContains(const Box& box, const double* row, size_t dim) {
+  for (size_t k = 0; k < dim; ++k) {
+    if (row[k] < box.lo[k] || row[k] > box.hi[k]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Independent 4-d rows (serve-boxes' shape at 10^6 * scale) and one box
+/// drawn as serve-boxes draws them: 0.6 wide, lower corner in [0, 0.4).
+struct ScanInput {
+  static constexpr size_t kDim = 4;
+  Dataset data;
+  Box box;
+};
+
+ScanInput MakeScanInput(double scale) {
+  ScanInput in{data::GenerateIndependent(EnvScaledTuples(1000000, scale),
+                                         ScanInput::kDim,
+                                         /*seed=*/20140324),
+               Box{}};
+  in.box.lo = {0.1, 0.35, 0.2, 0.05};
+  for (const double lo : in.box.lo) {
+    in.box.hi.push_back(lo + 0.6);
+  }
+  return in;
+}
+
+struct ScanResult {
+  size_t rows = 0;
+  size_t in_box_rows = 0;
+  std::vector<double> samples;
+  double seconds = 0.0;
+  double early_exit_seconds = 0.0;
+  double speedup = 0.0;
+  double rows_per_s = 0.0;
+};
+
+ScanResult BenchConstrainedScan(const ScanInput& in, int reps) {
+  ScanResult out;
+  out.rows = in.data.size();
+  // Counts the rows `contains` keeps, one call per row as a mapper makes.
+  const auto time_scan = [&](auto&& contains, std::vector<double>* samples) {
+    size_t kept = 0;
+    *samples = RepSeconds(reps, [&] {
+      size_t count = 0;
+      for (size_t i = 0; i < in.data.size(); ++i) {
+        count += contains(in.data.RowPtr(static_cast<TupleId>(i))) ? 1 : 0;
+      }
+      g_sink = kept = count;
+    });
+    return kept;
+  };
+  const size_t kept = time_scan(
+      [&](const double* row) { return in.box.Contains(row, ScanInput::kDim); },
+      &out.samples);
+  std::vector<double> early_exit_samples;
+  const size_t early_exit_kept = time_scan(
+      [&](const double* row) {
+        return EarlyExitContains(in.box, row, ScanInput::kDim);
+      },
+      &early_exit_samples);
+  if (kept != early_exit_kept) {
+    std::fprintf(stderr, "constrained_scan: box tests keep different rows\n");
+    std::exit(1);
+  }
+  out.in_box_rows = kept;
+  out.seconds = BestOf(out.samples);
+  out.early_exit_seconds = BestOf(early_exit_samples);
+  out.speedup = out.early_exit_seconds / out.seconds;
+  out.rows_per_s = static_cast<double>(out.rows) / out.seconds;
+  return out;
+}
+
+struct SweepResult {
+  size_t rows = 0;
+  size_t candidates = 0;
+  uint64_t occupancy_sum = 0;
+  std::vector<double> samples;
+  double seconds = 0.0;
+  double per_grid_seconds = 0.0;
+  double speedup = 0.0;
+};
+
+SweepResult BenchBitstringSweep(const ScanInput& in, int reps) {
+  SweepResult out;
+  std::vector<TupleId> in_scope;
+  for (size_t i = 0; i < in.data.size(); ++i) {
+    const auto id = static_cast<TupleId>(i);
+    if (in.box.Contains(in.data.RowPtr(id), ScanInput::kDim)) {
+      in_scope.push_back(id);
+    }
+  }
+  out.rows = in_scope.size();
+  // The series the bitstring job sweeps for this box: c is the in-box
+  // row count, as the Session estimates it.
+  std::vector<core::Grid> grids;
+  for (const uint32_t ppd :
+       core::CandidatePpds(out.rows, ScanInput::kDim, core::PpdOptions{})) {
+    grids.push_back(std::move(core::Grid::Create(ScanInput::kDim, ppd,
+                                                 Bounds::UnitCube(
+                                                     ScanInput::kDim)))
+                        .value());
+  }
+  out.candidates = grids.size();
+
+  // Times `bin` (which marks one row in every bitstring) over the in-scope
+  // rows; returns the last rep's bitstrings.
+  const auto time_bins = [&](auto&& bin, std::vector<double>* samples) {
+    std::vector<DynamicBitset> bits;
+    *samples = RepSeconds(reps, [&] {
+      bits.clear();
+      for (const core::Grid& grid : grids) {
+        bits.emplace_back(grid.num_cells());
+      }
+      for (const TupleId id : in_scope) {
+        bin(in.data.RowPtr(id), &bits);
+      }
+      g_sink = bits.front().Count();
+    });
+    return bits;
+  };
+  core::GridSweep sweep(grids);
+  const std::vector<DynamicBitset> swept = time_bins(
+      [&](const double* row, std::vector<DynamicBitset>* bits) {
+        const std::span<const uint32_t> cells = sweep.Bin(row);
+        for (size_t i = 0; i < cells.size(); ++i) {
+          (*bits)[i].Set(cells[i]);
+        }
+      },
+      &out.samples);
+  std::vector<double> per_grid_samples;
+  const std::vector<DynamicBitset> per_grid = time_bins(
+      [&](const double* row, std::vector<DynamicBitset>* bits) {
+        for (size_t i = 0; i < grids.size(); ++i) {
+          (*bits)[i].Set(grids[i].CellOf(row));
+        }
+      },
+      &per_grid_samples);
+  if (swept != per_grid) {
+    std::fprintf(stderr, "bitstring_sweep: sweep and CellOf differ\n");
+    std::exit(1);
+  }
+  for (const DynamicBitset& bits : swept) {
+    out.occupancy_sum += bits.Count();
+  }
+  out.seconds = BestOf(out.samples);
+  out.per_grid_seconds = BestOf(per_grid_samples);
+  out.speedup = out.per_grid_seconds / out.seconds;
+  return out;
+}
+
 int Run(int argc, char** argv) {
   const auto args = tools::Flags::Parse(
       std::vector<std::string>(argv + 1, argv + argc),
@@ -970,6 +1143,16 @@ int Run(int argc, char** argv) {
                "  %.2fx vs string table (%zu rows, %.1f MB, save %.3f s)\n",
                csv.speedup, csv.rows,
                static_cast<double>(csv.file_bytes) / 1e6, csv.save_seconds);
+
+  const ScanInput scan_input = MakeScanInput(scale);
+  std::fprintf(stderr, "constrained_scan...\n");
+  const ScanResult scan = BenchConstrainedScan(scan_input, reps);
+  std::fprintf(stderr, "  %.2fx vs early exit (%zu of %zu rows in the box)\n",
+               scan.speedup, scan.in_box_rows, scan.rows);
+  std::fprintf(stderr, "bitstring_sweep...\n");
+  const SweepResult sweep = BenchBitstringSweep(scan_input, reps);
+  std::fprintf(stderr, "  %.2fx vs per-grid CellOf (%zu rows, %zu grids)\n",
+               sweep.speedup, sweep.rows, sweep.candidates);
 
   obs::BenchArtifact artifact("bench_hotpath");
   artifact.environment().reps = reps;
@@ -1086,6 +1269,34 @@ int Run(int argc, char** argv) {
     row.deterministic["file_bytes"] = static_cast<int64_t>(csv.file_bytes);
     row.deterministic["value_checksum"] =
         static_cast<int64_t>(csv.value_checksum);
+    artifact.AddRow(std::move(row));
+  }
+
+  {
+    obs::BenchRow row;
+    row.name = "constrained_scan";
+    row.wall = obs::WallStats::FromSamples(scan.samples);
+    row.metrics["scale"] = scale;
+    row.metrics["seconds"] = scan.seconds;
+    row.metrics["early_exit_seconds"] = scan.early_exit_seconds;
+    row.metrics["rows_per_s"] = scan.rows_per_s;
+    row.metrics["speedup_vs_early_exit"] = scan.speedup;
+    row.deterministic["rows"] = static_cast<int64_t>(scan.rows);
+    row.deterministic["in_box_rows"] = static_cast<int64_t>(scan.in_box_rows);
+    artifact.AddRow(std::move(row));
+  }
+  {
+    obs::BenchRow row;
+    row.name = "bitstring_sweep";
+    row.wall = obs::WallStats::FromSamples(sweep.samples);
+    row.metrics["scale"] = scale;
+    row.metrics["sweep_seconds"] = sweep.seconds;
+    row.metrics["per_grid_seconds"] = sweep.per_grid_seconds;
+    row.metrics["speedup_vs_per_grid"] = sweep.speedup;
+    row.deterministic["candidates"] = static_cast<int64_t>(sweep.candidates);
+    row.deterministic["rows"] = static_cast<int64_t>(sweep.rows);
+    row.deterministic["occupancy_sum"] =
+        static_cast<int64_t>(sweep.occupancy_sum);
     artifact.AddRow(std::move(row));
   }
 

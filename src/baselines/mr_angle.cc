@@ -1,7 +1,7 @@
 #include "src/baselines/mr_angle.h"
 
 #include <cmath>
-#include <numeric>
+#include <ranges>
 
 #include "src/common/math_util.h"
 
@@ -195,16 +195,15 @@ StatusOr<core::SkylineJobRun> RunMrAngleJob(
               AngularPartitioner::ForTargetPartitions(
                   data->dim(), target_partitions, bounds)))));
 
-  std::vector<TupleId> ids(data->size());
-  std::iota(ids.begin(), ids.end(), 0);
-
   mr::Job<TupleId, uint32_t, LocalSkylineSet, SkylineWindow> job(
       "mr-angle", [] { return std::make_unique<MrAngleMapper>(); },
       [] { return std::make_unique<MrAngleReducer>(); });
 
   mr::EngineOptions options = engine;
   options.num_reducers = 1;
-  auto result = job.Run(ids, options, cache, pool);
+  auto result = job.Run(
+      std::views::iota(TupleId{0}, static_cast<TupleId>(data->size())),
+      options, cache, pool);
   if (!result.ok()) {
     return result.status;
   }

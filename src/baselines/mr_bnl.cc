@@ -1,6 +1,6 @@
 #include "src/baselines/mr_bnl.h"
 
-#include <numeric>
+#include <ranges>
 
 namespace skymr::baselines {
 namespace {
@@ -124,16 +124,15 @@ StatusOr<core::SkylineJobRun> RunMrBnlJob(
                                          *constraint));
   }
 
-  std::vector<TupleId> ids(data->size());
-  std::iota(ids.begin(), ids.end(), 0);
-
   mr::Job<TupleId, uint32_t, LocalSkylineSet, SkylineWindow> job(
       "mr-bnl", [] { return std::make_unique<MrBnlMapper>(); },
       [] { return std::make_unique<MrBnlReducer>(); });
 
   mr::EngineOptions options = engine;
   options.num_reducers = 1;
-  auto result = job.Run(ids, options, cache, pool);
+  auto result = job.Run(
+      std::views::iota(TupleId{0}, static_cast<TupleId>(data->size())),
+      options, cache, pool);
   if (!result.ok()) {
     return result.status;
   }

@@ -1,6 +1,6 @@
 #include "src/baselines/mr_skymr.h"
 
-#include <numeric>
+#include <ranges>
 #include <vector>
 
 namespace skymr::baselines {
@@ -158,16 +158,15 @@ StatusOr<core::SkylineJobRun> RunSkyMrJob(
         cache.PutValue(kCacheKeySkyMrConstraint, *constraint));
   }
 
-  std::vector<TupleId> ids(data->size());
-  std::iota(ids.begin(), ids.end(), 0);
-
   mr::Job<TupleId, uint32_t, LocalSkylineSet, SkylineWindow> job(
       "sky-mr", [] { return std::make_unique<SkyMrMapper>(); },
       [] { return std::make_unique<SkyMrReducer>(); });
 
   mr::EngineOptions run_options = engine;
   run_options.num_reducers = 1;
-  auto result = job.Run(ids, run_options, cache, pool);
+  auto result = job.Run(
+      std::views::iota(TupleId{0}, static_cast<TupleId>(data->size())),
+      run_options, cache, pool);
   if (!result.ok()) {
     return result.status;
   }

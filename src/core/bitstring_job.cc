@@ -1,7 +1,9 @@
 #include "src/core/bitstring_job.h"
 
 #include <map>
-#include <numeric>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -11,7 +13,8 @@ namespace skymr::core {
 namespace {
 
 /// Algorithm 1: builds one local bitstring per candidate PPD over the
-/// mapper's split.
+/// mapper's split, binning each in-scope row into every candidate grid in
+/// one pass.
 class BitstringMapper
     : public mr::Mapper<TupleId, uint32_t, DynamicBitset> {
  public:
@@ -21,6 +24,7 @@ class BitstringMapper
     if (data_ == nullptr || config_ == nullptr) {
       throw mr::TaskFailure("bitstring mapper: cache entries missing");
     }
+    std::vector<Grid> grids;
     for (const uint32_t ppd : config_->candidates) {
       auto grid_or = Grid::Create(data_->dim(), ppd, config_->bounds,
                                   config_->ppd.max_cells);
@@ -30,8 +34,9 @@ class BitstringMapper
       }
       locals_.emplace_back(ppd,
                            DynamicBitset(grid_or.value().num_cells()));
-      grids_.push_back(std::move(grid_or).value());
+      grids.push_back(std::move(grid_or).value());
     }
+    sweep_.emplace(grids);
   }
 
   void Map(const TupleId& id,
@@ -42,8 +47,9 @@ class BitstringMapper
         !config_->constraint->Contains(row, data_->dim())) {
       return;  // Constrained skyline: the tuple is out of scope.
     }
-    for (size_t i = 0; i < grids_.size(); ++i) {
-      locals_[i].second.Set(grids_[i].CellOf(row));
+    const std::span<const uint32_t> cells = sweep_->Bin(row);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      locals_[i].second.Set(cells[i]);
     }
   }
 
@@ -56,7 +62,7 @@ class BitstringMapper
  private:
   std::shared_ptr<const Dataset> data_;
   std::shared_ptr<const BitstringJobConfig> config_;
-  std::vector<Grid> grids_;
+  std::optional<GridSweep> sweep_;  // One lane per candidate.
   std::vector<std::pair<uint32_t, DynamicBitset>> locals_;
 };
 
@@ -156,9 +162,6 @@ StatusOr<BitstringJobRun> RunBitstringJob(
   SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
   SKYMR_RETURN_IF_ERROR(cache.PutValue(kCacheKeyBitstringConfig, config));
 
-  std::vector<TupleId> ids(data->size());
-  std::iota(ids.begin(), ids.end(), 0);
-
   mr::Job<TupleId, uint32_t, DynamicBitset, BitstringBuildResult> job(
       "bitstring-generation",
       [] { return std::make_unique<BitstringMapper>(); },
@@ -166,7 +169,9 @@ StatusOr<BitstringJobRun> RunBitstringJob(
 
   mr::EngineOptions options = engine;
   options.num_reducers = 1;  // Figure 3: a single reducer merges BS_R.
-  auto result = job.Run(ids, options, cache, pool);
+  auto result = job.Run(
+      std::views::iota(TupleId{0}, static_cast<TupleId>(data->size())),
+      options, cache, pool);
   if (!result.ok()) {
     return result.status;
   }

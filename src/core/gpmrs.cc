@@ -1,6 +1,6 @@
 #include "src/core/gpmrs.h"
 
-#include <numeric>
+#include <ranges>
 #include <string>
 #include <string_view>
 
@@ -171,9 +171,6 @@ StatusOr<SkylineJobRun> RunGridSkylineJob(
   SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
   SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeySkylineContext, context));
 
-  std::vector<TupleId> ids(data->size());
-  std::iota(ids.begin(), ids.end(), 0);
-
   mr::Job<TupleId, uint32_t, LocalSkylineSet, SkylineWindow> job(
       name, [] { return std::make_unique<GridSkylineMapper>(); },
       [merge_span] {
@@ -181,7 +178,9 @@ StatusOr<SkylineJobRun> RunGridSkylineJob(
       });
   job.UseModuloPartitioner();
 
-  auto result = job.Run(ids, engine, cache, pool);
+  auto result = job.Run(
+      std::views::iota(TupleId{0}, static_cast<TupleId>(data->size())),
+      engine, cache, pool);
   if (!result.ok()) {
     return result.status;
   }

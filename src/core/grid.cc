@@ -1,12 +1,35 @@
 #include "src/core/grid.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "src/common/logging.h"
 #include "src/common/math_util.h"
 
 namespace skymr::core {
+namespace {
+
+// The grid coordinate of a scaled offset, (x - lo) * ppd / extent, on an
+// axis of `ppd` partitions: the offset clamped into [0, ppd - 1] in the
+// double domain, then truncated. The upper boundary, huge values and
+// +inf go to the last cell; values below the range, -0.0 and NaN go to
+// the first. Grid::CellOf and GridSweep both clamp with it, so they set
+// the same cells bit for bit. ppd <= 2^31 (Grid::kMaxCells), so the
+// truncation fits a signed 32-bit lane.
+uint32_t ClampCoord(double offset, double ppd) {
+  // The largest double below ppd (ppd >= 1) truncates to ppd - 1, and
+  // only an offset at or past the grid's top reaches it. So the min below
+  // is a predictable branch in CellOf's scalar code and a vector min in
+  // GridSweep's lanes; clamping to ppd - 1 itself would branch on every
+  // row of the last cell.
+  const double top = std::bit_cast<double>(std::bit_cast<uint64_t>(ppd) - 1);
+  const double above_zero = offset > 0.0 ? offset : 0.0;
+  return static_cast<uint32_t>(
+      static_cast<int32_t>(above_zero < top ? above_zero : top));
+}
+
+}  // namespace
 
 StatusOr<Grid> Grid::Create(size_t dim, uint32_t ppd, Bounds bounds,
                             uint64_t max_cells) {
@@ -26,7 +49,7 @@ StatusOr<Grid> Grid::Create(size_t dim, uint32_t ppd, Bounds bounds,
   }
   const std::optional<uint64_t> cells =
       CheckedPow(ppd, static_cast<uint32_t>(dim));
-  if (!cells.has_value() || *cells > max_cells) {
+  if (!cells.has_value() || *cells > std::min(max_cells, kMaxCells)) {
     return Status::OutOfRange("grid cell count n^d exceeds the budget");
   }
   return Grid(dim, ppd, std::move(bounds), *cells);
@@ -53,20 +76,12 @@ Grid::Grid(size_t dim, uint32_t ppd, Bounds bounds, uint64_t num_cells)
 }
 
 CellId Grid::CellOf(const double* row) const {
+  const auto ppd = static_cast<double>(ppd_);
   CellId index = 0;
   CellId stride = 1;
   for (size_t k = 0; k < dim_; ++k) {
     const double offset = (row[k] - bounds_.lo[k]) * inv_width_[k];
-    // Clamp in the double domain: the upper boundary, huge values and
-    // +inf go to the last cell, below-range values and NaN to the first,
-    // so the cast below never sees a value outside [0, ppd).
-    uint64_t coord = 0;
-    if (offset >= static_cast<double>(ppd_)) {
-      coord = ppd_ - 1;
-    } else if (offset > 0.0) {
-      coord = static_cast<uint64_t>(offset);
-    }
-    index += coord * stride;
+    index += ClampCoord(offset, ppd) * stride;
     stride *= ppd_;
   }
   // Clamping bounds every coordinate into [0, ppd), so the linear index
@@ -170,6 +185,46 @@ std::vector<double> Grid::MaxCorner(CellId cell) const {
     cell /= ppd_;
   }
   return corner;
+}
+
+GridSweep::GridSweep(const std::vector<Grid>& grids)
+    : ppd_(grids.size()), cells_(grids.size()) {
+  SKYMR_CHECK(!grids.empty()) << "a sweep needs at least one grid";
+  const Bounds& bounds = grids.front().bounds();
+  dim_ = grids.front().dim();
+  lo_ = bounds.lo;
+  const size_t lanes = grids.size();
+  scale_.resize(dim_ * lanes);
+  stride_.resize(dim_ * lanes);
+  for (size_t i = 0; i < lanes; ++i) {
+    const Grid& grid = grids[i];
+    SKYMR_CHECK(grid.dim() == dim_ && grid.bounds().lo == bounds.lo &&
+                grid.bounds().hi == bounds.hi)
+        << "sweep grid " << i << " differs in dimension or bounds";
+    ppd_[i] = static_cast<double>(grid.ppd());
+    uint32_t stride = 1;
+    for (size_t k = 0; k < dim_; ++k) {
+      scale_[k * lanes + i] = grid.inv_width_[k];
+      stride_[k * lanes + i] = stride;
+      stride *= grid.ppd();  // At most ppd^d <= kMaxCells.
+    }
+  }
+}
+
+std::span<const uint32_t> GridSweep::Bin(const double* row) {
+  const size_t lanes = cells_.size();
+  uint32_t* cells = cells_.data();
+  const double* ppd = ppd_.data();
+  std::fill(cells, cells + lanes, 0u);
+  for (size_t k = 0; k < dim_; ++k) {
+    const double delta = row[k] - lo_[k];
+    const double* scale = &scale_[k * lanes];
+    const uint32_t* stride = &stride_[k * lanes];
+    for (size_t i = 0; i < lanes; ++i) {
+      cells[i] += ClampCoord(delta * scale[i], ppd[i]) * stride[i];
+    }
+  }
+  return {cells, lanes};
 }
 
 AdrIndex::AdrIndex(const Grid& grid, const std::vector<CellId>& cells)

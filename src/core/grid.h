@@ -21,6 +21,7 @@
 #define SKYMR_CORE_GRID_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -35,12 +36,15 @@ using CellId = uint64_t;
 class Grid {
  public:
   /// Creates a grid; fails when ppd < 1, dim < 1, the cell count would
-  /// exceed `max_cells`, or the bounds are malformed.
+  /// exceed `max_cells` or kMaxCells, or the bounds are malformed.
   static StatusOr<Grid> Create(size_t dim, uint32_t ppd, Bounds bounds,
                                uint64_t max_cells = kDefaultMaxCells);
 
   /// Default budget for n^d (2^24 cells = 2 MiB of bitstring).
   static constexpr uint64_t kDefaultMaxCells = uint64_t{1} << 24;
+  /// Ceiling on n^d whatever the budget (a 256 MiB bitstring): every cell
+  /// id and coordinate fits a 32-bit lane of GridSweep.
+  static constexpr uint64_t kMaxCells = uint64_t{1} << 31;
 
   size_t dim() const { return dim_; }
   uint32_t ppd() const { return ppd_; }
@@ -111,6 +115,8 @@ class Grid {
   }
 
  private:
+  friend class GridSweep;
+
   Grid(size_t dim, uint32_t ppd, Bounds bounds, uint64_t num_cells);
 
   size_t dim_;
@@ -119,6 +125,31 @@ class Grid {
   Bounds bounds_;
   std::vector<double> inv_width_;  // ppd / (hi - lo) per dimension.
   std::vector<double> width_;      // (hi - lo) / ppd per dimension.
+};
+
+/// Bins rows into several grids over the same bounds in one pass: the
+/// candidate series of the bitstring job (Algorithm 1, Section 3.3). Each
+/// row's offset row[k] - lo[k] is computed once per dimension, and the
+/// grids run as contiguous 32-bit lanes, so the loop over them
+/// vectorizes. The scale factors are the grids' own and the clamp is
+/// CellOf's, so Bin(row)[i] == grids[i].CellOf(row) bit for bit.
+class GridSweep {
+ public:
+  /// `grids` must be non-empty and share one dimension and bounds.
+  explicit GridSweep(const std::vector<Grid>& grids);
+
+  /// The cell of `row` in every grid, in the constructor's order. The
+  /// span is valid until the next call.
+  std::span<const uint32_t> Bin(const double* row);
+
+ private:
+  size_t dim_ = 0;
+  std::vector<double> lo_;
+  // Per dimension k, one lane per grid: [k * grids, (k + 1) * grids).
+  std::vector<double> scale_;     // The grid's ppd / extent on axis k.
+  std::vector<uint32_t> stride_;  // ppd^k: the axis' weight in the id.
+  std::vector<double> ppd_;       // Per grid: its ppd.
+  std::vector<uint32_t> cells_;   // Bin's output, one lane per grid.
 };
 
 /// A set of occupied cells indexed for anti-dominating-region queries: a

@@ -33,11 +33,12 @@ std::vector<uint32_t> CandidatePpds(uint64_t cardinality, size_t dim,
   // data (Equation 4 with TPP = 1).
   uint64_t nm = FloorRoot(cardinality, static_cast<uint32_t>(dim));
   nm = std::min<uint64_t>(nm, options.max_candidate);
+  const uint64_t max_cells = std::min(options.max_cells, Grid::kMaxCells);
   std::vector<uint32_t> candidates;
   for (uint32_t j = 2; j <= nm; ++j) {
     const std::optional<uint64_t> cells =
         CheckedPow(j, static_cast<uint32_t>(dim));
-    if (!cells.has_value() || *cells > options.max_cells) {
+    if (!cells.has_value() || *cells > max_cells) {
       break;
     }
     candidates.push_back(j);
@@ -47,7 +48,7 @@ std::vector<uint32_t> CandidatePpds(uint64_t cardinality, size_t dim,
     // it fits the cell budget.
     const std::optional<uint64_t> cells =
         CheckedPow(2, static_cast<uint32_t>(dim));
-    if (cells.has_value() && *cells <= options.max_cells) {
+    if (cells.has_value() && *cells <= max_cells) {
       candidates.push_back(2);
     }
   }

@@ -52,7 +52,7 @@ struct PpdOptions {
   /// Largest candidate PPD considered (bounds mapper-side bitstring work).
   // lint:allow(config-field-set) ROADMAP item 1 rewrites the PPD rule.
   uint32_t max_candidate = 64;
-  /// Budget for n^d per candidate grid.
+  /// Budget for n^d per candidate grid; Grid::kMaxCells caps it.
   // lint:allow(config-field-set) ROADMAP item 1 rewrites the PPD rule.
   uint64_t max_cells = Grid::kDefaultMaxCells;
 };

@@ -5,8 +5,11 @@
 //   Reduce(k2, [v2])   -> list(k3, v3)
 //
 // Semantics reproduced from Hadoop 1.x:
-//  * the input is split into `num_map_tasks` contiguous splits, one mapper
-//    task per split, with Setup/Map/Cleanup lifecycle;
+//  * the input is any sized random-access range (a vector of records, or
+//    a lazy std::views::iota of row ids into a broadcast dataset); it is
+//    split into `num_map_tasks` contiguous splits, one mapper task per
+//    split, with Setup/Map/Cleanup lifecycle, and each task reads its
+//    split in place;
 //  * every emitted (k2, v2) is routed to a reducer (by key hash, or by
 //    `key % r` for integral keys) and *serialized* at the map side —
 //    values physically cross the "network" as bytes, so no shared
@@ -42,10 +45,11 @@
 #define SKYMR_MAPREDUCE_JOB_H_
 
 #include <algorithm>
+#include <concepts>
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
+#include <ranges>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -285,9 +289,18 @@ class Job {
     partitioner_kind_ = PartitionerKind::kModulo;
   }
 
-  /// Runs the job over `input` with side data from `cache`.
-  /// When `pool` is null a private pool of options.num_threads is used.
-  JobResult<Out> Run(std::span<const In> input, const EngineOptions& options,
+  /// Runs the job over `input` with side data from `cache`. The input is
+  /// any sized random-access range whose elements bind to `const In&`: a
+  /// vector, a span, or a lazy `std::views::iota` of row ids, which no
+  /// one materializes. Each map task reads its contiguous split of it in
+  /// place. When `pool` is null a private pool of options.num_threads is
+  /// used.
+  template <typename Input>
+    requires std::ranges::random_access_range<const Input> &&
+             std::ranges::sized_range<const Input> &&
+             std::convertible_to<std::ranges::range_reference_t<const Input>,
+                                 const In&>
+  JobResult<Out> Run(const Input& input, const EngineOptions& options,
                      const DistributedCache& cache,
                      ThreadPool* pool = nullptr) {
     JobResult<Out> result;
@@ -311,7 +324,7 @@ class Job {
           obs::LogSeverity::kInfo, options.query, "job.start",
           std::to_string(options.num_map_tasks) + " mappers, " +
               std::to_string(options.num_reducers) + " reducers, " +
-              std::to_string(input.size()) + " input records",
+              std::to_string(std::ranges::size(input)) + " input records",
           name_);
     }
     // Cache traffic is reported per job as the delta of the cache's
@@ -580,10 +593,12 @@ class Job {
     metrics->Record("mr.shuffle_bucket_bytes", bucket_bytes);
   }
 
-  static std::span<const In> SplitOf(std::span<const In> input, int task,
-                                     int m) {
+  /// Task `task`'s split of `input`: a view of a contiguous slice, so the
+  /// task reads its records in place.
+  template <typename Input>
+  static auto SplitOf(const Input& input, int task, int m) {
     // Contiguous splits; the first (n % m) splits get one extra record.
-    const size_t n = input.size();
+    const size_t n = std::ranges::size(input);
     const size_t base = n / static_cast<size_t>(m);
     const size_t extra = n % static_cast<size_t>(m);
     const auto t = static_cast<size_t>(task);
@@ -592,7 +607,10 @@ class Job {
     SKYMR_DCHECK(begin + size <= n)
         << "split [" << begin << ", " << begin + size
         << ") overruns input size " << n;
-    return input.subspan(begin, size);
+    using Difference = std::ranges::range_difference_t<const Input>;
+    const auto first =
+        std::ranges::begin(input) + static_cast<Difference>(begin);
+    return std::ranges::subrange(first, first + static_cast<Difference>(size));
   }
 
   /// One map task attempt, run under the TaskScheduler. Retry isolation:
@@ -600,7 +618,8 @@ class Job {
   /// `out` (the task's metrics/output slot shared with the job) is written
   /// only once the mapper has finished — a failed attempt throws first,
   /// so it can never leak partial state into the shuffle or metrics.
-  Status RunMapAttempt(const TaskAttempt& attempt, std::span<const In> split,
+  template <typename Split>
+  Status RunMapAttempt(const TaskAttempt& attempt, const Split& split,
                        int num_reducers, const DistributedCache& cache,
                        MapTaskOutput* out) {
     const PartitionerKind kind = num_reducers == 1
@@ -613,15 +632,16 @@ class Job {
     Stopwatch clock;
     std::unique_ptr<Mapper<In, K2, V2>> mapper = mapper_factory_();
     mapper->Setup(*context);
-    for (size_t i = 0; i < split.size(); ++i) {
-      if ((i & 1023u) == 0u && attempt.Cancelled()) {
+    size_t i = 0;
+    for (auto&& record : split) {
+      if ((i++ & 1023u) == 0u && attempt.Cancelled()) {
         throw TaskCancelled();
       }
-      mapper->Map(split[i], *context);
+      mapper->Map(record, *context);
     }
     mapper->Cleanup(*context);
     out->metrics.busy_seconds = clock.ElapsedSeconds();
-    out->metrics.input_records = split.size();
+    out->metrics.input_records = std::ranges::size(split);
     out->metrics.output_records = context->output_records_;
     uint64_t bytes = 0;
     for (const auto& bucket : context->buckets_) {

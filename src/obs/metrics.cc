@@ -79,12 +79,15 @@ double QuantileSketch::Quantile(double q) const {
     return 0.0;
   }
   q = std::min(std::max(q, 0.0), 1.0);
-  // 0-based target rank in the sorted population.
-  const double rank = q * static_cast<double>(count_ - 1);
+  // Nearest rank: the ceil(q * n)-th smallest value (1-based, at least the
+  // first), the rule querybench's percentiles use. Of two values, p95 and
+  // p99 are the larger.
+  const uint64_t rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_))));
   uint64_t cumulative = 0;
   for (size_t slot = 0; slot < kNumBuckets; ++slot) {
     cumulative += buckets_[slot];
-    if (static_cast<double>(cumulative) > rank) {
+    if (cumulative >= rank) {
       if (slot == 0) {
         return 0.0;
       }

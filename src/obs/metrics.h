@@ -75,8 +75,9 @@ class QuantileSketch {
   /// min/max, and therefore identical quantile estimates.
   void Merge(const QuantileSketch& other);
 
-  /// Estimated q-quantile (q in [0, 1]) of everything added, clamped to
-  /// the observed [min, max]. Returns 0 when empty.
+  /// Estimated q-quantile (q in [0, 1]) of everything added: the bucket
+  /// holding the nearest-rank value, the ceil(q * n)-th smallest, clamped
+  /// to the observed [min, max]. Returns 0 when empty.
   double Quantile(double q) const;
 
   uint64_t count() const { return count_; }

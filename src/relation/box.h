@@ -20,14 +20,18 @@ struct Box {
   std::vector<double> lo;
   std::vector<double> hi;
 
-  /// True iff `row` lies inside the box on every dimension.
+  /// True iff `row` lies inside the box on every dimension. Every
+  /// dimension is tested, with no early exit: a scan over many rows then
+  /// has no data-dependent branch to mispredict. A NaN coordinate fails
+  /// both comparisons, so it counts as inside.
   bool Contains(const double* row, size_t dim) const {
+    const double* low = lo.data();
+    const double* high = hi.data();
+    bool outside = false;
     for (size_t k = 0; k < dim; ++k) {
-      if (row[k] < lo[k] || row[k] > hi[k]) {
-        return false;
-      }
+      outside |= (row[k] < low[k]) | (row[k] > high[k]);
     }
-    return true;
+    return !outside;
   }
 
   /// Checks the box is well-formed for `dim`-dimensional data.

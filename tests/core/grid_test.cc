@@ -1,9 +1,15 @@
 #include "src/core/grid.h"
 
+#include <cmath>
 #include <limits>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/common/dynamic_bitset.h"
+#include "src/common/rng.h"
 
 namespace skymr::core {
 namespace {
@@ -23,6 +29,21 @@ TEST(GridTest, CreateValidation) {
 TEST(GridTest, CreateRespectsCellBudget) {
   EXPECT_TRUE(Grid::Create(2, 4, Bounds::UnitCube(2), 16).ok());
   EXPECT_FALSE(Grid::Create(2, 5, Bounds::UnitCube(2), 16).ok());
+}
+
+TEST(GridTest, CreateCapsCellsWhateverTheBudget) {
+  // Cell ids must fit GridSweep's 32-bit lanes: at most 2^31 cells, even
+  // under a budget that admits more.
+  constexpr uint64_t kNoBudget = std::numeric_limits<uint64_t>::max();
+  EXPECT_TRUE(
+      Grid::Create(1, uint32_t{1} << 31, Bounds::UnitCube(1), kNoBudget).ok());
+  EXPECT_FALSE(Grid::Create(1, (uint32_t{1} << 31) + 1, Bounds::UnitCube(1),
+                            kNoBudget)
+                   .ok());
+  EXPECT_FALSE(
+      Grid::Create(2, uint32_t{1} << 16, Bounds::UnitCube(2), kNoBudget).ok());
+  EXPECT_TRUE(
+      Grid::Create(3, 1290, Bounds::UnitCube(3), kNoBudget).ok());  // ~2^30.9
 }
 
 TEST(GridTest, NumCells) {
@@ -78,6 +99,16 @@ TEST(GridTest, CellOfBoundariesHalfOpen) {
   }
   const double minus_inf[] = {-std::numeric_limits<double>::infinity()};
   EXPECT_EQ(grid.CellOf(minus_inf), 0u);
+  const double nan[] = {std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_EQ(grid.CellOf(nan), 0u);
+  // The doubles just below a boundary stay in the lower cell, up to the
+  // top of the grid.
+  const double below_boundary[] = {std::nextafter(0.25, 0.0)};
+  EXPECT_EQ(grid.CellOf(below_boundary), 0u);
+  const double below_top[] = {std::nextafter(1.0, 0.0)};
+  EXPECT_EQ(grid.CellOf(below_top), 3u);
+  const double below_last[] = {std::nextafter(0.75, 0.0)};
+  EXPECT_EQ(grid.CellOf(below_last), 2u);
 }
 
 TEST(GridTest, CellOfDegenerateBounds) {
@@ -212,6 +243,123 @@ TEST(GridTest, ForEachDominatedMatchesCellDominates) {
     }
     EXPECT_EQ(enumerated, expected) << "p=" << p;
   }
+}
+
+// ---------------------------------------------------------------------
+// GridSweep: one pass over several grids must bin exactly as CellOf.
+// ---------------------------------------------------------------------
+
+/// Grids PPD 2..18 over `bounds`: the candidate series the bitstring job
+/// sweeps for a serve-boxes box.
+std::vector<Grid> SeriesOver(const Bounds& bounds) {
+  std::vector<Grid> grids;
+  for (uint32_t ppd = 2; ppd <= 18; ++ppd) {
+    grids.push_back(
+        std::move(Grid::Create(bounds.lo.size(), ppd, bounds)).value());
+  }
+  return grids;
+}
+
+/// Bins every row with the sweep and with each grid's CellOf: the cells
+/// must agree row by row, so the bitstrings the two build are identical.
+void ExpectSweepMatchesCellOf(const std::vector<Grid>& grids,
+                              const std::vector<std::vector<double>>& rows) {
+  GridSweep sweep(grids);
+  std::vector<DynamicBitset> swept;
+  std::vector<DynamicBitset> reference;
+  for (const Grid& grid : grids) {
+    swept.emplace_back(grid.num_cells());
+    reference.emplace_back(grid.num_cells());
+  }
+  for (const std::vector<double>& row : rows) {
+    const std::span<const uint32_t> cells = sweep.Bin(row.data());
+    ASSERT_EQ(cells.size(), grids.size());
+    for (size_t i = 0; i < grids.size(); ++i) {
+      const CellId expected = grids[i].CellOf(row.data());
+      ASSERT_EQ(cells[i], expected)
+          << "PPD " << grids[i].ppd() << " row (" << row[0] << ", "
+          << row[1] << ", " << row[2] << ")";
+      swept[i].Set(cells[i]);
+      reference[i].Set(expected);
+    }
+  }
+  for (size_t i = 0; i < grids.size(); ++i) {
+    EXPECT_EQ(swept[i], reference[i]) << "PPD " << grids[i].ppd();
+  }
+}
+
+TEST(GridSweepTest, RandomRowsMatchCellOf) {
+  Bounds bounds;
+  bounds.lo = {-1.0, 0.0, 2.0};
+  bounds.hi = {3.0, 1.0, 2.5};
+  Rng rng(31);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 5000; ++i) {
+    // A margin on every side puts some rows outside the bounds.
+    rows.push_back({rng.Uniform(-1.5, 3.5), rng.Uniform(-0.1, 1.1),
+                    rng.Uniform(1.9, 2.6)});
+  }
+  ExpectSweepMatchesCellOf(SeriesOver(bounds), rows);
+}
+
+TEST(GridSweepTest, RowsOnEveryCellBoundaryMatchCellOf) {
+  Bounds bounds;
+  bounds.lo = {-1.0, 0.0, 0.1};
+  bounds.hi = {3.0, 1.0, 0.7};
+  const std::vector<Grid> grids = SeriesOver(bounds);
+  // Every boundary of every grid on every axis, and the doubles on either
+  // side of it; the other axes sit mid-range.
+  std::vector<std::vector<double>> rows;
+  for (const Grid& grid : grids) {
+    for (size_t k = 0; k < 3; ++k) {
+      const double width = (bounds.hi[k] - bounds.lo[k]) / grid.ppd();
+      for (uint32_t j = 0; j <= grid.ppd(); ++j) {
+        const double edge = j == grid.ppd() ? bounds.hi[k]
+                                            : bounds.lo[k] + j * width;
+        for (const double x : {std::nextafter(edge, -1e300), edge,
+                               std::nextafter(edge, 1e300)}) {
+          std::vector<double> row = {1.0, 0.5, 0.4};
+          row[k] = x;
+          rows.push_back(row);
+        }
+      }
+    }
+  }
+  ExpectSweepMatchesCellOf(grids, rows);
+}
+
+TEST(GridSweepTest, RowsOutsideTheBoundsMatchCellOf) {
+  const Bounds bounds = Bounds::UnitCube(3);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials = {-kInf, -1e300, -2.0, -0.0,
+                                        nan,   2.0,    1e20, 1e300,
+                                        kInf,  0.0,    1.0,  0.5};
+  std::vector<std::vector<double>> rows;
+  for (const double x : specials) {
+    for (const double y : specials) {
+      rows.push_back({x, y, 0.5});
+      rows.push_back({0.5, x, y});
+    }
+  }
+  ExpectSweepMatchesCellOf(SeriesOver(bounds), rows);
+}
+
+TEST(GridSweepTest, ZeroExtentDimensionMatchesCellOf) {
+  Bounds bounds;
+  bounds.lo = {0.0, 0.5, 0.0};
+  bounds.hi = {1.0, 0.5, 1.0};  // The middle axis is collapsed.
+  Rng rng(7);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 2000; ++i) {
+    rows.push_back({rng.NextDouble(), rng.Uniform(0.0, 1.0),
+                    rng.NextDouble()});
+  }
+  for (const double y : {0.5, -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::infinity()}) {
+    rows.push_back({0.3, y, 0.6});
+  }
+  ExpectSweepMatchesCellOf(SeriesOver(bounds), rows);
 }
 
 TEST(GridTest, PpdOneHasNoDominance) {

@@ -21,11 +21,11 @@ namespace {
 // ---------------------------------------------------------------------
 
 /// True q-quantile of `sorted` under the nearest-rank convention the
-/// sketch uses (rank q*(n-1), rounded down — either neighbour order
-/// statistic is accepted by the callers below).
+/// sketch uses: its ceil(q * n)-th value, at least the first.
 double TrueQuantile(const std::vector<double>& sorted, double q) {
-  const size_t rank = static_cast<size_t>(q * (sorted.size() - 1));
-  return sorted[rank];
+  const double n = static_cast<double>(sorted.size());
+  const auto rank = std::max<size_t>(1, static_cast<size_t>(std::ceil(q * n)));
+  return sorted[rank - 1];
 }
 
 /// Asserts the sketch estimate is within the advertised relative error
@@ -77,6 +77,26 @@ TEST(QuantileSketchTest, GeometricRankError) {
   for (const double q : {0.5, 0.95, 0.99}) {
     ExpectQuantileClose(sketch, values, q);
   }
+}
+
+TEST(QuantileSketchTest, TwoValuesTailIsTheLarger) {
+  // Nearest rank: p50 of two values is the first (rank ceil(1.0) = 1);
+  // p95 and p99 are the second (rank ceil(1.9) = ceil(1.98) = 2). A job
+  // wall-time sketch of two jobs must not report the faster job as its
+  // tail.
+  QuantileSketch sketch;
+  sketch.Add(3813.0);
+  sketch.Add(327.0);
+  std::vector<double> values = {3813.0, 327.0};
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    ExpectQuantileClose(sketch, values, q);
+  }
+  const double tolerance = QuantileSketch::kRelativeError * 3813.0;
+  EXPECT_NEAR(sketch.Quantile(0.5), 327.0,
+              QuantileSketch::kRelativeError * 327.0);
+  EXPECT_NEAR(sketch.Quantile(0.95), 3813.0, tolerance);
+  EXPECT_NEAR(sketch.Quantile(0.99), 3813.0, tolerance);
+  EXPECT_GT(sketch.Quantile(0.95), sketch.Quantile(0.5));
 }
 
 TEST(QuantileSketchTest, EmptyAndNonPositiveValues) {
